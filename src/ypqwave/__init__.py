@@ -15,8 +15,8 @@ from .propagator import (CauchyData, FieldSample, KGPropagator, SourceTerm,
 from .radial import (RadialMode, RadialProblem, assemble_galerkin,
                      char_exponents, radial_problem, solve_radial)
 from .shooting import shooting_matcher, shooting_oracle, shooting_spectrum
-from .specfun import (QuadratureRule, assoc_legendre, gauss_jacobi, gegenbauer,
-                      jacobi_norm_integral, jacobi_poly)
+from .specfun import (QuadratureRule, assoc_legendre, gauss_jacobi,
+                      jacobi_norm_integral, jacobi_poly_all)
 from .spectrum import (TruncationPolicy, YEigenmode, YModeIndex, YPoint,
                        basis_gram, build_eigenmode, build_modes,
                        enumerate_modes, eval_u, laplacian_residual,

@@ -47,8 +47,8 @@ import numpy as np
 from .errors import GridMismatch, IndexChainError
 from .geometry import GeometryParams
 from .specfun import (assoc_legendre, assoc_legendre_derivs, gauss_jacobi,
-                      gegenbauer, gegenbauer_deriv, jacobi_poly,
-                      jacobi_poly_deriv, rule_on_01, rule_on_interval)
+                      gegenbauer_scale, jacobi_deriv_all, jacobi_poly_all,
+                      rule_on_01, rule_on_interval)
 
 __all__ = ["ModeIndex", "AdSRadialMode", "SpectralCoefficients", "Sector",
            "SectorGrid", "s3_harmonic", "s3_harmonic_norm", "c_beta",
@@ -115,20 +115,30 @@ def s3_harmonic(s1: int, s2: int, s3: int, point) -> complex:
         raise IndexChainError(f"need s1 >= s2 >= |s3|, got ({s1}, {s2}, {s3})")
     t1, t2, t3 = point
     val = (s3_harmonic_norm(s1, s2, s3)
-           * math.sin(t1) ** s2 * gegenbauer(s2 + 1.0, s1 - s2, math.cos(t1))
+           * float(_t1_factor(s1, s2, t1))
            * assoc_legendre(s2, s3, math.cos(t2)))
     return val * complex(math.cos(s3 * t3), math.sin(s3 * t3))
 
 
+def _t1_gegenbauer(s1: int, s2: int, cth, order: int = 0):
+    """C_{s1-s2}^{(s2+1)}(cos t1), or its order-th derivative in cos t1,
+    as the rescaled Jacobi polynomial P_{s1-s2}^(s2+1/2, s2+1/2)."""
+    r, half = s1 - s2, s2 + 0.5
+    return (gegenbauer_scale(s2 + 1.0, r)
+            * jacobi_deriv_all(half, half, r, cth, order)[r])
+
+
+def _t1_factor(s1: int, s2: int, t1):
+    """A(t1) = N-free sin^{s2} t1 * C_{s1-s2}^{(s2+1)}(cos t1)."""
+    t1 = np.asarray(t1, dtype=float)
+    return np.sin(t1) ** s2 * _t1_gegenbauer(s1, s2, np.cos(t1))
+
+
 def _t1_factor_derivs(s1: int, s2: int, t1):
-    """A(t1) = N-free sin^{s2} t1 * C_{s1-s2}^{(s2+1)}(cos t1) and its two
-    derivatives in t1."""
+    """A(t1) of _t1_factor and its two derivatives in t1."""
     t1 = np.asarray(t1, dtype=float)
     s, cth = np.sin(t1), np.cos(t1)
-    r = s1 - s2
-    gc = gegenbauer(s2 + 1.0, r, cth)
-    gc1 = gegenbauer_deriv(s2 + 1.0, r, cth, 1)
-    gc2 = gegenbauer_deriv(s2 + 1.0, r, cth, 2)
+    gc, gc1, gc2 = (_t1_gegenbauer(s1, s2, cth, order) for order in range(3))
     pow0 = s ** s2
     a_val = pow0 * gc
     pow1 = s2 * s ** (s2 - 1) if s2 >= 1 else np.zeros_like(s)
@@ -181,15 +191,8 @@ class AdSRadialMode:
     norm_const: float
 
     def value(self, x):
-        xv = np.asarray(x, dtype=float)
-        u = -np.cos(2.0 * xv)
-        out = (self.norm_const * np.cos(xv) ** self.beta1
-               * np.sin(xv) ** (2.0 + self.c)
-               * jacobi_poly(self.beta1 + 1.0, self.c, self.i, u))
+        out = _f_table(self.beta1, self.c, self.i, x)[self.i]
         return out if out.ndim else float(out)
-
-    def __call__(self, x):
-        return self.value(x)
 
     def value_and_derivs(self, x):
         xv = np.asarray(x, dtype=float)
@@ -199,9 +202,9 @@ class AdSRadialMode:
         env = self.norm_const * co ** self.beta1 * s ** (2.0 + self.c)
         g1 = -self.beta1 * s / co + (2.0 + self.c) * co / s
         g1p = -self.beta1 / co ** 2 - (2.0 + self.c) / s ** 2
-        pj = jacobi_poly(self.beta1 + 1.0, self.c, self.i, u)
-        pd = jacobi_poly_deriv(self.beta1 + 1.0, self.c, self.i, u, 1)
-        pdd = jacobi_poly_deriv(self.beta1 + 1.0, self.c, self.i, u, 2)
+        a, i = self.beta1 + 1.0, self.i
+        pj, pd, pdd = (jacobi_deriv_all(a, self.c, i, u, order)[i]
+                       for order in range(3))
         f = env * pj
         f1 = env * (g1 * pj + du * pd)
         f2 = env * ((g1 * g1 + g1p) * pj
@@ -221,28 +224,44 @@ class AdSRadialMode:
         return left - self.omega * f
 
 
-def ads_radial_mode(beta1: int, c: float, i: int) -> AdSRadialMode:
-    if beta1 < 0 or i < 0:
-        raise ValueError("beta1 and i must be nonnegative")
-    if c < 2.0:
-        raise ValueError("c must be at least 2")
+def _f_norm(beta1: int, c: float, i: int) -> float:
+    """Normalization N_i of f_i under d nu."""
     # norm fixed by int_0^1 xi^{b1+1} (1-xi)^c P_i^2 dxi
     #   = (i+b1+1)! G(i+c+1) / ((2i+b1+c+2) i! G(i+b1+c+2)),
     # the standard Jacobi square norm; quadrature confirms unit d nu norm.
     lg = (math.lgamma(i + 1) + math.lgamma(i + beta1 + c + 2.0)
           - math.lgamma(i + beta1 + 2) - math.lgamma(i + c + 1.0))
-    norm = math.sqrt((2 * i + beta1 + c + 2.0) * math.exp(lg))
+    return math.sqrt((2 * i + beta1 + c + 2.0) * math.exp(lg))
+
+
+def _f_table(beta1: int, c: float, i_max: int, x) -> np.ndarray:
+    """f_0 .. f_{i_max} at x, shaped (i_max+1,) + np.shape(x), from one
+    Jacobi sweep: f_i = N_i cos^{b1} x sin^{2+c} x P_i^(b1+1, c)(-cos 2x)."""
+    xv = np.asarray(x, dtype=float)
+    norms = np.array([_f_norm(beta1, c, i) for i in range(i_max + 1)])
+    return (norms.reshape((-1,) + (1,) * xv.ndim)
+            * np.cos(xv) ** beta1 * np.sin(xv) ** (2.0 + c)
+            * jacobi_poly_all(beta1 + 1.0, c, i_max, -np.cos(2.0 * xv)))
+
+
+def ads_radial_mode(beta1: int, c: float, i: int) -> AdSRadialMode:
+    if beta1 < 0 or i < 0:
+        raise ValueError("beta1 and i must be nonnegative")
+    if c < 2.0:
+        raise ValueError("c must be at least 2")
     omega = (2.0 * i + beta1 + c + 2.0) ** 2
-    return AdSRadialMode(beta1=beta1, c=c, i=i, omega=omega, norm_const=norm)
+    return AdSRadialMode(beta1=beta1, c=c, i=i, omega=omega,
+                         norm_const=_f_norm(beta1, c, i))
 
 
 def ads_gram(beta1: int, c: float, i_max: int) -> np.ndarray:
     """Gram of {f_i}_{i<=i_max} under d nu via the exact rule in
     xi = cos^2 x (weight xi^{beta1+1} (1-xi)^c)."""
     xi, w = rule_on_01(beta1 + 1.0, c, i_max + 4)
-    modes = [ads_radial_mode(beta1, c, i) for i in range(i_max + 1)]
-    basis = np.vstack([md.norm_const * jacobi_poly(beta1 + 1.0, c, md.i, 1.0 - 2.0 * xi)
-                       for md in modes])
+    norms = np.array([ads_radial_mode(beta1, c, i).norm_const
+                      for i in range(i_max + 1)])
+    basis = norms[:, None] * jacobi_poly_all(beta1 + 1.0, c, i_max,
+                                             1.0 - 2.0 * xi)
     return (basis * w) @ basis.T
 
 
@@ -379,14 +398,12 @@ class ModeTable:
         lam = y_mode.lam
         c = c_beta(self.M, self.kappa, lam)
         norm = s3_harmonic_norm(beta.s1, beta.s2, beta.s3) * math.sqrt(2.0 * math.pi)
-        a_t1, _, _ = _t1_factor_derivs(beta.s1, beta.s2, grid.t1_nodes)
-        vec1 = norm * a_t1
+        vec1 = norm * _t1_factor(beta.s1, beta.s2, grid.t1_nodes)
         vec2 = assoc_legendre(beta.s2, beta.s3, np.cos(grid.t2_nodes))
         vecth = y_mode.angular.value(grid.th_nodes)
         vecy = y_mode.radial.value(grid.y_nodes)
-        fmodes = [ads_radial_mode(beta.s1, c, i) for i in range(self.i_max + 1)]
-        fmat = np.vstack([fm.value(grid.x_nodes) for fm in fmodes])
-        omegas = np.array([fm.omega for fm in fmodes])
+        fmat = _f_table(beta.s1, c, self.i_max, grid.x_nodes)
+        omegas = self.omegas(beta)
         scaled = fmat * grid.x_weights
         gram_x = scaled @ fmat.T
         block = (grid, vec1, vec2, vecth, vecy, fmat, omegas, gram_x)
@@ -451,11 +468,5 @@ def synthesize(coeffs: SpectralCoefficients, table: ModeTable) -> dict:
 
 def grid_norm_sq(data: dict, table: ModeTable) -> float:
     """Total discrete squared norm over all sectors."""
-    total = 0.0
-    for sector, arr in data.items():
-        grid = table.grid(sector)
-        val = np.abs(arr) ** 2
-        for w in grid.axis_weights():
-            val = np.tensordot(val, w, axes=([0], [0]))
-        total += float(val)
-    return total
+    return sum(table.grid(sector).grid_norm_sq(arr)
+               for sector, arr in data.items())

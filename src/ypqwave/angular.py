@@ -31,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import (gauss_jacobi, jacobi_poly, jacobi_poly_deriv,
-                      jacobi_norm_integral)
+from .specfun import gauss_jacobi, jacobi_deriv_all, jacobi_poly_all
 
 __all__ = ["AngularMode", "angular_eigenvalue", "angular_mode", "angular_gram"]
 
@@ -75,14 +74,12 @@ class AngularMode:
 
     def value(self, theta):
         th = np.asarray(theta, dtype=float)
+        a, b, j = self.a_exp, self.b_exp, self.j
         s = np.sin(0.5 * th)
         c = np.cos(0.5 * th)
-        out = (self.norm_const * s ** self.a_exp * c ** self.b_exp
-               * jacobi_poly(self.a_exp, self.b_exp, self.j, np.cos(th)))
+        out = (self.norm_const * s ** a * c ** b
+               * jacobi_poly_all(a, b, j, np.cos(th))[j])
         return out if out.ndim else float(out)
-
-    def __call__(self, theta):
-        return self.value(theta)
 
     def value_and_derivs(self, theta):
         """(v, v', v'') at interior points, by analytic differentiation of
@@ -95,9 +92,9 @@ class AngularMode:
         envelope = self.norm_const * s ** a * c ** b
         g = 0.5 * (a * c / s - b * s / c)
         gp = -a / (4.0 * s * s) - b / (4.0 * c * c)
-        pj = jacobi_poly(a, b, j, x)
-        pd = jacobi_poly_deriv(a, b, j, x, 1)
-        pdd = jacobi_poly_deriv(a, b, j, x, 2)
+        pj = jacobi_poly_all(a, b, j, x)[j]
+        pd = jacobi_deriv_all(a, b, j, x, 1)[j]
+        pdd = jacobi_deriv_all(a, b, j, x, 2)[j]
         sin_th = np.sin(th)
         q = -sin_th * pd
         qp = -np.cos(th) * pd + sin_th * sin_th * pdd
@@ -134,15 +131,9 @@ def angular_gram(n: int, m: int, j_max: int, n_nodes: int | None = None) -> np.n
     b = abs(n - 2 * m)
     rule = gauss_jacobi(a, b, n_nodes or j_max + 4)
     consts = np.array([_norm_const(a, b, j) for j in range(j_max + 1)])
-    basis = np.vstack([jacobi_poly(a, b, j, rule.nodes) for j in range(j_max + 1)])
+    basis = jacobi_poly_all(a, b, j_max, rule.nodes)
     # int_0^pi v_j v_k sin dtheta = 2 C_j C_k 2^{-a-b-1} int (1-x)^a (1+x)^b P_j P_k dx
     scaled = basis * rule.weights
     gram = (scaled @ basis.T) * 2.0 ** (-a - b)
     return consts[:, None] * gram * consts[None, :]
 
-
-def legendre_norm_consistency(j: int) -> float:
-    """|quadrature norm - 1| for the n=m=0 mode, a Legendre cross-check."""
-    mode = angular_mode(0, 0, j)
-    analytic = 2.0 * mode.norm_const ** 2 * jacobi_norm_integral(0, 0, j)
-    return abs(analytic - 1.0)

@@ -36,7 +36,6 @@ SOLVER_VERSION = "galerkin-jacobi-1"
 class CacheKey:
     p: int
     q: int
-    sigma_rule: str
     m: int
     l: int
     lambda_cap: float
@@ -46,8 +45,7 @@ class CacheKey:
     def canonical(self) -> str:
         """Bit-stable serialization; equal keys serialize identically."""
         return json.dumps({
-            "p": self.p, "q": self.q, "sigma_rule": self.sigma_rule,
-            "m": self.m, "l": self.l,
+            "p": self.p, "q": self.q, "m": self.m, "l": self.l,
             "lambda_cap": f"{self.lambda_cap:.15g}",
             "n_basis": self.n_basis,
             "solver_version": self.solver_version,

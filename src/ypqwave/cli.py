@@ -19,14 +19,14 @@ import numpy as np
 from . import selftest as _selftest
 from .angular import angular_mode
 from .ads import ModeIndex, Sector, SpectralCoefficients, ads_radial_mode
-from .cache import SOLVER_VERSION, CacheKey, cache_get_or_solve
-from .config import load_config
+from .cache import CacheKey, cache_get_or_solve
+from .config import load_config, time_tag
 from .errors import YpqError
 from .geometry import solve_geometry
 from .propagator import CauchyData, KGPropagator, TruncationSpec
 from .radial import radial_problem, solve_radial
 from .shooting import shooting_oracle
-from .specfun import jacobi_poly, rule_on_01
+from .specfun import jacobi_poly_all, rule_on_01
 from .spectrum import TruncationPolicy, build_modes, enumerate_modes
 
 __all__ = ["run", "main"]
@@ -56,7 +56,7 @@ def _write_rows(rows, header, fmt: str, out=None) -> None:
 
 
 def _cmd_geometry(args) -> int:
-    gp = solve_geometry(args.p, args.q, args.sigma_rule)
+    gp = solve_geometry(args.p, args.q)
     if args.json:
         print(_geometry_json(gp))
     else:
@@ -75,7 +75,7 @@ def _cmd_angular(args) -> int:
 
 
 def _cmd_radial(args) -> int:
-    gp = solve_geometry(args.p, args.q, args.sigma_rule)
+    gp = solve_geometry(args.p, args.q)
     prob = radial_problem(gp, args.m, args.l, args.Lambda)
     modes = solve_radial(prob, args.kmax, max(args.nbasis, args.kmax + 8))
     print("# eigenvalues are ell of -S (the operator is nonpositive; "
@@ -94,9 +94,9 @@ def _cmd_radial(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    gp = solve_geometry(args.p, args.q, args.sigma_rule)
+    gp = solve_geometry(args.p, args.q)
     policy = TruncationPolicy(args.nmax, args.mmax, args.lmax, args.kmax,
-                              args.jmax, args.lambda_max)
+                              args.jmax)
     modes = build_modes(gp, enumerate_modes(gp, policy), args.nbasis)
     if args.lambda_max is not None:
         modes = [md for md in modes if md.lam <= args.lambda_max]
@@ -108,11 +108,12 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_ads_modes(args) -> int:
     xi, w = rule_on_01(args.beta1 + 1.0, args.c, args.imax + 6)
+    polys = jacobi_poly_all(args.beta1 + 1.0, args.c, args.imax,
+                            1.0 - 2.0 * xi)
     rows = []
     for i in range(args.imax + 1):
         md = ads_radial_mode(args.beta1, args.c, i)
-        vals = md.norm_const * jacobi_poly(args.beta1 + 1.0, args.c, i,
-                                           1.0 - 2.0 * xi)
+        vals = md.norm_const * polys[i]
         norm_resid = abs(float(np.dot(w, vals * vals)) - 1.0)
         rows.append((i, md.omega, norm_resid))
     _write_rows(rows, ("i", "omega", "norm_residual"), args.format)
@@ -121,7 +122,7 @@ def _cmd_ads_modes(args) -> int:
 
 def _cmd_propagate(args) -> int:
     cfg = load_config(args.config)
-    gp = solve_geometry(cfg.p, cfg.q, cfg.sigma_rule)
+    gp = solve_geometry(cfg.p, cfg.q)
     trunc = TruncationSpec(
         s1_max=cfg.s1_max, n_max=cfg.n_max, m_max=cfg.m_max, l_max=cfg.l_max,
         k_max=cfg.k_max, j_max=cfg.j_max, i_max=cfg.i_max,
@@ -132,9 +133,8 @@ def _cmd_propagate(args) -> int:
     if cache_dir:
 
         def solver(prob, k_max, n_basis):
-            key = CacheKey(p=cfg.p, q=cfg.q, sigma_rule=cfg.sigma_rule,
-                           m=prob.m, l=prob.l, lambda_cap=prob.lambda_cap,
-                           n_basis=n_basis, solver_version=SOLVER_VERSION)
+            key = CacheKey(p=cfg.p, q=cfg.q, m=prob.m, l=prob.l,
+                           lambda_cap=prob.lambda_cap, n_basis=n_basis)
             return cache_get_or_solve(
                 key, lambda: solve_radial(prob, k_max, n_basis),
                 cache_dir, min_modes=k_max + 1)
@@ -183,7 +183,7 @@ def _build_data(cfg, prop: KGPropagator) -> CauchyData:
 
 
 def _write_sample(cfg, prop: KGPropagator, sample) -> None:
-    tag = f"t{sample.t:g}".replace(".", "p").replace("-", "m")
+    tag = time_tag(sample.t)
     if cfg.out_format == "json":
         path = os.path.join(cfg.out_dir, f"field_{tag}.json")
         payload = {"t": sample.t, "tail_norm": sample.tail_norm, "sectors": []}
@@ -235,8 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("geometry", help="solve the geometry constants")
     g.add_argument("--p", type=int, required=True)
     g.add_argument("--q", type=int, required=True)
-    g.add_argument("--sigma-rule", choices=("prose", "display"),
-                   default="prose", dest="sigma_rule")
     g.add_argument("--json", action="store_true")
     g.set_defaults(func=_cmd_geometry)
 
@@ -256,8 +254,6 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--kmax", type=int, required=True)
     r.add_argument("--nbasis", type=int, default=40)
     r.add_argument("--oracle", action="store_true")
-    r.add_argument("--sigma-rule", choices=("prose", "display"),
-                   default="prose", dest="sigma_rule")
     r.add_argument("--format", choices=("csv", "json"), default="csv")
     r.set_defaults(func=_cmd_radial)
 
@@ -271,8 +267,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--jmax", type=int, required=True)
     s.add_argument("--lambda-max", type=float, default=None, dest="lambda_max")
     s.add_argument("--nbasis", type=int, default=40)
-    s.add_argument("--sigma-rule", choices=("prose", "display"),
-                   default="prose", dest="sigma_rule")
     s.add_argument("--format", choices=("csv", "json"), default="csv")
     s.set_defaults(func=_cmd_spectrum)
 
@@ -311,3 +305,7 @@ def run(argv) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -15,7 +15,9 @@ schema version.  Coefficient lines may repeat:
     phi0_coef = 0 0 0 0 0 0 0 0 0 : 1.0 : 0.0     # s1..j i : re : im
     preset = none
 
-Validation errors carry the offending line number.
+Validation errors carry the offending line number.  Each output time is
+written to a file tagged by time_tag; times whose tags collide are
+rejected, since the later file would overwrite the earlier one.
 """
 
 from __future__ import annotations
@@ -24,19 +26,19 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 
-__all__ = ["RunConfig", "parse_config", "load_config"]
+__all__ = ["RunConfig", "parse_config", "load_config", "time_tag"]
 
 _INT_KEYS = {"schema_version", "p", "q", "s1_max", "n_max", "m_max", "l_max",
              "k_max", "j_max", "i_max", "n_basis", "grid_x", "grid_t1",
              "grid_t2", "grid_theta", "grid_y"}
 _FLOAT_KEYS = {"M", "kappa", "tail_warn_fraction", "preset_x0",
-               "preset_width", "preset_amplitude", "lambda_max"}
-_STR_KEYS = {"sigma_rule", "preset", "out_dir", "out_format", "cache_dir"}
+               "preset_width", "preset_amplitude"}
+_STR_KEYS = {"preset", "out_dir", "out_format", "cache_dir"}
 _LIST_KEYS = {"times"}
 _COEF_KEYS = {"phi0_coef", "phi1_coef"}
 
 _DEFAULTS = {
-    "sigma_rule": "prose", "M": 0.0, "kappa": 1.0,
+    "M": 0.0, "kappa": 1.0,
     "s1_max": 0, "n_max": 0, "m_max": 0, "l_max": 0, "k_max": 0, "j_max": 0,
     "i_max": 4, "n_basis": 40,
     "grid_x": 36, "grid_t1": 10, "grid_t2": 10, "grid_theta": 12,
@@ -52,7 +54,6 @@ _DEFAULTS = {
 class RunConfig:
     p: int
     q: int
-    sigma_rule: str
     M: float
     kappa: float
     s1_max: int
@@ -84,6 +85,11 @@ class RunConfig:
     def grid_shape(self) -> tuple:
         return (self.grid_x, self.grid_t1, self.grid_t2, self.grid_theta,
                 self.grid_y)
+
+
+def time_tag(t: float) -> str:
+    """File-name tag of output time t, e.g. 0.5 -> 't0p5', -2 -> 'tm2'."""
+    return f"t{t:g}".replace(".", "p").replace("-", "m")
 
 
 def _parse_coef(value: str, lineno: int):
@@ -132,6 +138,10 @@ def parse_config(text: str) -> RunConfig:
                 values[key] = value
             elif key in _LIST_KEYS:
                 values[key] = [float(tok) for tok in value.split(",") if tok.strip()]
+                tags = [time_tag(t) for t in values[key]]
+                if len(set(tags)) < len(tags):
+                    raise ConfigError(f"line {lineno}: two times share an "
+                                      f"output file tag in {tags}")
             else:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
         except ValueError as exc:
@@ -163,8 +173,6 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("grid resolutions must be at least 4")
     if not cfg.times:
         raise ConfigError("times must not be empty")
-    if cfg.sigma_rule not in ("prose", "display"):
-        raise ConfigError("sigma_rule must be 'prose' or 'display'")
     if cfg.out_format not in ("csv", "json"):
         raise ConfigError("out_format must be 'csv' or 'json'")
     if cfg.preset not in ("none", "gaussian_x"):

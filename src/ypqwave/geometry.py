@@ -28,9 +28,9 @@ lattice below relies on.  The anchoring at y_minus rather than y_plus is
 deliberate; anchoring at y_plus leaves the ratio in (1, infinity) where no
 valid label pair can reach it.
 
-The frequency multiplier is sigma = lcm{2, p, q, 2p - q}; for coprime
-labels this coincides with lcm{2, pq, 2p - q}, so the two published forms
-of the rule agree on every valid input (both are exposed).
+The frequency multiplier is sigma = lcm{2, p, q, 2p - q}.  The other
+published form, lcm{2, pq, 2p - q}, is the same number for every valid
+label pair, because gcd(p, q) = 1 gives lcm(p, q) = pq.
 
 All functions are pure and safe for concurrent use.
 """
@@ -70,10 +70,6 @@ class GeometryParams:
     def y_third(self) -> float:
         """Largest cubic root (outside the chart); Vieta: roots sum to 3/2."""
         return 1.5 - self.y_minus - self.y_plus
-
-    @property
-    def interval(self) -> tuple[float, float]:
-        return self.y_minus, self.y_plus
 
     def as_dict(self) -> dict:
         return {
@@ -129,15 +125,7 @@ def quantization_ratio(a: float) -> float:
     return (hm - hp) / (2.0 * hm)
 
 
-def _sigma(p: int, q: int, rule: str) -> int:
-    if rule == "prose":
-        return math.lcm(2, p, q, 2 * p - q)
-    if rule == "display":
-        return math.lcm(2, p * q, 2 * p - q)
-    raise ValueError(f"unknown sigma rule {rule!r}")
-
-
-def solve_geometry(p: int, q: int, sigma_rule: str = "prose") -> GeometryParams:
+def solve_geometry(p: int, q: int) -> GeometryParams:
     """Geometry constants for the label pair (p, q).
 
     Requires p >= 2, p < q < 2p and gcd(p, q) = 1; raises InvalidLabel
@@ -170,7 +158,7 @@ def solve_geometry(p: int, q: int, sigma_rule: str = "prose") -> GeometryParams:
     y_minus, y_plus, _ = cubic_roots(a)
     tau = 2.0 * profile_h(y_minus, a) / q
     return GeometryParams(p=p, q=q, a=a, y_minus=y_minus, y_plus=y_plus,
-                          tau=tau, sigma=_sigma(p, q, sigma_rule))
+                          tau=tau, sigma=math.lcm(2, p, q, 2 * p - q))
 
 
 def eval_profiles(gp: GeometryParams, y: float) -> ProfileValues:

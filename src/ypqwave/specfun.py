@@ -20,11 +20,10 @@ from .errors import DegreeOrderError, EigenFailure
 
 __all__ = [
     "QuadratureRule",
-    "jacobi_poly",
-    "jacobi_poly_deriv",
+    "jacobi_poly_all",
+    "jacobi_deriv_all",
     "jacobi_norm_integral",
-    "gegenbauer",
-    "gegenbauer_deriv",
+    "gegenbauer_scale",
     "assoc_legendre",
     "assoc_legendre_derivs",
     "gauss_jacobi",
@@ -33,36 +32,16 @@ __all__ = [
 ]
 
 
-def jacobi_poly(alpha: float, beta: float, j: int, x):
-    """P_j^(alpha,beta)(x) by the standard three-term recurrence.
+def jacobi_poly_all(alpha: float, beta: float, j_max: int, x) -> np.ndarray:
+    """All of P_0 .. P_{j_max}^(alpha,beta) at x, one three-term recurrence
+    sweep.
 
-    Stable on x in [-1, 1] for degrees well beyond 200.  Accepts scalar or
-    ndarray argument.
+    Stable on x in [-1, 1] for degrees well beyond 200.  Returns an array
+    of shape (j_max+1,) + np.shape(x), so row j of a scalar argument is a
+    scalar.
     """
     x = np.asarray(x, dtype=float)
-    p0 = np.ones_like(x)
-    if j == 0:
-        return p0 if p0.ndim else float(p0)
-    p1 = 0.5 * (alpha - beta) + 0.5 * (alpha + beta + 2.0) * x
-    if j == 1:
-        return p1 if p1.ndim else float(p1)
-    for n in range(2, j + 1):
-        s = 2.0 * n + alpha + beta
-        c1 = 2.0 * n * (n + alpha + beta) * (s - 2.0)
-        c2 = (s - 1.0) * (alpha * alpha - beta * beta)
-        c3 = (s - 2.0) * (s - 1.0) * s
-        c4 = 2.0 * (n + alpha - 1.0) * (n + beta - 1.0) * s
-        p0, p1 = p1, ((c2 + c3 * x) * p1 - c4 * p0) / c1
-    return p1 if p1.ndim else float(p1)
-
-
-def jacobi_poly_all(alpha: float, beta: float, j_max: int, x) -> np.ndarray:
-    """All of P_0 .. P_{j_max}^(alpha,beta) at x, one recurrence sweep.
-
-    Returns an array of shape (j_max+1, len(x)).
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty((j_max + 1, x.size))
+    out = np.empty((j_max + 1,) + x.shape)
     out[0] = 1.0
     if j_max >= 1:
         out[1] = 0.5 * (alpha - beta) + 0.5 * (alpha + beta + 2.0) * x
@@ -78,9 +57,11 @@ def jacobi_poly_all(alpha: float, beta: float, j_max: int, x) -> np.ndarray:
 
 def jacobi_deriv_all(alpha: float, beta: float, j_max: int, x,
                      order: int = 1) -> np.ndarray:
-    """order-th derivatives of P_0 .. P_{j_max}^(alpha,beta) at x."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.zeros((j_max + 1, x.size))
+    """order-th derivatives (order 0: the values) of P_0 .. P_{j_max}^(alpha,
+    beta) at x, shaped like jacobi_poly_all, via the shift identity
+    d/dx P_j^(a,b) = (j+a+b+1)/2 * P_{j-1}^(a+1,b+1)."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros((j_max + 1,) + x.shape)
     if j_max >= order:
         shifted = jacobi_poly_all(alpha + order, beta + order, j_max - order, x)
         for j in range(order, j_max + 1):
@@ -91,19 +72,19 @@ def jacobi_deriv_all(alpha: float, beta: float, j_max: int, x,
     return out
 
 
-def jacobi_poly_deriv(alpha: float, beta: float, j: int, x, order: int = 1):
-    """order-th derivative of P_j^(alpha,beta), via the shift identity
-    d/dx P_j^(a,b) = (j+a+b+1)/2 * P_{j-1}^(a+1,b+1)."""
-    if order == 0:
-        return jacobi_poly(alpha, beta, j, x)
-    if j < order:
-        x = np.asarray(x, dtype=float)
-        z = np.zeros_like(x)
-        return z if z.ndim else 0.0
-    scale = 1.0
-    for i in range(order):
-        scale *= 0.5 * (j + alpha + beta + 1.0 + i)
-    return scale * jacobi_poly(alpha + order, beta + order, j - order, x)
+def gegenbauer_scale(order: float, degree: int) -> float:
+    """The factor g with C_r^(lam) = g * P_r^(lam-1/2, lam-1/2), lam > 0:
+
+        g = (2 lam)_r / (lam + 1/2)_r     (rising factorials).
+
+    Taken as a product of factors below 2, it cannot overflow for any
+    practical degree and keeps the last digit that an lgamma difference
+    loses.
+    """
+    g = 1.0
+    for k in range(degree):
+        g *= (2.0 * order + k) / (order + 0.5 + k)
+    return g
 
 
 def jacobi_norm_integral(a_exp: int, b_exp: int, j: int) -> float:
@@ -115,34 +96,6 @@ def jacobi_norm_integral(a_exp: int, b_exp: int, j: int) -> float:
     lg = (math.lgamma(j + a_exp + 1) + math.lgamma(j + b_exp + 1)
           - math.lgamma(j + 1) - math.lgamma(j + a_exp + b_exp + 1))
     return math.exp(lg) / (2 * j + a_exp + b_exp + 1)
-
-
-def gegenbauer(order: float, degree: int, x):
-    """Gegenbauer polynomial C_degree^(order)(x) by recurrence."""
-    x = np.asarray(x, dtype=float)
-    c0 = np.ones_like(x)
-    if degree == 0:
-        return c0 if c0.ndim else float(c0)
-    c1 = 2.0 * order * x
-    if degree == 1:
-        return c1 if c1.ndim else float(c1)
-    for r in range(2, degree + 1):
-        c0, c1 = c1, (2.0 * (r + order - 1.0) * x * c1 - (r + 2.0 * order - 2.0) * c0) / r
-    return c1 if c1.ndim else float(c1)
-
-
-def gegenbauer_deriv(order: float, degree: int, x, nth: int = 1):
-    """nth derivative of C_degree^(order), via d/dx C_r^(l) = 2l C_{r-1}^(l+1)."""
-    if nth == 0:
-        return gegenbauer(order, degree, x)
-    if degree < nth:
-        x = np.asarray(x, dtype=float)
-        z = np.zeros_like(x)
-        return z if z.ndim else 0.0
-    scale = 1.0
-    for i in range(nth):
-        scale *= 2.0 * (order + i)
-    return scale * gegenbauer(order + nth, degree - nth, x)
 
 
 def assoc_legendre(l: int, m: int, x):

@@ -39,9 +39,6 @@ class YModeIndex:
         if self.k < 0 or self.j < 0:
             raise ValueError("excitation numbers k, j must be nonnegative")
 
-    def conjugate(self) -> "YModeIndex":
-        return YModeIndex(-self.n, -self.m, -self.l, self.k, self.j)
-
 
 @dataclass(frozen=True)
 class YPoint:
@@ -69,14 +66,13 @@ class YPoint:
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Rectangular index bounds plus an optional energy cutoff."""
+    """Rectangular index bounds."""
 
     n_max: int
     m_max: int
     l_max: int
     k_max: int
     j_max: int
-    lambda_max: float | None = None
 
 
 @dataclass(frozen=True)
@@ -113,19 +109,14 @@ def eval_u(mode: YEigenmode, pt: YPoint) -> complex:
 
 def enumerate_modes(gp: GeometryParams,
                     truncation: TruncationPolicy) -> list[YModeIndex]:
-    """All indices inside the rectangular bounds, lexicographic order.
-
-    With lambda_max set, indices are filtered by the assembled eigenvalue
-    afterwards (which requires radial solves, so it is opt-in).
-    """
+    """All indices inside the rectangular bounds, lexicographic order."""
     t = truncation
-    out = [YModeIndex(n, m, l, k, j)
-           for n in range(-t.n_max, t.n_max + 1)
-           for m in range(-t.m_max, t.m_max + 1)
-           for l in range(-t.l_max, t.l_max + 1)
-           for k in range(t.k_max + 1)
-           for j in range(t.j_max + 1)]
-    return out
+    return [YModeIndex(n, m, l, k, j)
+            for n in range(-t.n_max, t.n_max + 1)
+            for m in range(-t.m_max, t.m_max + 1)
+            for l in range(-t.l_max, t.l_max + 1)
+            for k in range(t.k_max + 1)
+            for j in range(t.j_max + 1)]
 
 
 def build_modes(gp: GeometryParams, indices: list[YModeIndex],

@@ -1,27 +1,23 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail
 line with its measured figure and runtime.
 
+Criteria 1-7 run the `selftest` invariant checks at larger sizes, so each
+invariant is written once; criterion 8 runs `selftest` itself.
+
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
-import math
 import time
 
-import numpy as np
-import pytest
-
-from conftest import label_lattice
-from ypqwave.angular import angular_eigenvalue, angular_gram, angular_mode
-from ypqwave.ads import SpectralCoefficients, ads_gram, ads_radial_mode
+from ypqwave.angular import angular_eigenvalue
 from ypqwave.cli import run
-from ypqwave.geometry import profile_h, solve_geometry
-from ypqwave.propagator import (CauchyData, KGPropagator, SourceTerm,
-                                TruncationSpec)
-from ypqwave.radial import radial_problem, solve_radial
-from ypqwave.shooting import shooting_oracle
-from ypqwave.spectrum import (TruncationPolicy, basis_gram, build_modes,
-                              enumerate_modes, laplacian_residual,
-                              random_points)
+from ypqwave.selftest import (CHECKS, check_ads, check_angular, check_cache,
+                              check_config, check_geometry,
+                              check_jacobi_norms, check_profiles,
+                              check_propagator, check_quadrature,
+                              check_radial_kernel, check_radial_oracle,
+                              check_radial_slopes, check_serialization,
+                              check_spectrum)
 
 
 def _report(name: str, ok: bool, detail: str, elapsed: float, budget: float):
@@ -31,187 +27,63 @@ def _report(name: str, ok: bool, detail: str, elapsed: float, budget: float):
     assert elapsed < budget, f"runtime {elapsed:.1f}s over budget {budget}s"
 
 
-def test_criterion_1_geometry():
+def _run_checks(name: str, budget: float, *checks):
+    """Run each (check, sizes) pair and report them as one criterion."""
     t0 = time.time()
-    worst = 0.0
-    for (p, q) in label_lattice(6):
-        gp = solve_geometry(p, q)
-        hm = profile_h(gp.y_minus, gp.a)
-        hp = profile_h(gp.y_plus, gp.a)
-        worst = max(worst, abs((hm - hp) / (2.0 * hm) - p / q))
-        for y in (gp.y_minus, gp.y_plus):
-            worst = max(worst, abs(profile_h(y, gp.a) - (y - 1) / (6 * y)))
-    _report("criterion 1 (geometry lattice)", worst < 1e-12,
-            f"max residual {worst:.2e} over {len(label_lattice(6))} labels",
-            time.time() - t0, 1.0)
+    results = [check(**sizes) for check, sizes in checks]
+    _report(name, all(ok for ok, _ in results),
+            "; ".join(detail for _, detail in results),
+            time.time() - t0, budget)
+
+
+def test_criterion_1_geometry():
+    _run_checks("criterion 1 (geometry lattice)", 1.0,
+                (check_geometry, {"p_top": 6}),
+                (check_profiles, {}),
+                (check_serialization, {}))
 
 
 def test_criterion_2_angular():
-    t0 = time.time()
-    theta = np.pi * (1 + np.cos(np.pi * (2 * np.arange(40) + 1) / 80.0)) / 2.0
-    worst_gram = 0.0
-    worst_res = 0.0
-    for n in range(-3, 4):
-        for m in range(-3, 4):
-            g = angular_gram(n, m, 10)
-            worst_gram = max(worst_gram, np.abs(g - np.eye(11)).max())
-            for j in range(11):
-                md = angular_mode(n, m, j)
-                worst_res = max(worst_res,
-                                np.abs(md.operator_residual(theta)).max())
-    ok = worst_gram < 1e-11 and worst_res < 1e-7
-    _report("criterion 2 (angular basis)", ok,
-            f"gram dev {worst_gram:.2e}, ODE residual {worst_res:.2e}",
-            time.time() - t0, 10.0)
+    pairs = [(n, m) for n in range(-3, 4) for m in range(-3, 4)]
+    _run_checks("criterion 2 (angular basis)", 10.0,
+                (check_angular, {"pairs": pairs, "j_max": 10}),
+                (check_quadrature, {}),
+                (check_jacobi_norms, {}))
 
 
 def test_criterion_3_radial_vs_oracle():
-    t0 = time.time()
-    lam_101 = angular_eigenvalue(1, 0, 1)
-    worst = 0.0
-    for (p, q) in ((2, 3), (3, 4)):
-        gp = solve_geometry(p, q)
-        for (m, l) in ((0, 0), (1, 0), (0, 1), (2, -1)):
-            for lam in (0.0, lam_101):
-                prob = radial_problem(gp, m, l, lam)
-                modes = solve_radial(prob, 4, 28)
-                for md in modes:
-                    if md.ell == 0.0:
-                        ell = shooting_oracle(prob, (-1e-6, 1e-6), 0)
-                        worst = max(worst, abs(ell))
-                        continue
-                    pad = 0.02 * max(1.0, md.ell)
-                    ell = shooting_oracle(prob, (md.ell - pad, md.ell + pad),
-                                          md.k)
-                    worst = max(worst, abs(md.ell - ell) / abs(ell))
-    kernel = solve_radial(radial_problem(solve_geometry(2, 3), 0, 0, 0.0),
-                          0, 12)[0]
-    ok = worst < 1e-6 and kernel.ell < 1e-9 \
-        and np.abs(kernel.coeffs[1:]).max() < 1e-9
-    _report("criterion 3 (radial vs shooting)", ok,
-            f"max rel disagreement {worst:.2e}, kernel ell {kernel.ell:.1e}",
-            time.time() - t0, 120.0)
+    problems = [(m, l, lam) for (m, l) in ((0, 0), (1, 0), (0, 1), (2, -1))
+                for lam in (0.0, angular_eigenvalue(1, 0, 1))]
+    _run_checks("criterion 3 (radial vs shooting)", 120.0,
+                (check_radial_oracle, {"labels": ((2, 3), (3, 4)),
+                                       "problems": problems, "k_max": 4}),
+                (check_radial_kernel, {"n_basis": 12}),
+                (check_cache, {}))
 
 
 def test_criterion_4_endpoint_exponents():
-    t0 = time.time()
-    cases = [((2, 3), 0, 1, 0), ((2, 3), 1, 0, 1), ((2, 3), 2, -1, 0),
-             ((2, 3), 1, 1, 2), ((3, 4), 0, 1, 0), ((3, 4), 2, -1, 1)]
-    worst = 0.0
-    for (pq, m, l, k) in cases:
-        gp = solve_geometry(*pq)
-        prob = radial_problem(gp, m, l, 0.0)
-        md = solve_radial(prob, k, 26)[k]
-        delta = gp.y_plus - gp.y_minus
-        d = np.logspace(-4, -3, 12) * delta
-        for nu, ys in ((prob.nu_minus, gp.y_minus + d),
-                       (prob.nu_plus, gp.y_plus - d)):
-            vals = np.abs(md.value(ys))
-            if nu == 0.0:
-                continue
-            slope = np.polyfit(np.log(d), np.log(vals), 1)[0]
-            worst = max(worst, abs(slope - nu))
-    _report("criterion 4 (endpoint exponents)", worst < 0.05,
-            f"max slope deviation {worst:.3f} over {2 * len(cases)} fits",
-            time.time() - t0, 30.0)
+    cases = [(2, 3, 0, 1, 0), (2, 3, 1, 0, 1), (2, 3, 2, -1, 0),
+             (2, 3, 1, 1, 2), (3, 4, 0, 1, 0), (3, 4, 2, -1, 1)]
+    _run_checks("criterion 4 (endpoint exponents)", 30.0,
+                (check_radial_slopes, {"cases": cases, "n_basis": 26}))
 
 
 def test_criterion_5_spectrum():
-    t0 = time.time()
-    gp = solve_geometry(2, 3)
-    modes = build_modes(gp, enumerate_modes(gp, TruncationPolicy(1, 1, 1, 1, 1)),
-                        36)[:20]
-    gram_dev = np.abs(basis_gram(modes) - np.eye(20)).max()
-    rng = np.random.default_rng(12)
-    worst_res = 0.0
-    for md in modes:
-        pts = random_points(gp, 20, rng)
-        worst_res = max(worst_res, laplacian_residual(md, pts).max())
-    ok = gram_dev < 1e-9 and worst_res < 1e-6
-    _report("criterion 5 (spectrum assembly)", ok,
-            f"20-mode gram dev {gram_dev:.2e}, residual {worst_res:.2e}",
-            time.time() - t0, 120.0)
+    _run_checks("criterion 5 (spectrum assembly)", 120.0,
+                (check_spectrum, {"bounds": (1, 1, 1, 1, 1), "n_basis": 36,
+                                  "n_modes": 20, "n_points": 20}))
 
 
 def test_criterion_6_ads_modes():
-    t0 = time.time()
-    worst_gram = 0.0
-    worst_res = 0.0
-    xs = np.linspace(0.1, 1.47, 40)
-    for beta1 in (0, 1, 3):
-        for c in (2.0, 2.7, 5.0):
-            worst_gram = max(worst_gram,
-                             np.abs(ads_gram(beta1, c, 12) - np.eye(13)).max())
-            for i in (0, 5, 12):
-                md = ads_radial_mode(beta1, c, i)
-                res = np.abs(md.operator_residual(xs, M=0.0, kappa=1.0)).max()
-                worst_res = max(worst_res, res / md.omega)
-    from fractions import Fraction
-    spacing_ok = True
-    for c in (Fraction(2), Fraction(27, 10), Fraction(5)):
-        for beta1 in (0, 1, 3):
-            for i in range(12):
-                lhs = ((2 * (i + 1) + beta1 + c + 2) ** 2
-                       - (2 * i + beta1 + c + 2) ** 2)
-                spacing_ok &= lhs == 4 * (2 * i + beta1 + c + 3)
-    ok = worst_gram < 1e-10 and worst_res < 1e-6 and spacing_ok
-    _report("criterion 6 (ads modes)", ok,
-            f"gram dev {worst_gram:.2e}, L-residual {worst_res:.2e}, "
-            f"spacing exact {spacing_ok}", time.time() - t0, 20.0)
+    _run_checks("criterion 6 (ads modes)", 20.0,
+                (check_ads, {"beta1s": (0, 1, 3), "cs": (2.0, 2.7, 5.0),
+                             "i_max": 12, "s1_max": 4}))
 
 
 def test_criterion_7_propagator():
-    t0 = time.time()
-    gp = solve_geometry(2, 3)
-    trunc = TruncationSpec(s1_max=1, n_max=1, m_max=0, l_max=0, k_max=1,
-                           j_max=1, i_max=3, n_basis=20,
-                           grid_shape=(28, 8, 8, 10, 28))
-    prop = KGPropagator(gp, M=1.0, kappa=1.0, trunc=trunc)
-    rng = np.random.default_rng(17)
-    a0, a1 = SpectralCoefficients(), SpectralCoefficients()
-    for beta in prop.betas[::4]:
-        for i in (0, 1, 3):
-            a0[(beta, i)] = complex(rng.normal(), rng.normal())
-            a1[(beta, i)] = complex(rng.normal(), rng.normal())
-    data = CauchyData(a0, a1)
-    e0 = prop.mode_energy(data)
-    worst_e = 0.0
-    for t in range(11):
-        st = prop.evolve(data, float(t), synthesize_values=False)
-        et = prop.mode_energy(CauchyData(st.coefficients, st.velocity))
-        worst_e = max(worst_e, max(abs(et[k] - e0[k]) / e0[k]
-                                   for k in e0 if e0[k] > 0.0))
-    refl = prop.check_reflection(data, 3.1)
-    s1 = prop.evolve(data, 1.9, synthesize_values=False)
-    s12 = prop.evolve(CauchyData(s1.coefficients, s1.velocity), 2.6,
-                      synthesize_values=False)
-    sdir = prop.evolve(data, 4.5, synthesize_values=False)
-    comp = max(abs(s12.coefficients[k] - sdir.coefficients[k])
-               for k in sdir.coefficients.entries)
-    zero_src = SourceTerm(np.linspace(0.0, 5.0, 6),
-                          [SpectralCoefficients()] * 6)
-    si = prop.evolve_inhomogeneous(data, zero_src, 4.0,
-                                   synthesize_values=False)
-    sh = prop.evolve(data, 4.0, synthesize_values=False)
-    zsrc = max(abs(si.coefficients[k] - sh.coefficients[k])
-               for k in sh.coefficients.entries)
-    beta = prop.betas[0]
-    one = SpectralCoefficients()
-    one[(beta, 0)] = 1.0
-    const_src = SourceTerm(np.linspace(0.0, 5.0, 9), [one] * 9)
-    zero_data = CauchyData(SpectralCoefficients(), SpectralCoefficients())
-    om = prop.omega((beta, 0))
-    tt = 3.7
-    sc = prop.evolve_inhomogeneous(zero_data, const_src, tt,
-                                   synthesize_values=False)
-    duh = abs(sc.coefficients[(beta, 0)]
-              - (1.0 - math.cos(tt * math.sqrt(om))) / om)
-    ok = (worst_e < 1e-12 and refl < 1e-12 and comp < 1e-12
-          and zsrc < 1e-14 and duh < 1e-10)
-    _report("criterion 7 (propagator diagnostics)", ok,
-            f"energy {worst_e:.1e}, reflection {refl:.1e}, "
-            f"composition {comp:.1e}, zero-source {zsrc:.1e}, "
-            f"duhamel {duh:.1e}", time.time() - t0, 30.0)
+    _run_checks("criterion 7 (propagator diagnostics)", 30.0,
+                (check_propagator, {"beta_step": 4}),
+                (check_config, {}))
 
 
 def test_criterion_8_selftest(capsys):
@@ -222,3 +94,15 @@ def test_criterion_8_selftest(capsys):
     with capsys.disabled():
         _report("criterion 8 (selftest)", code == 0,
                 f"exit {code}, {out.count('PASS')} checks", elapsed, 300.0)
+
+
+def test_every_selftest_check_is_in_a_criterion():
+    criteria = [test_criterion_1_geometry, test_criterion_2_angular,
+                test_criterion_3_radial_vs_oracle,
+                test_criterion_4_endpoint_exponents,
+                test_criterion_5_spectrum, test_criterion_6_ads_modes,
+                test_criterion_7_propagator]
+    used = {name for fn in criteria for name in fn.__code__.co_names}
+    missing = [name for name, check, _, _ in CHECKS
+               if check.__name__ not in used]
+    assert not missing, f"selftest checks no criterion runs: {missing}"

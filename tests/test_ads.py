@@ -6,13 +6,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import eval_gegenbauer
 
 from ypqwave.ads import (ModeIndex, Sector, SpectralCoefficients,
                          ads_gram, ads_radial_mode, c_beta, grid_norm_sq,
                          project_cauchy, s3_harmonic, s3_harmonic_norm,
                          s3_laplace_residual, synthesize, ModeTable)
 from ypqwave.errors import GridMismatch, IndexChainError
-from ypqwave.specfun import assoc_legendre, gauss_jacobi, gegenbauer
+from ypqwave.specfun import assoc_legendre, gauss_jacobi
 from ypqwave.spectrum import TruncationPolicy, build_modes, enumerate_modes
 
 
@@ -38,6 +39,18 @@ class TestHarmonics:
         with pytest.raises(IndexChainError):
             s3_harmonic(1, 2, 0, (1.0, 1.0, 1.0))
 
+    def test_matches_scipy_gegenbauer(self):
+        rng = np.random.default_rng(5)
+        for (s1, s2, s3) in [(1, 0, 0), (3, 1, -1), (4, 2, 2), (6, 3, 0)]:
+            for _ in range(5):
+                t1, t2, t3 = rng.uniform(0.1, 3.0, size=3)
+                ref = (s3_harmonic_norm(s1, s2, s3) * math.sin(t1) ** s2
+                       * eval_gegenbauer(s1 - s2, s2 + 1.0, math.cos(t1))
+                       * assoc_legendre(s2, s3, math.cos(t2))
+                       * complex(math.cos(s3 * t3), math.sin(s3 * t3)))
+                got = s3_harmonic(s1, s2, s3, (t1, t2, t3))
+                assert abs(got - ref) < 1e-13 * max(1.0, abs(ref))
+
     @pytest.mark.parametrize("s1,s2,s3", [(1, 0, 0), (2, 1, 1), (3, 2, -2),
                                           (3, 3, 3), (4, 2, 0)])
     def test_laplace_residual(self, s1, s2, s3):
@@ -61,7 +74,7 @@ class TestHarmonics:
             for (s1, s2) in pairs:
                 norm = s3_harmonic_norm(s1, s2, s3) * math.sqrt(2 * math.pi)
                 f1 = (norm * np.sin(t1) ** s2
-                      * gegenbauer(s2 + 1.0, s1 - s2, np.cos(t1)))
+                      * eval_gegenbauer(s1 - s2, s2 + 1.0, np.cos(t1)))
                 f2 = assoc_legendre(s2, s3, np.cos(t2))
                 rows.append((f1, f2))
             gram = np.empty((len(pairs), len(pairs)))
@@ -78,7 +91,7 @@ class TestHarmonics:
         for (s1, s2, s3) in [(2, 1, -1), (3, 2, -2)]:
             norm = s3_harmonic_norm(s1, s2, s3) * math.sqrt(2 * math.pi)
             f1 = (norm * np.sin(np.arccos(t1r.nodes)) ** s2
-                  * gegenbauer(s2 + 1.0, s1 - s2, t1r.nodes))
+                  * eval_gegenbauer(s1 - s2, s2 + 1.0, t1r.nodes))
             f2 = assoc_legendre(s2, s3, t2r.nodes)
             total = (float(np.dot(t1r.weights, f1 * f1))
                      * float(np.dot(t2r.weights, f2 * f2)))

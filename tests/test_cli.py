@@ -4,10 +4,13 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ypqwave
 from ypqwave.cache import CacheKey, cache_get_or_solve
 from ypqwave.cli import run
 from ypqwave.config import parse_config
@@ -44,6 +47,18 @@ class TestGeometryCommand:
 
     def test_unknown_command_exit_2(self, capsys):
         assert run(["frobnicate"]) == 2
+
+    def test_module_entry_point(self):
+        src = os.path.dirname(os.path.dirname(ypqwave.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ypqwave.cli", "geometry", "--p", "2",
+             "--q", "3"], capture_output=True, text=True, env=env,
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "sigma = 6" in proc.stdout.splitlines()
 
 
 class TestTableCommands:
@@ -127,6 +142,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config("schema_version = 1\np = 2\np = 3\nq = 3\n")
 
+    @pytest.mark.parametrize("line", ["lambda_max = 5", "sigma_rule = prose"])
+    def test_removed_keys_are_unknown(self, tmp_path, capsys, line):
+        text = CONFIG_TEMPLATE + line + "\n"
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        assert run(["propagate", "--config", str(path)]) == 1
+        lineno = text.splitlines().index(line) + 1
+        key = line.split()[0]
+        assert capsys.readouterr().err.startswith(
+            f"error: line {lineno}: unknown key {key!r}")
+
     def test_validation(self):
         with pytest.raises(ConfigError, match="kappa"):
             parse_config(CONFIG_TEMPLATE.replace("kappa = 1.0",
@@ -176,6 +202,21 @@ class TestPropagate:
                 outs.append(fh.read())
         assert outs[0] == outs[1] == outs[2]
 
+    def test_colliding_time_tags(self, tmp_path, capsys):
+        # 1.0 and 1.0000001 would both be written to field_t1.csv
+        times = "times = 1.0, 1.0000001"
+        out_dir = tmp_path / "out"
+        text = (CONFIG_TEMPLATE.replace("times = 0.0, 1.0", times)
+                + f"out_dir = {out_dir}\n")
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        lineno = text.splitlines().index(times) + 1
+        with pytest.raises(ConfigError, match=f"line {lineno}: .*share"):
+            parse_config(text)
+        assert run(["propagate", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: line {lineno}:")
+        assert not out_dir.exists()
+
     def test_json_output(self, tmp_path, capsys):
         cfg = (CONFIG_TEMPLATE.replace("out_format = csv", "out_format = json")
                .replace("times = 0.0, 1.0", "times = 0.5")
@@ -218,7 +259,7 @@ class TestCache:
             calls["n"] += 1
             return solve_radial(prob, 1, 16)
 
-        key = CacheKey(p=2, q=3, sigma_rule="prose", m=1, l=0,
+        key = CacheKey(p=2, q=3, m=1, l=0,
                        lambda_cap=2.0, n_basis=16)
         first = cache_get_or_solve(key, solve, str(tmp_path), min_modes=2)
         second = cache_get_or_solve(key, solve, str(tmp_path), min_modes=2)
@@ -229,9 +270,9 @@ class TestCache:
 
     def test_distinct_nbasis_entries(self, tmp_path, gp23):
         prob = radial_problem(gp23, 1, 0, 2.0)
-        k16 = CacheKey(p=2, q=3, sigma_rule="prose", m=1, l=0,
+        k16 = CacheKey(p=2, q=3, m=1, l=0,
                        lambda_cap=2.0, n_basis=16)
-        k20 = CacheKey(p=2, q=3, sigma_rule="prose", m=1, l=0,
+        k20 = CacheKey(p=2, q=3, m=1, l=0,
                        lambda_cap=2.0, n_basis=20)
         assert k16.filename() != k20.filename()
         cache_get_or_solve(k16, lambda: solve_radial(prob, 1, 16),
@@ -242,7 +283,7 @@ class TestCache:
 
     def test_corruption_recovery(self, tmp_path, gp23):
         prob = radial_problem(gp23, 0, 1, 2.0)
-        key = CacheKey(p=2, q=3, sigma_rule="prose", m=0, l=1,
+        key = CacheKey(p=2, q=3, m=0, l=1,
                        lambda_cap=2.0, n_basis=16)
         fresh = cache_get_or_solve(key, lambda: solve_radial(prob, 1, 16),
                                    str(tmp_path), min_modes=2)
@@ -255,9 +296,9 @@ class TestCache:
             assert a.ell == b.ell
 
     def test_canonical_lambda_digits(self):
-        k1 = CacheKey(p=2, q=3, sigma_rule="prose", m=0, l=0,
+        k1 = CacheKey(p=2, q=3, m=0, l=0,
                       lambda_cap=2.0, n_basis=16)
-        k2 = CacheKey(p=2, q=3, sigma_rule="prose", m=0, l=0,
+        k2 = CacheKey(p=2, q=3, m=0, l=0,
                       lambda_cap=2.0 + 1e-17, n_basis=16)
         assert k1.canonical() == k2.canonical()
 

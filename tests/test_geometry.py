@@ -28,13 +28,12 @@ class TestSolveGeometry:
 
     def test_23_sigma(self, gp23):
         assert gp23.sigma == 6
-        assert solve_geometry(2, 3, "display").sigma == 6
 
     def test_sigma_rules_agree_on_lattice(self):
-        # lcm{2, pq, 2p-q} == lcm{2, p, q, 2p-q} whenever gcd(p, q) = 1
+        # the other published form, lcm{2, pq, 2p-q}, gives the same sigma
+        # whenever gcd(p, q) = 1
         for (p, q) in label_lattice():
-            assert (solve_geometry(p, q, "prose").sigma
-                    == solve_geometry(p, q, "display").sigma)
+            assert solve_geometry(p, q).sigma == math.lcm(2, p * q, 2 * p - q)
 
     @pytest.mark.parametrize("p,q", [(2, 5), (3, 3), (2, 2), (4, 6), (1, 1),
                                      (3, 7), (0, 1)])

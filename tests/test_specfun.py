@@ -1,16 +1,17 @@
 """Special functions and quadrature: recurrences against independent
-series and exact-moment oracles."""
+series, scipy.special and exact-moment oracles."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import eval_gegenbauer, eval_jacobi, jacobi
 
 from ypqwave.errors import DegreeOrderError
 from ypqwave.specfun import (assoc_legendre, assoc_legendre_derivs,
-                             gauss_jacobi, gegenbauer, jacobi_norm_integral,
-                             jacobi_poly, jacobi_poly_all, rule_on_01,
+                             gauss_jacobi, gegenbauer_scale, jacobi_deriv_all,
+                             jacobi_norm_integral, jacobi_poly_all, rule_on_01,
                              rule_on_interval)
 
 
@@ -33,33 +34,64 @@ def jacobi_series(alpha, beta, j, x):
 class TestJacobiPoly:
     def test_degree_zero_is_one(self):
         for alpha, beta in [(0.0, 0.0), (2.5, 1.0), (7.0, 0.5)]:
-            assert jacobi_poly(alpha, beta, 0, 0.37) == 1.0
+            assert jacobi_poly_all(alpha, beta, 0, 0.37)[0] == 1.0
 
     def test_legendre_case(self):
-        assert jacobi_poly(0.0, 0.0, 1, 0.5) == pytest.approx(0.5, abs=1e-15)
+        assert jacobi_poly_all(0.0, 0.0, 1, 0.5)[1] == pytest.approx(
+            0.5, abs=1e-15)
 
     def test_endpoint_binomial(self):
-        assert jacobi_poly(2.0, 0.0, 2, 1.0) == pytest.approx(6.0, abs=1e-12)
+        assert jacobi_poly_all(2.0, 0.0, 2, 1.0)[2] == pytest.approx(
+            6.0, abs=1e-12)
+
+    def test_shape_follows_argument(self):
+        assert jacobi_poly_all(1.0, 2.0, 3, 0.2).shape == (4,)
+        assert jacobi_poly_all(1.0, 2.0, 3, np.zeros((2, 5))).shape == (4, 2, 5)
+        assert jacobi_deriv_all(1.0, 2.0, 3, 0.2, 2).shape == (4,)
 
     @pytest.mark.parametrize("alpha", [0, 1, Fraction(5, 2)])
     @pytest.mark.parametrize("beta", [0, 1, Fraction(5, 2)])
     @pytest.mark.parametrize("x", [Fraction(-9, 10), 0, Fraction(9, 10)])
     def test_recurrence_matches_series(self, alpha, beta, x):
+        table = jacobi_poly_all(float(alpha), float(beta), 20, float(x))
         for j in range(21):
             ref = jacobi_series(alpha, beta, j, x)
-            val = jacobi_poly(float(alpha), float(beta), j, float(x))
-            assert val == pytest.approx(ref, rel=1e-10, abs=1e-12)
+            assert table[j] == pytest.approx(ref, rel=1e-10, abs=1e-12)
 
     def test_all_matches_single(self):
+        # every row of one sweep against scipy's independent evaluation
         x = np.linspace(-1, 1, 7)
         table = jacobi_poly_all(1.5, 0.5, 6, x)
         for j in range(7):
-            assert np.allclose(table[j], jacobi_poly(1.5, 0.5, j, x),
+            assert np.allclose(table[j], eval_jacobi(j, 1.5, 0.5, x),
                                rtol=1e-14, atol=1e-14)
 
     def test_high_degree_stable(self):
-        vals = jacobi_poly(1.0, 2.0, 200, np.linspace(-1, 1, 11))
+        x = np.linspace(-1, 1, 11)
+        vals = jacobi_poly_all(1.0, 2.0, 200, x)[200]
+        ref = eval_jacobi(200, 1.0, 2.0, x)
         assert np.all(np.isfinite(vals))
+        assert np.abs(vals - ref).max() < 1e-11 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_derivatives_match_power_form(self, order):
+        # scipy's coefficient form, differentiated term by term
+        x = np.linspace(-1, 1, 9)
+        for alpha, beta in [(0.0, 0.0), (1.0, 2.0), (2.5, 0.5)]:
+            table = jacobi_deriv_all(alpha, beta, 12, x, order)
+            for j in range(13):
+                ref = jacobi(j, alpha, beta).deriv(order)(x)
+                scale = max(1.0, np.abs(ref).max())
+                assert np.abs(table[j] - ref).max() < 1e-10 * scale
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_high_degree_derivatives(self, order):
+        # shift identity evaluated by scipy at degree 200
+        x = np.linspace(-1, 1, 11)
+        got = jacobi_deriv_all(1.0, 2.0, 200, x, order)[200]
+        scale = math.prod(0.5 * (204 + i) for i in range(order))
+        ref = scale * eval_jacobi(200 - order, 1.0 + order, 2.0 + order, x)
+        assert np.abs(got - ref).max() < 1e-11 * np.abs(ref).max()
 
 
 class TestNormIntegral:
@@ -72,27 +104,44 @@ class TestNormIntegral:
 
     def test_against_quadrature(self):
         z, w = rule_on_01(2, 3, 12)
-        quad = float(np.dot(w, jacobi_poly(2, 3, 4, 1.0 - 2.0 * z) ** 2))
+        quad = float(np.dot(w, jacobi_poly_all(2, 3, 4, 1.0 - 2.0 * z)[4] ** 2))
         assert jacobi_norm_integral(2, 3, 4) == pytest.approx(quad, rel=1e-12)
+
+
+def gegenbauer_via_jacobi(order, degree, x):
+    """C_degree^(order)(x) as the package builds it: scaled Jacobi."""
+    half = order - 0.5
+    return (gegenbauer_scale(order, degree)
+            * jacobi_poly_all(half, half, degree, x)[degree])
 
 
 class TestGegenbauer:
     def test_degree_zero(self):
-        assert gegenbauer(3.7, 0, 0.2) == 1.0
+        assert gegenbauer_via_jacobi(3.7, 0, 0.2) == 1.0
 
     def test_degree_one(self):
-        assert gegenbauer(1.0, 1, 0.5) == pytest.approx(1.0, abs=1e-15)
+        assert gegenbauer_via_jacobi(1.0, 1, 0.5) == pytest.approx(
+            1.0, abs=1e-15)
 
     def test_endpoint_binomial_identity(self):
         # C_r^(l)(1) = binom(r + 2l - 1, r)
         for order in (1, 2, 3):
             for r in range(6):
                 expect = math.comb(r + 2 * order - 1, r)
-                assert gegenbauer(float(order), r, 1.0) == pytest.approx(
-                    expect, rel=1e-13), (order, r)
+                assert gegenbauer_via_jacobi(float(order), r, 1.0) == \
+                    pytest.approx(expect, rel=1e-13), (order, r)
 
     def test_value_from_identity(self):
-        assert gegenbauer(2.0, 2, 1.0) == pytest.approx(10.0, rel=1e-14)
+        assert gegenbauer_via_jacobi(2.0, 2, 1.0) == pytest.approx(
+            10.0, rel=1e-14)
+
+    def test_matches_scipy(self):
+        x = np.linspace(-1, 1, 41)
+        for order in (1, 2, 3, 5):
+            for r in range(8):
+                ref = eval_gegenbauer(r, order, x)
+                got = gegenbauer_via_jacobi(float(order), r, x)
+                assert np.abs(got - ref).max() < 1e-13 * np.abs(ref).max()
 
 
 class TestAssocLegendre:
