@@ -27,6 +27,15 @@ Pieces:
   every c at once (c varies per mode and is generically irrational), and
   the Gram solve removes exactly that defect.
 
+* Sum factorization (Orszag 1980).  Within a sector every mode is a
+  separable product x (x) t1 (x) t2 (x) theta (x) y, so the sector's
+  field is a rank-(#betas) matrix (x t1 t2) x (theta y).  Synthesis is
+  one GEMM of the stacked (coefficient-weighted x profile) (x) t1 (x) t2
+  factors against the stacked theta (x) y factors; projection is the
+  transposed contraction followed by one batched x-Gram solve.
+  Synthesis refuses, before allocating, a field larger than the
+  machine's physical memory.
+
 Sector amplitude convention: the full field is
 
     Phi = sum_sectors F_sector(x, t1, t2, theta, y)
@@ -40,11 +49,12 @@ their own 1d or 2d measures.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatch, IndexChainError
+from .errors import FieldTooLarge, GridMismatch, IndexChainError
 from .geometry import GeometryParams
 from .specfun import (assoc_legendre, assoc_legendre_derivs, gauss_jacobi,
                       gegenbauer_scale, jacobi_deriv_all, jacobi_poly_all,
@@ -306,14 +316,15 @@ class SectorGrid:
         """Discrete squared L^2 norm of a sector amplitude."""
         if data.shape != self.shape:
             raise GridMismatch(f"data shape {data.shape} != grid {self.shape}")
-        out = np.abs(data) ** 2
-        for w in self.axis_weights():
-            out = np.tensordot(out, w, axes=([0], [0]))
-        return float(out)
-
-    def axis_weights(self) -> list[np.ndarray]:
-        return [self.x_weights, self.t1_weights, self.t2_weights,
-                self.th_weights, self.y_weights]
+        # sum_{r,c} w_r w_c |data_rc|^2 over rows r = (x, t1, t2) and
+        # columns c = (theta, y), one weighted sum over a float view of
+        # the data (re, im side by side), with no full-size temporary
+        w_row = np.einsum("x,a,b->xab", self.x_weights, self.t1_weights,
+                          self.t2_weights).ravel()
+        w_col = np.repeat(np.outer(self.th_weights, self.y_weights).ravel(), 2)
+        flat = np.ascontiguousarray(data, dtype=complex).reshape(
+            w_row.size, -1).view(float)
+        return float(np.einsum("rc,rc,c->r", flat, flat, w_col) @ w_row)
 
 
 def sector_grid(gp: GeometryParams, sector: Sector,
@@ -365,8 +376,10 @@ class ModeTable:
     """Evaluation tables for a fixed mode set on fixed sector grids.
 
     Built once per run; projection and synthesis are tensor contractions
-    against these tables.  Immutable after construction, so projections
-    over beta parallelize freely.
+    against these tables.  Within one sector every mode is a separable
+    product x (x) t1 (x) t2 (x) theta (x) y, so the blocks of a sector's
+    betas, stacked along a beta axis (`stack`), turn synthesis and
+    projection of that sector into one GEMM each (sum factorization).
     """
 
     def __init__(self, gp: GeometryParams, M: float, kappa: float,
@@ -379,6 +392,7 @@ class ModeTable:
         self.i_max = i_max
         self.grids: dict[Sector, SectorGrid] = {}
         self._blocks: dict[ModeIndex, tuple] = {}
+        self._stacks: dict[tuple, SectorStack] = {}
         self._grid_shape = grid_shape
         self._y_modes = y_modes
 
@@ -410,6 +424,16 @@ class ModeTable:
         self._blocks[beta] = block
         return block
 
+    def stack(self, betas) -> "SectorStack":
+        """The blocks of `betas` (distinct, all of one sector) stacked in
+        the order of their index tuples, so that results do not depend on
+        the order the betas come in; built on first use, cached."""
+        betas = tuple(sorted(betas, key=lambda beta: beta.beta))
+        if betas not in self._stacks:
+            self._stacks[betas] = SectorStack(
+                betas, [self.block(beta) for beta in betas])
+        return self._stacks[betas]
+
     def omegas(self, beta: ModeIndex) -> np.ndarray:
         y_mode = self._y_modes[(beta.n, beta.m, beta.l, beta.k, beta.j)]
         c = c_beta(self.M, self.kappa, y_mode.lam)
@@ -417,53 +441,114 @@ class ModeTable:
         return (2.0 * i + beta.s1 + c + 2.0) ** 2
 
 
+class SectorStack:
+    """Separable factors of nb betas of one sector along a leading beta
+    axis, with the grid of that sector:
+
+    * fmat (nb, i, x), t12 (nb, t1*t2) = t1 vec (x) t2 vec and
+      ang (nb, theta*y) = theta vec (x) y vec for synthesis;
+    * the same with the quadrature weights folded in (wfmat, wt12,
+      wang) and the discrete x-Grams (nb, i, i) for projection.
+    """
+
+    def __init__(self, betas: tuple, blocks: list):
+        self.grid = grid = blocks[0][0]
+        self.betas = betas
+        self.rows = {beta: r for r, beta in enumerate(betas)}
+        vec1, vec2, vecth, vecy, fmat, gram = (
+            np.stack([blk[k] for blk in blocks]) for k in (1, 2, 3, 4, 5, 7))
+        nb = len(betas)
+
+        def outer(a, b):
+            return (a[:, :, None] * b[:, None, :]).reshape(nb, -1)
+
+        self.fmat = fmat
+        self.t12 = outer(vec1, vec2)
+        self.ang = outer(vecth, vecy)
+        self.wfmat = fmat * grid.x_weights
+        self.wt12 = outer(vec1 * grid.t1_weights, vec2 * grid.t2_weights)
+        self.wang = outer(vecth * grid.th_weights, vecy * grid.y_weights)
+        self.gram = gram
+
+    def synthesize(self, amps: np.ndarray) -> np.ndarray:
+        """Sector array of sum_b,i amps[b, i] f_i (x) t12_b (x) ang_b:
+        the x profiles times t12 as an (nb, x*t1*t2) matrix, against
+        ang in one GEMM."""
+        xprof = np.einsum("bi,bix->bx", amps, self.fmat)
+        left = (xprof[:, :, None] * self.t12[:, None, :]).reshape(
+            len(self.betas), -1)
+        return (left.T @ self.ang).reshape(self.grid.shape)
+
+    def project(self, arr: np.ndarray) -> np.ndarray:
+        """(nb, i) coefficients of a sector array: the transposed
+        contraction of `synthesize`, refined by the x-Gram solves."""
+        nx, n1, n2, nth, ny = self.grid.shape
+        red = arr.reshape(nx * n1 * n2, nth * ny) @ self.wang.T
+        red = np.einsum("xab,ba->bx", red.reshape(nx, n1 * n2, -1), self.wt12)
+        raw = np.einsum("bix,bx->bi", self.wfmat, red)
+        return np.linalg.solve(self.gram, raw[:, :, None])[:, :, 0]
+
+
 def project_cauchy(data: dict, modes: list[ModeIndex], table: ModeTable) -> SpectralCoefficients:
     """Coefficients <data, Psi_beta f_i> for every beta in `modes` and
-    i <= table.i_max.
+    i <= table.i_max, in the order of `modes`.
 
-    data: dict Sector -> complex 5d array on that sector's grid.  The
-    angular contractions use the exact matched rules; the x moments are
-    refined by the per-block discrete Gram solve (see module docstring).
+    data: dict Sector -> complex 5d array on that sector's grid; sectors
+    no mode of `modes` lives in are ignored.  The angular contractions
+    use the exact matched rules; the x moments are refined by the
+    per-block discrete Gram solve (see module docstring).
     """
-    coeffs = SpectralCoefficients()
+    by_sector: dict[Sector, set] = {}
     for beta in modes:
         sector = beta.sector
-        if sector not in data:
-            continue
-        grid, vec1, vec2, vecth, vecy, fmat, _, gram_x = table.block(beta)
+        if sector in data:
+            by_sector.setdefault(sector, set()).add(beta)
+    vals: dict[ModeIndex, list] = {}
+    for sector, betas in by_sector.items():
+        stack = table.stack(betas)
         arr = data[sector]
-        if arr.shape != grid.shape:
-            raise GridMismatch(f"{sector}: data {arr.shape} != grid {grid.shape}")
-        red = np.tensordot(arr, grid.y_weights * vecy, axes=([4], [0]))
-        red = np.tensordot(red, grid.th_weights * vecth, axes=([3], [0]))
-        red = np.tensordot(red, grid.t2_weights * vec2, axes=([2], [0]))
-        red = np.tensordot(red, grid.t1_weights * vec1, axes=([1], [0]))
-        raw = (fmat * grid.x_weights) @ red
-        vals = np.linalg.solve(gram_x, raw)
-        for i, v in enumerate(vals):
+        if arr.shape != stack.grid.shape:
+            raise GridMismatch(
+                f"{sector}: data {arr.shape} != grid {stack.grid.shape}")
+        for beta, row in zip(stack.betas, stack.project(arr).tolist()):
+            vals[beta] = row
+    coeffs = SpectralCoefficients()
+    for beta in modes:
+        for i, v in enumerate(vals.get(beta, ())):
             if v != 0.0:
                 coeffs[(beta, i)] = v
     return coeffs
 
 
 def synthesize(coeffs: SpectralCoefficients, table: ModeTable) -> dict:
-    """Sector amplitude arrays of sum coeff * Psi_beta f_i on the grids."""
-    out: dict[Sector, np.ndarray] = {}
-    by_beta: dict[ModeIndex, dict[int, complex]] = {}
+    """Sector amplitude arrays of sum coeff * Psi_beta f_i on the grids,
+    in the order the sectors first appear in `coeffs`.
+
+    Raises FieldTooLarge, before allocating anything, when the arrays
+    would not fit in the machine's physical memory.
+    """
+    by_sector: dict[Sector, list] = {}
     for (beta, i), v in coeffs.items():
-        by_beta.setdefault(beta, {})[i] = v
-    for beta, ivals in by_beta.items():
-        sector = beta.sector
-        grid = table.grid(sector)
-        if sector not in out:
-            out[sector] = grid.zeros()
-        _, vec1, vec2, vecth, vecy, fmat, _, _ = table.block(beta)
-        xprof = np.zeros(grid.x_nodes.size, dtype=complex)
-        for i, v in ivals.items():
-            xprof += v * fmat[i]
-        outer = np.einsum("x,a,b,t,y->xabty", xprof, vec1, vec2, vecth, vecy)
-        out[sector] += outer
+        by_sector.setdefault(beta.sector, []).append((beta, i, v))
+    need = len(by_sector) * math.prod(table._grid_shape) * 16
+    have = _physical_memory()
+    if need > have:
+        raise FieldTooLarge(
+            f"synthesized field needs {need} bytes for {len(by_sector)} "
+            f"sectors, more than the {have} bytes of physical memory")
+    out: dict[Sector, np.ndarray] = {}
+    for sector, entries in by_sector.items():
+        stack = table.stack({beta for beta, _, _ in entries})
+        amps = np.zeros((len(stack.betas), table.i_max + 1), dtype=complex)
+        for beta, i, v in entries:
+            amps[stack.rows[beta], i] = v
+        out[sector] = stack.synthesize(amps)
     return out
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory of this machine."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 def grid_norm_sq(data: dict, table: ModeTable) -> float:

@@ -45,6 +45,10 @@ class GridMismatch(YpqError):
     """Sampled data does not match the quadrature grid descriptor."""
 
 
+class FieldTooLarge(YpqError):
+    """Synthesized field would not fit in the machine's physical memory."""
+
+
 class SourceCoverage(YpqError):
     """Source samples do not cover the requested time window."""
 

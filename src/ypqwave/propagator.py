@@ -13,9 +13,10 @@ adds the Duhamel integral
 per coefficient, with cubic-spline interpolation of the sampled source
 and adaptive Simpson quadrature at 1e-11 absolute tolerance.
 
-Diagnostics: the per-mode energy E = |a1|^2 + Omega |a0|^2 (the quadratic
-form of the sector generator in the orthonormal mode basis) is conserved
-along the evolution up to roundoff, and time reflection
+Diagnostics: the per-mode energy E = |a'|^2 + Omega |a|^2 (the quadratic
+form of the sector generator in the orthonormal mode basis), which every
+FieldSample reports for its own evolved state, is conserved along the
+evolution up to roundoff, and time reflection
 (phi0, -phi1) -> t equals (phi0, phi1) -> -t coefficientwise; both are
 runnable checks here, not assumptions.
 
@@ -196,9 +197,9 @@ class KGPropagator:
             ro = math.sqrt(om)
             c, s = math.cos(t * ro), math.sin(t * ro)
             v0, v1 = a0[key], a1[key]
-            at[key] = c * v0 + s / ro * v1
-            vt[key] = -ro * s * v0 + c * v1
-            energy[key] = abs(v1) ** 2 + om * abs(v0) ** 2
+            a, v = c * v0 + s / ro * v1, -ro * s * v0 + c * v1
+            at[key], vt[key] = a, v
+            energy[key] = abs(v) ** 2 + om * abs(a) ** 2
         self._warn_tail(tail, a0, a1)
         if synthesize_values is None:
             synthesize_values = not data.is_spectral
@@ -224,6 +225,7 @@ class KGPropagator:
             keys.update(coeffs.entries)
         at = sample.coefficients
         vt = sample.velocity
+        energy = sample.per_mode_energy
         for key in keys:
             vals = np.array([c[key] for c in per_slice], dtype=complex)
             if len(source.times) == 1:
@@ -241,12 +243,12 @@ class KGPropagator:
                 _SIMPSON_TOL)
             at[key] = at[key] + duh
             vt[key] = vt[key] + dv
+            energy[key] = abs(vt[key]) ** 2 + om * abs(at[key]) ** 2
         if synthesize_values is None:
             synthesize_values = not data.is_spectral
         values = synthesize(at, self.table) if synthesize_values else None
         return FieldSample(t=t, values=values, coefficients=at, velocity=vt,
-                           per_mode_energy=sample.per_mode_energy,
-                           tail_norm=sample.tail_norm)
+                           per_mode_energy=energy, tail_norm=sample.tail_norm)
 
     # -- diagnostics ------------------------------------------------------
 

@@ -12,7 +12,8 @@ from ypqwave.ads import (ModeIndex, Sector, SpectralCoefficients,
                          ads_gram, ads_radial_mode, c_beta, grid_norm_sq,
                          project_cauchy, s3_harmonic, s3_harmonic_norm,
                          s3_laplace_residual, synthesize, ModeTable)
-from ypqwave.errors import GridMismatch, IndexChainError
+from ypqwave import ads
+from ypqwave.errors import FieldTooLarge, GridMismatch, IndexChainError
 from ypqwave.specfun import assoc_legendre, gauss_jacobi
 from ypqwave.spectrum import TruncationPolicy, build_modes, enumerate_modes
 
@@ -226,3 +227,78 @@ class TestProjection:
         with pytest.raises(GridMismatch):
             project_cauchy({sector: np.zeros((3, 3, 3, 3, 3), dtype=complex)},
                            beta_set, small_table)
+
+
+def _naive_synthesize(coeffs, table):
+    """Per-beta 5d outer products, accumulated in coefficient order."""
+    out = {}
+    for (beta, i), v in coeffs.items():
+        grid, vec1, vec2, vecth, vecy, fmat, _, _ = table.block(beta)
+        arr = out.setdefault(beta.sector, grid.zeros())
+        arr += np.einsum("x,a,b,t,y->xabty", v * fmat[i], vec1, vec2,
+                         vecth, vecy)
+    return out
+
+
+def _naive_project(data, modes, table):
+    """Per-beta axis-by-axis tensordots and one x-Gram solve each."""
+    out = {}
+    for beta in modes:
+        if beta.sector not in data:
+            continue
+        grid, vec1, vec2, vecth, vecy, fmat, _, gram_x = table.block(beta)
+        red = data[beta.sector]
+        for w, vec in ((grid.y_weights, vecy), (grid.th_weights, vecth),
+                       (grid.t2_weights, vec2), (grid.t1_weights, vec1)):
+            red = np.tensordot(red, w * vec, axes=([red.ndim - 1], [0]))
+        vals = np.linalg.solve(gram_x, (fmat * grid.x_weights) @ red)
+        for i, v in enumerate(vals):
+            out[(beta, i)] = v
+    return out
+
+
+class TestSectorTransforms:
+    """The stacked per-sector GEMMs against a naive per-beta reference."""
+
+    @pytest.fixture()
+    def sparse(self, beta_set):
+        # betas with only some i, in an order that is not sorted by sector
+        rng = np.random.default_rng(17)
+        coeffs = SpectralCoefficients()
+        for beta in beta_set[::-3] + beta_set[1::4]:
+            for i in sorted(rng.choice(5, size=rng.integers(1, 4),
+                                       replace=False)):
+                coeffs[(beta, int(i))] = complex(rng.normal(), rng.normal())
+        return coeffs
+
+    def test_synthesize_matches_reference(self, small_table, sparse):
+        got = synthesize(sparse, small_table)
+        want = _naive_synthesize(sparse, small_table)
+        assert list(got) == list(want)
+        for sector, arr in want.items():
+            err = np.abs(got[sector] - arr).max()
+            assert err <= 1e-13 * np.abs(arr).max()
+
+    def test_sector_order_is_first_appearance(self, small_table, sparse):
+        first = list(dict.fromkeys(beta.sector for beta, _ in sparse.entries))
+        assert list(synthesize(sparse, small_table)) == first
+
+    def test_project_matches_reference(self, small_table, beta_set, sparse):
+        data = synthesize(sparse, small_table)
+        # a sector holding data that no mode lives in is ignored
+        orphan = Sector(0, 5, 0, 0)
+        data[orphan] = np.ones(small_table.grid(orphan).shape, dtype=complex)
+        modes = beta_set[::2]
+        got = project_cauchy(data, modes, small_table)
+        want = _naive_project(data, modes, small_table)
+        scale = max(abs(v) for v in want.values())
+        assert got.entries.keys() <= want.keys()
+        for key, v in want.items():
+            assert abs(got[key] - v) <= 1e-13 * scale
+        assert [beta for beta, _ in got.entries] == sorted(
+            (beta for beta, _ in got.entries), key=modes.index)
+
+    def test_field_size_guard(self, small_table, sparse, monkeypatch):
+        monkeypatch.setattr(ads, "_physical_memory", lambda: 1000)
+        with pytest.raises(FieldTooLarge, match="more than the 1000 bytes"):
+            synthesize(sparse, small_table)

@@ -110,6 +110,22 @@ class TestEnergy:
                 if ref > 0.0:
                     assert abs(et[key] - ref) / ref < 1e-12
 
+    def test_energy_of_evolved_state(self, prop, random_data):
+        # per_mode_energy is the energy of the sample's own state, so a
+        # trace of it over times shows any evolution error
+        one = SpectralCoefficients({(prop.betas[1], 2): 0.5 - 1.0j})
+        src = SourceTerm(np.linspace(0.0, 3.0, 4), [one] * 4)
+        samples = [prop.evolve(random_data, 2.2, synthesize_values=False),
+                   prop.evolve_inhomogeneous(random_data, src, 2.2,
+                                             synthesize_values=False)]
+        for sample in samples:
+            keys = sample.coefficients.entries.keys()
+            assert sample.per_mode_energy.keys() == keys
+            for key in keys:
+                want = (abs(sample.velocity[key]) ** 2 + prop.omega(key)
+                        * abs(sample.coefficients[key]) ** 2)
+                assert sample.per_mode_energy[key] == want
+
     def test_scaled_pair_norm_preserved(self, prop, random_data):
         # |a1/sqrt(Omega)|^2 + |a0|^2 is the conserved quantity per mode
         def pair_norm(a0, a1):
