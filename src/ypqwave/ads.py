@@ -356,9 +356,6 @@ class SpectralCoefficients:
 
     entries: dict = field(default_factory=dict)
 
-    def norm_sq(self) -> float:
-        return float(sum(abs(v) ** 2 for v in self.entries.values()))
-
     def __getitem__(self, key):
         return self.entries.get(key, 0.0 + 0.0j)
 
@@ -522,13 +519,17 @@ def project_cauchy(data: dict, modes: list[ModeIndex], table: ModeTable) -> Spec
 
 def synthesize(coeffs: SpectralCoefficients, table: ModeTable) -> dict:
     """Sector amplitude arrays of sum coeff * Psi_beta f_i on the grids,
-    in the order the sectors first appear in `coeffs`.
+    in sorted sector order.
 
-    Raises FieldTooLarge, before allocating anything, when the arrays
-    would not fit in the machine's physical memory.
+    Raises GridMismatch for a key with i outside 0..table.i_max, and
+    FieldTooLarge, before allocating anything, when the arrays would not
+    fit in the machine's physical memory.
     """
     by_sector: dict[Sector, list] = {}
     for (beta, i), v in coeffs.items():
+        if i not in range(table.i_max + 1):
+            raise GridMismatch(
+                f"coefficient {(beta, i)} outside i = 0..{table.i_max}")
         by_sector.setdefault(beta.sector, []).append((beta, i, v))
     need = len(by_sector) * math.prod(table._grid_shape) * 16
     have = _physical_memory()
@@ -537,7 +538,7 @@ def synthesize(coeffs: SpectralCoefficients, table: ModeTable) -> dict:
             f"synthesized field needs {need} bytes for {len(by_sector)} "
             f"sectors, more than the {have} bytes of physical memory")
     out: dict[Sector, np.ndarray] = {}
-    for sector, entries in by_sector.items():
+    for sector, entries in sorted(by_sector.items()):
         stack = table.stack({beta for beta, _, _ in entries})
         amps = np.zeros((len(stack.betas), table.i_max + 1), dtype=complex)
         for beta, i, v in entries:

@@ -217,6 +217,32 @@ class TestPropagate:
         assert capsys.readouterr().err.startswith(f"error: line {lineno}:")
         assert not out_dir.exists()
 
+    def test_field_sectors_sorted(self, tmp_path, capsys):
+        # data in five sectors (s3, n, m, l), s3 and n each in -1, 0, 1
+        coefs = ("1 1 1 0 0 0 0 0 0", "0 0 0 1 0 0 0 0 1",
+                 "1 1 -1 -1 0 0 0 0 0", "0 0 0 0 0 0 0 0 0",
+                 "1 1 0 -1 0 0 0 0 1", "1 0 0 1 0 0 0 0 0")
+        text = "\n".join(
+            ["schema_version = 1", "p = 2", "q = 3", "s1_max = 1",
+             "n_max = 1", "i_max = 1", "n_basis = 12", "grid_x = 4",
+             "grid_t1 = 4", "grid_t2 = 4", "grid_theta = 4", "grid_y = 4",
+             "times = 0.0, 1.0", f"out_dir = {tmp_path / 'out'}"]
+            + [f"phi0_coef = {c} : 1.0 : 0.5" for c in coefs]) + "\n"
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        assert run(["propagate", "--config", str(path)]) == 0
+        capsys.readouterr()
+        for name in ("field_t0.csv", "field_t1.csv"):
+            with open(tmp_path / "out" / name, encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))[1:]
+            groups = []
+            for row in rows:
+                sector = tuple(int(v) for v in row[:4])
+                if not groups or groups[-1] != sector:
+                    groups.append(sector)
+            assert len(groups) == 5
+            assert groups == sorted(set(groups))
+
     def test_json_output(self, tmp_path, capsys):
         cfg = (CONFIG_TEMPLATE.replace("out_format = csv", "out_format = json")
                .replace("times = 0.0, 1.0", "times = 0.5")

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
 from ypqwave.ads import ModeIndex, Sector, SpectralCoefficients, synthesize
 from ypqwave.errors import GridMismatch, SourceCoverage
@@ -157,6 +159,17 @@ class TestReflection:
         assert prop.check_reflection(random_data, 2.6) < 1e-12
 
 
+def _random_source(prop, rng, times) -> SourceTerm:
+    """Random coefficients for i = 1 on the first three betas."""
+    slices = []
+    for _ in times:
+        c = SpectralCoefficients()
+        for beta in prop.betas[:3]:
+            c[(beta, 1)] = complex(rng.normal(), rng.normal())
+        slices.append(c)
+    return SourceTerm(times, slices)
+
+
 class TestInhomogeneous:
     def test_zero_source_matches_homogeneous(self, prop, random_data):
         zero = SpectralCoefficients()
@@ -184,17 +197,8 @@ class TestInhomogeneous:
         rng = np.random.default_rng(33)
         times = np.linspace(0.0, 3.0, 7)
         zero = CauchyData(SpectralCoefficients(), SpectralCoefficients())
-
-        def random_source():
-            slices = []
-            for _ in times:
-                c = SpectralCoefficients()
-                for beta in prop.betas[:3]:
-                    c[(beta, 1)] = complex(rng.normal(), rng.normal())
-                slices.append(c)
-            return SourceTerm(times, slices)
-
-        s_a, s_b = random_source(), random_source()
+        s_a = _random_source(prop, rng, times)
+        s_b = _random_source(prop, rng, times)
         s_ab = SourceTerm(times, [
             SpectralCoefficients({k: a[k] + b[k]
                                   for k in set(a.entries) | set(b.entries)})
@@ -207,11 +211,91 @@ class TestInhomogeneous:
             expect = ra.coefficients[key] + rb.coefficients[key]
             assert abs(rab.coefficients[key] - expect) < 1e-12
 
+    def test_gridded_slices_match_spectral(self, prop):
+        # the slices of test_linearity, synthesized onto the sector grids
+        times = np.linspace(0.0, 3.0, 7)
+        zero = CauchyData(SpectralCoefficients(), SpectralCoefficients())
+        src = _random_source(prop, np.random.default_rng(33), times)
+        gridded = SourceTerm(times, [synthesize(c, prop.table)
+                                     for c in src.slices])
+        t = 2.4
+        spec = prop.evolve_inhomogeneous(zero, src, t, synthesize_values=False)
+        grid = prop.evolve_inhomogeneous(zero, gridded, t,
+                                         synthesize_values=False)
+        keys = grid.coefficients.entries.keys()
+        assert spec.coefficients.entries.keys() <= keys
+        for key in keys:
+            assert abs(grid.coefficients[key] - spec.coefficients[key]) < 1e-12
+            assert abs(grid.velocity[key] - spec.velocity[key]) < 1e-12
+
+    def test_one_slice_at_t0(self, prop, random_data):
+        key = (prop.betas[4], 3)
+        src = SourceTerm([0.0], [SpectralCoefficients({key: 2.0 - 1.0j})])
+        si = prop.evolve_inhomogeneous(random_data, src, 0.0,
+                                       synthesize_values=False)
+        sh = prop.evolve(random_data, 0.0, synthesize_values=False)
+        assert si.coefficients.entries.keys() == (
+            sh.coefficients.entries.keys() | {key})
+        for k in si.coefficients.entries:
+            assert si.coefficients[k] == sh.coefficients[k]
+            assert si.velocity[k] == sh.velocity[k]
+
     def test_source_coverage_guard(self, prop, random_data):
         src = SourceTerm(np.linspace(0.0, 1.0, 3),
                          [SpectralCoefficients()] * 3)
         with pytest.raises(SourceCoverage):
             prop.evolve_inhomogeneous(random_data, src, 2.0)
+
+
+def _quad_duhamel(times, vals, om, t):
+    """Duhamel displacement and velocity of the not-a-knot spline through
+    vals by adaptive quadrature, split at the knots."""
+    spline = CubicSpline(times, vals)
+    ro = math.sqrt(om)
+    knots = [T for T in times if min(0.0, t) < T < max(0.0, t)]
+    out = []
+    for kernel in (lambda T: np.sin((t - T) * ro) / ro,
+                   lambda T: np.cos((t - T) * ro)):
+        parts = [quad(lambda T: part(kernel(T) * spline(T)), 0.0, t,
+                      points=knots or None, limit=len(knots) + 100,
+                      epsabs=1e-13, epsrel=1e-13)[0]
+                 for part in (np.real, np.imag)]
+        out.append(complex(*parts))
+    return out
+
+
+class TestDuhamelMoments:
+    """The exact spline moments against quadrature of the same spline for
+    the smooth non-polynomial source e^{i nu T}."""
+
+    NU = 1.7
+
+    def _check(self, prop, times, t):
+        key = (prop.betas[2], 1)
+        vals = np.exp(1j * self.NU * times) * (0.5 - 0.3j)
+        src = SourceTerm(times, [SpectralCoefficients({key: v})
+                                 for v in vals])
+        zero = CauchyData(SpectralCoefficients(), SpectralCoefficients())
+        si = prop.evolve_inhomogeneous(zero, src, t, synthesize_values=False)
+        want_a, want_v = _quad_duhamel(times, vals, prop.omega(key), t)
+        assert abs(si.coefficients[key] - want_a) < 1e-12
+        assert abs(si.velocity[key] - want_v) < 1e-12
+
+    @pytest.mark.parametrize("t", [-2.3, 0.37, 2.9])
+    def test_non_uniform_knots(self, prop, t):
+        rng = np.random.default_rng(8)
+        times = np.sort(np.concatenate([[-3.0, 3.5],
+                                        rng.uniform(-3.0, 3.5, 12)]))
+        # 0.37 falls between knots
+        assert not np.any(np.isclose(times, t))
+        self._check(prop, times, t)
+
+    def test_many_slices(self, prop):
+        # omega h < 0.1, where the moments of neighbouring pieces cancel
+        times = np.linspace(-1.0, 2.5, 801)
+        assert math.sqrt(prop.omega((prop.betas[2], 1))) * (
+            times[1] - times[0]) < 0.1
+        self._check(prop, times, 2.2)
 
 
 class TestValidation:
