@@ -48,6 +48,7 @@ their own 1d or 2d measures.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -281,18 +282,17 @@ def ads_gram(beta1: int, c: float, i_max: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SectorGrid:
-    """Per-sector product quadrature grid over (x, t1, t2, theta, y).
+    """Product quadrature grid over (x, t1, t2, theta, y), one for all
+    sectors: no rule is matched to the eigenfunctions of a sector.
 
     Axis rules: x carries the d nu measure through xi = cos^2 x with a
     fixed oversampled Jacobi rule (exponents (1, 2), the minimal decay
-    class); t1 and t2 carry sin^2 t1 dt1 and sin t2 dt2 via
-    Gauss-Legendre in the cosines (integrands are polynomials there);
-    theta and y carry the matched sector rules, exact for the angular and
-    radial eigenfunctions of this sector.
+    class); t1 and t2 carry sin^2 t1 dt1 and sin t2 dt2 via Gauss
+    Chebyshev-2 and Gauss-Legendre in the cosines (polynomial integrands);
+    theta carries sin theta dtheta via Gauss-Legendre in cos theta, and y
+    carries rho dy, rho = (1 - y)/18, via Gauss-Legendre in y.
     """
 
-    gp: GeometryParams
-    sector: Sector
     x_nodes: np.ndarray
     x_weights: np.ndarray
     t1_nodes: np.ndarray
@@ -327,7 +327,7 @@ class SectorGrid:
         return float(np.einsum("rc,rc,c->r", flat, flat, w_col) @ w_row)
 
 
-def sector_grid(gp: GeometryParams, sector: Sector,
+def sector_grid(gp: GeometryParams,
                 shape: tuple[int, int, int, int, int]) -> SectorGrid:
     nx, n1, n2, nth, ny = shape
     # x axis: int_0^{pi/2} F d nu = int_0^1 F(xi) xi (1-xi)^{-2} dxi;
@@ -342,7 +342,6 @@ def sector_grid(gp: GeometryParams, sector: Sector,
     y, wy = rule_on_interval(gp.y_minus, gp.y_plus, 0.0, 0.0, ny)
     rho = (1.0 - y) / 18.0
     return SectorGrid(
-        gp=gp, sector=sector,
         x_nodes=x_nodes, x_weights=x_weights,
         t1_nodes=np.arccos(t1r.nodes), t1_weights=t1r.weights,
         t2_nodes=np.arccos(t2r.nodes), t2_weights=t2r.weights,
@@ -370,11 +369,12 @@ class SpectralCoefficients:
 
 
 class ModeTable:
-    """Evaluation tables for a fixed mode set on fixed sector grids.
+    """Evaluation tables for a fixed mode set on one product grid.
 
     Built once per run; projection and synthesis are tensor contractions
-    against these tables.  Within one sector every mode is a separable
-    product x (x) t1 (x) t2 (x) theta (x) y, so the blocks of a sector's
+    against these tables.  Every mode is a separable product
+    x (x) t1 (x) t2 (x) theta (x) y, each factor built once per the
+    indices it depends on (`block`).  Within one sector the blocks of its
     betas, stacked along a beta axis (`stack`), turn synthesis and
     projection of that sector into one GEMM each (sum factorization).
     """
@@ -387,39 +387,39 @@ class ModeTable:
         self.M = M
         self.kappa = kappa
         self.i_max = i_max
-        self.grids: dict[Sector, SectorGrid] = {}
-        self._blocks: dict[ModeIndex, tuple] = {}
+        self._factors: dict[tuple, tuple] = {}
         self._stacks: dict[tuple, SectorStack] = {}
         self._grid_shape = grid_shape
         self._y_modes = y_modes
 
-    def grid(self, sector: Sector) -> SectorGrid:
-        if sector not in self.grids:
-            self.grids[sector] = sector_grid(self.gp, sector, self._grid_shape)
-        return self.grids[sector]
+    @functools.cached_property
+    def grid(self) -> SectorGrid:
+        """The quadrature grid of every sector; built on first use."""
+        return sector_grid(self.gp, self._grid_shape)
 
-    def block(self, beta: ModeIndex):
-        """(grid, t1 vec, t2 vec, theta vec, y vec, [f_i matrix],
-        [Omega_i], discrete x-Gram) for one angular stack; cached."""
-        if beta in self._blocks:
-            return self._blocks[beta]
-        sector = beta.sector
-        grid = self.grid(sector)
-        y_mode = self._y_modes[(beta.n, beta.m, beta.l, beta.k, beta.j)]
-        lam = y_mode.lam
-        c = c_beta(self.M, self.kappa, lam)
-        norm = s3_harmonic_norm(beta.s1, beta.s2, beta.s3) * math.sqrt(2.0 * math.pi)
-        vec1 = norm * _t1_factor(beta.s1, beta.s2, grid.t1_nodes)
-        vec2 = assoc_legendre(beta.s2, beta.s3, np.cos(grid.t2_nodes))
-        vecth = y_mode.angular.value(grid.th_nodes)
-        vecy = y_mode.radial.value(grid.y_nodes)
-        fmat = _f_table(beta.s1, c, self.i_max, grid.x_nodes)
-        omegas = self.omegas(beta)
-        scaled = fmat * grid.x_weights
-        gram_x = scaled @ fmat.T
-        block = (grid, vec1, vec2, vecth, vecy, fmat, omegas, gram_x)
-        self._blocks[beta] = block
-        return block
+    def block(self, beta: ModeIndex) -> tuple:
+        """(t1 vec, t2 vec, theta vec, y vec, [f_i matrix], discrete
+        x-Gram) of one beta.  Each pair depends on part of beta only and
+        is built on the first request for its key: (s1, s2, s3), the
+        Y^{p,q} mode (n, m, l, k, j) and (s1, c) in turn."""
+        grid, memo = self.grid, self._factors
+        s1, s2, s3 = beta.s1, beta.s2, beta.s3
+        y_key = (beta.n, beta.m, beta.l, beta.k, beta.j)
+        y_mode = self._y_modes[y_key]
+        c = c_beta(self.M, self.kappa, y_mode.lam)
+        # keys of 3, 5 and 2 entries: the three kinds share one dict
+        if (s1, s2, s3) not in memo:
+            memo[s1, s2, s3] = (
+                s3_harmonic_norm(s1, s2, s3) * math.sqrt(2.0 * math.pi)
+                * _t1_factor(s1, s2, grid.t1_nodes),
+                assoc_legendre(s2, s3, np.cos(grid.t2_nodes)))
+        if y_key not in memo:
+            memo[y_key] = (y_mode.angular.value(grid.th_nodes),
+                           y_mode.radial.value(grid.y_nodes))
+        if (s1, c) not in memo:
+            fmat = _f_table(s1, c, self.i_max, grid.x_nodes)
+            memo[s1, c] = fmat, (fmat * grid.x_weights) @ fmat.T
+        return memo[s1, s2, s3] + memo[y_key] + memo[s1, c]
 
     def stack(self, betas) -> "SectorStack":
         """The blocks of `betas` (distinct, all of one sector) stacked in
@@ -428,7 +428,7 @@ class ModeTable:
         betas = tuple(sorted(betas, key=lambda beta: beta.beta))
         if betas not in self._stacks:
             self._stacks[betas] = SectorStack(
-                betas, [self.block(beta) for beta in betas])
+                betas, [self.block(beta) for beta in betas], self.grid)
         return self._stacks[betas]
 
     def omegas(self, beta: ModeIndex) -> np.ndarray:
@@ -440,7 +440,7 @@ class ModeTable:
 
 class SectorStack:
     """Separable factors of nb betas of one sector along a leading beta
-    axis, with the grid of that sector:
+    axis, on the table's grid:
 
     * fmat (nb, i, x), t12 (nb, t1*t2) = t1 vec (x) t2 vec and
       ang (nb, theta*y) = theta vec (x) y vec for synthesis;
@@ -448,12 +448,12 @@ class SectorStack:
       wang) and the discrete x-Grams (nb, i, i) for projection.
     """
 
-    def __init__(self, betas: tuple, blocks: list):
-        self.grid = grid = blocks[0][0]
+    def __init__(self, betas: tuple, blocks: list, grid: SectorGrid):
+        self.grid = grid
         self.betas = betas
         self.rows = {beta: r for r, beta in enumerate(betas)}
         vec1, vec2, vecth, vecy, fmat, gram = (
-            np.stack([blk[k] for blk in blocks]) for k in (1, 2, 3, 4, 5, 7))
+            np.stack(factor) for factor in zip(*blocks))
         nb = len(betas)
 
         def outer(a, b):
@@ -490,10 +490,9 @@ def project_cauchy(data: dict, modes: list[ModeIndex], table: ModeTable) -> Spec
     """Coefficients <data, Psi_beta f_i> for every beta in `modes` and
     i <= table.i_max, in the order of `modes`.
 
-    data: dict Sector -> complex 5d array on that sector's grid; sectors
-    no mode of `modes` lives in are ignored.  The angular contractions
-    use the exact matched rules; the x moments are refined by the
-    per-block discrete Gram solve (see module docstring).
+    data: dict Sector -> complex 5d array on `table.grid`; sectors no
+    mode of `modes` lives in are ignored.  The x moments are refined by
+    the per-block discrete Gram solve (see module docstring).
     """
     by_sector: dict[Sector, set] = {}
     for beta in modes:
@@ -502,11 +501,11 @@ def project_cauchy(data: dict, modes: list[ModeIndex], table: ModeTable) -> Spec
             by_sector.setdefault(sector, set()).add(beta)
     vals: dict[ModeIndex, list] = {}
     for sector, betas in by_sector.items():
-        stack = table.stack(betas)
         arr = data[sector]
-        if arr.shape != stack.grid.shape:
+        if arr.shape != table.grid.shape:
             raise GridMismatch(
-                f"{sector}: data {arr.shape} != grid {stack.grid.shape}")
+                f"{sector}: data {arr.shape} != grid {table.grid.shape}")
+        stack = table.stack(betas)
         for beta, row in zip(stack.betas, stack.project(arr).tolist()):
             vals[beta] = row
     coeffs = SpectralCoefficients()
@@ -518,8 +517,8 @@ def project_cauchy(data: dict, modes: list[ModeIndex], table: ModeTable) -> Spec
 
 
 def synthesize(coeffs: SpectralCoefficients, table: ModeTable) -> dict:
-    """Sector amplitude arrays of sum coeff * Psi_beta f_i on the grids,
-    in sorted sector order.
+    """Sector amplitude arrays of sum coeff * Psi_beta f_i on
+    `table.grid`, in sorted sector order.
 
     Raises GridMismatch for a key with i outside 0..table.i_max, and
     FieldTooLarge, before allocating anything, when the arrays would not
@@ -554,5 +553,4 @@ def _physical_memory() -> int:
 
 def grid_norm_sq(data: dict, table: ModeTable) -> float:
     """Total discrete squared norm over all sectors."""
-    return sum(table.grid(sector).grid_norm_sq(arr)
-               for sector, arr in data.items())
+    return sum(table.grid.grid_norm_sq(arr) for arr in data.values())

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -30,6 +31,24 @@ from .specfun import jacobi_poly_all, rule_on_01
 from .spectrum import TruncationPolicy, build_modes, enumerate_modes
 
 __all__ = ["run", "main"]
+
+
+def _at_least(convert, low):
+    """argparse type: convert(text), refused unless finite and >= low."""
+
+    def parse(text: str):
+        val = convert(text)
+        if not (math.isfinite(val) and val >= low):
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {text!r}")
+        return val
+
+    # argparse names the type in its message for text convert rejects
+    parse.__name__ = convert.__name__
+    return parse
+
+
+_nonnegative_int = _at_least(int, 0)
 
 
 def _fmt17(x: float) -> str:
@@ -170,12 +189,11 @@ def _build_data(cfg, prop: KGPropagator) -> CauchyData:
     # gaussian_x: a bump in the AdS radial coordinate on the constant
     # angular sector, sampled on the grid (projection happens inside)
     sector = Sector(0, 0, 0, 0)
-    grid = prop.table.grid(sector)
-    x = grid.x_nodes
+    x = prop.table.grid.x_nodes
     prof = cfg.preset_amplitude * np.exp(
         -((x - cfg.preset_x0) / cfg.preset_width) ** 2)
-    block = prop.table.block(ModeIndex(0, 0, 0, 0, 0, 0, 0, 0))
-    _, vec1, vec2, vecth, vecy, _, _, _ = block
+    vec1, vec2, vecth, vecy, _, _ = prop.table.block(
+        ModeIndex(0, 0, 0, 0, 0, 0, 0, 0))
     arr = np.einsum("x,a,b,t,y->xabty", prof.astype(complex), vec1, vec2,
                     vecth, vecy)
     zeros = {sector: np.zeros_like(arr)}
@@ -184,11 +202,11 @@ def _build_data(cfg, prop: KGPropagator) -> CauchyData:
 
 def _write_sample(cfg, prop: KGPropagator, sample) -> None:
     tag = time_tag(sample.t)
+    grid = prop.table.grid
     if cfg.out_format == "json":
         path = os.path.join(cfg.out_dir, f"field_{tag}.json")
         payload = {"t": sample.t, "tail_norm": sample.tail_norm, "sectors": []}
         for sector, arr in (sample.values or {}).items():
-            grid = prop.table.grid(sector)
             payload["sectors"].append({
                 "s3": sector.s3, "n": sector.n, "m": sector.m, "l": sector.l,
                 "shape": list(arr.shape),
@@ -209,7 +227,6 @@ def _write_sample(cfg, prop: KGPropagator, sample) -> None:
         writer.writerow(("s3", "n", "m", "l", "x", "theta1", "theta2",
                          "theta", "y", "re", "im"))
         for sector, arr in (sample.values or {}).items():
-            grid = prop.table.grid(sector)
             for ix, xv in enumerate(grid.x_nodes):
                 for i1, t1 in enumerate(grid.t1_nodes):
                     for i2, t2 in enumerate(grid.t2_nodes):
@@ -241,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("angular", help="angular eigenvalues and norms")
     a.add_argument("--n", type=int, required=True)
     a.add_argument("--m", type=int, required=True)
-    a.add_argument("--jmax", type=int, required=True)
+    a.add_argument("--jmax", type=_nonnegative_int, required=True)
     a.add_argument("--format", choices=("csv", "json"), default="csv")
     a.set_defaults(func=_cmd_angular)
 
@@ -250,8 +267,8 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--q", type=int, required=True)
     r.add_argument("--m", type=int, required=True)
     r.add_argument("--l", type=int, required=True)
-    r.add_argument("--Lambda", type=float, required=True)
-    r.add_argument("--kmax", type=int, required=True)
+    r.add_argument("--Lambda", type=_at_least(float, 0.0), required=True)
+    r.add_argument("--kmax", type=_nonnegative_int, required=True)
     r.add_argument("--nbasis", type=int, default=40)
     r.add_argument("--oracle", action="store_true")
     r.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -260,20 +277,20 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("spectrum", help="assembled eigenvalues, sorted")
     s.add_argument("--p", type=int, required=True)
     s.add_argument("--q", type=int, required=True)
-    s.add_argument("--nmax", type=int, required=True)
-    s.add_argument("--mmax", type=int, required=True)
-    s.add_argument("--lmax", type=int, required=True)
-    s.add_argument("--kmax", type=int, required=True)
-    s.add_argument("--jmax", type=int, required=True)
+    s.add_argument("--nmax", type=_nonnegative_int, required=True)
+    s.add_argument("--mmax", type=_nonnegative_int, required=True)
+    s.add_argument("--lmax", type=_nonnegative_int, required=True)
+    s.add_argument("--kmax", type=_nonnegative_int, required=True)
+    s.add_argument("--jmax", type=_nonnegative_int, required=True)
     s.add_argument("--lambda-max", type=float, default=None, dest="lambda_max")
     s.add_argument("--nbasis", type=int, default=40)
     s.add_argument("--format", choices=("csv", "json"), default="csv")
     s.set_defaults(func=_cmd_spectrum)
 
     d = sub.add_parser("ads-modes", help="AdS radial eigenvalues and norms")
-    d.add_argument("--beta1", type=int, required=True)
-    d.add_argument("--c", type=float, required=True)
-    d.add_argument("--imax", type=int, required=True)
+    d.add_argument("--beta1", type=_nonnegative_int, required=True)
+    d.add_argument("--c", type=_at_least(float, 2.0), required=True)
+    d.add_argument("--imax", type=_nonnegative_int, required=True)
     d.add_argument("--format", choices=("csv", "json"), default="csv")
     d.set_defaults(func=_cmd_ads_modes)
 

@@ -15,13 +15,17 @@ schema version.  Coefficient lines may repeat:
     phi0_coef = 0 0 0 0 0 0 0 0 0 : 1.0 : 0.0     # s1..j i : re : im
     preset = none
 
-Validation errors carry the offending line number.  Each output time is
-written to a file tagged by time_tag; times whose tags collide are
-rejected, since the later file would overwrite the earlier one.
+Validation errors carry the offending line number.  Every float must be
+finite, and each coefficient's indices must satisfy s1 >= s2 >= |s3|,
+k, j, i >= 0 and the truncation bounds s1_max .. i_max (|n| <= n_max,
+and so on).  Each output time is written to a file tagged by time_tag;
+times whose tags collide are rejected, since the later file would
+overwrite the earlier one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -36,6 +40,8 @@ _FLOAT_KEYS = {"M", "kappa", "tail_warn_fraction", "preset_x0",
 _STR_KEYS = {"preset", "out_dir", "out_format", "cache_dir"}
 _LIST_KEYS = {"times"}
 _COEF_KEYS = {"phi0_coef", "phi1_coef"}
+# truncation bounds, in the order of the indices they bound
+_BOUND_KEYS = ("s1_max", "n_max", "m_max", "l_max", "k_max", "j_max", "i_max")
 
 _DEFAULTS = {
     "M": 0.0, "kappa": 1.0,
@@ -92,6 +98,14 @@ def time_tag(t: float) -> str:
     return f"t{t:g}".replace(".", "p").replace("-", "m")
 
 
+def _float(token: str) -> float:
+    """float(token), refusing nan and inf."""
+    val = float(token)
+    if not math.isfinite(val):
+        raise ValueError(f"{token.strip()!r} is not finite")
+    return val
+
+
 def _parse_coef(value: str, lineno: int):
     parts = [p.strip() for p in value.split(":")]
     if len(parts) != 3:
@@ -99,7 +113,7 @@ def _parse_coef(value: str, lineno: int):
             f"line {lineno}: coefficient needs 'indices : re : im'")
     try:
         idx = tuple(int(tok) for tok in parts[0].split())
-        re_part, im_part = float(parts[1]), float(parts[2])
+        re_part, im_part = _float(parts[1]), _float(parts[2])
     except ValueError as exc:
         raise ConfigError(f"line {lineno}: {exc}") from exc
     if len(idx) != 9:
@@ -113,7 +127,9 @@ def parse_config(text: str) -> RunConfig:
     values = dict(_DEFAULTS)
     values["phi0_coefs"] = []
     values["phi1_coefs"] = []
-    seen = set()
+    # line of each key given, and (line, indices) of each coefficient
+    lines: dict[str, int] = {}
+    coefs: list[tuple[int, tuple]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -123,21 +139,22 @@ def parse_config(text: str) -> RunConfig:
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key in _COEF_KEYS:
-            values[key.replace("_coef", "_coefs")].append(
-                _parse_coef(value, lineno))
+            idx, val = _parse_coef(value, lineno)
+            values[key.replace("_coef", "_coefs")].append((idx, val))
+            coefs.append((lineno, idx))
             continue
-        if key in seen:
+        if key in lines:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        seen.add(key)
+        lines[key] = lineno
         try:
             if key in _INT_KEYS:
                 values[key] = int(value)
             elif key in _FLOAT_KEYS:
-                values[key] = float(value)
+                values[key] = _float(value)
             elif key in _STR_KEYS:
                 values[key] = value
             elif key in _LIST_KEYS:
-                values[key] = [float(tok) for tok in value.split(",") if tok.strip()]
+                values[key] = [_float(tok) for tok in value.split(",") if tok.strip()]
                 tags = [time_tag(t) for t in values[key]]
                 if len(set(tags)) < len(tags):
                     raise ConfigError(f"line {lineno}: two times share an "
@@ -146,39 +163,65 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-    if "schema_version" not in seen:
+    if "schema_version" not in lines:
         raise ConfigError("line 1: schema_version is required")
     if values.pop("schema_version") != 1:
-        raise ConfigError("line 1: unsupported schema_version (expected 1)")
+        raise ConfigError(
+            f"line {lines['schema_version']}: unsupported schema_version "
+            "(expected 1)")
     for required in ("p", "q"):
-        if required not in seen:
+        if required not in lines:
             raise ConfigError(f"line 1: missing required key {required!r}")
     cfg = RunConfig(**values)
-    _validate(cfg)
+    _validate(cfg, lines, coefs)
     return cfg
 
 
-def _validate(cfg: RunConfig) -> None:
-    if cfg.kappa <= 0.0:
-        raise ConfigError("kappa must be positive")
-    if cfg.M < 0.0:
-        raise ConfigError("M must be nonnegative")
-    for name in ("s1_max", "n_max", "m_max", "l_max", "k_max", "j_max",
-                 "i_max"):
-        if getattr(cfg, name) < 0:
-            raise ConfigError(f"{name} must be nonnegative")
-    if cfg.n_basis < 8:
-        raise ConfigError("n_basis must be at least 8")
-    if min(cfg.grid_shape) < 4:
-        raise ConfigError("grid resolutions must be at least 4")
-    if not cfg.times:
-        raise ConfigError("times must not be empty")
-    if cfg.out_format not in ("csv", "json"):
-        raise ConfigError("out_format must be 'csv' or 'json'")
-    if cfg.preset not in ("none", "gaussian_x"):
-        raise ConfigError("preset must be 'none' or 'gaussian_x'")
-    if cfg.preset == "none" and not cfg.phi0_coefs and not cfg.phi1_coefs:
-        raise ConfigError("no data: give phi0_coef/phi1_coef lines or a preset")
+def _validate(cfg: RunConfig, lines: dict, coefs: list) -> None:
+    """Range checks; each error cites the line of the key at fault (line
+    1 for a rule broken by the defaults alone)."""
+
+    def check(ok: bool, key: str, message: str) -> None:
+        if not ok:
+            raise ConfigError(f"line {lines.get(key, 1)}: {message}")
+
+    check(cfg.kappa > 0.0, "kappa", "kappa must be positive")
+    check(cfg.M >= 0.0, "M", "M must be nonnegative")
+    for name in _BOUND_KEYS:
+        check(getattr(cfg, name) >= 0, name, f"{name} must be nonnegative")
+    check(cfg.n_basis >= 8, "n_basis", "n_basis must be at least 8")
+    for name in ("grid_x", "grid_t1", "grid_t2", "grid_theta", "grid_y"):
+        check(getattr(cfg, name) >= 4, name,
+              "grid resolutions must be at least 4")
+    check(bool(cfg.times), "times", "times must not be empty")
+    check(cfg.out_format in ("csv", "json"), "out_format",
+          "out_format must be 'csv' or 'json'")
+    check(cfg.preset in ("none", "gaussian_x"), "preset",
+          "preset must be 'none' or 'gaussian_x'")
+    check(cfg.preset_width > 0.0, "preset_width",
+          "preset_width must be positive")
+    check(cfg.tail_warn_fraction >= 0.0, "tail_warn_fraction",
+          "tail_warn_fraction must be nonnegative")
+    check(cfg.preset != "none" or bool(coefs), "preset",
+          "no data: give phi0_coef/phi1_coef lines or a preset")
+    for lineno, idx in coefs:
+        _check_coef(cfg, idx, lineno)
+
+
+def _check_coef(cfg: RunConfig, idx: tuple, lineno: int) -> None:
+    """A coefficient's indices satisfy the harmonic chain, are
+    nonnegative where they must be, and lie inside the truncation."""
+    s1, s2, s3, n, m, l, k, j, i = idx
+    if not s1 >= s2 >= abs(s3):
+        raise ConfigError(
+            f"line {lineno}: need s1 >= s2 >= |s3|, got ({s1}, {s2}, {s3})")
+    if min(k, j, i) < 0:
+        raise ConfigError(f"line {lineno}: k, j and i must be nonnegative")
+    for name, val in zip(_BOUND_KEYS, (s1, n, m, l, k, j, i)):
+        if abs(val) > getattr(cfg, name):
+            raise ConfigError(
+                f"line {lineno}: {name[:-4]} = {val} outside "
+                f"{name} = {getattr(cfg, name)}")
 
 
 def load_config(path: str) -> RunConfig:

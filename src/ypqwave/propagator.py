@@ -114,6 +114,8 @@ class SourceTerm:
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
+        if len(self.times) == 0:
+            raise SourceCoverage("a source needs at least one time stamp")
         if len(self.times) != len(self.slices):
             raise SourceCoverage("one slice per time stamp required")
         if len(self.times) >= 2 and not np.all(np.diff(self.times) > 0.0):

@@ -228,7 +228,7 @@ def check_propagator(beta_step: int):
     and a constant-source Duhamel closed form, with random coefficients
     on every beta_step-th mode."""
     gp = solve_geometry(2, 3)
-    # spectral data only: no sector grid is ever built
+    # spectral data only: the quadrature grid is never built
     trunc = TruncationSpec(s1_max=1, n_max=1, m_max=0, l_max=0, k_max=1,
                            j_max=1, i_max=3, n_basis=20)
     prop = KGPropagator(gp, M=1.0, kappa=1.0, trunc=trunc)

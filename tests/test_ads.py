@@ -14,6 +14,7 @@ from ypqwave.ads import (ModeIndex, Sector, SpectralCoefficients,
                          s3_laplace_residual, synthesize, ModeTable)
 from ypqwave import ads
 from ypqwave.errors import FieldTooLarge, GridMismatch, IndexChainError
+from ypqwave.radial import RadialMode
 from ypqwave.specfun import assoc_legendre, gauss_jacobi
 from ypqwave.spectrum import TruncationPolicy, build_modes, enumerate_modes
 
@@ -143,13 +144,21 @@ class TestAdSRadial:
 
 
 @pytest.fixture(scope="module")
-def small_table(gp23):
-    y_modes = {(md.index.n, md.index.m, md.index.l, md.index.k, md.index.j): md
-               for md in build_modes(
-                   gp23, enumerate_modes(gp23, TruncationPolicy(1, 0, 0, 1, 1)),
-                   24)}
-    return ModeTable(gp23, M=1.0, kappa=1.0, y_modes=y_modes,
+def small_y_modes(gp23):
+    return {(md.index.n, md.index.m, md.index.l, md.index.k, md.index.j): md
+            for md in build_modes(
+                gp23, enumerate_modes(gp23, TruncationPolicy(1, 0, 0, 1, 1)),
+                24)}
+
+
+def _small_table(gp, y_modes):
+    return ModeTable(gp, M=1.0, kappa=1.0, y_modes=y_modes,
                      grid_shape=(40, 8, 8, 12, 40), i_max=4)
+
+
+@pytest.fixture(scope="module")
+def small_table(gp23, small_y_modes):
+    return _small_table(gp23, small_y_modes)
 
 
 @pytest.fixture(scope="module")
@@ -173,8 +182,8 @@ class TestProjection:
 
     def test_zero_data(self, small_table, beta_set):
         sector = beta_set[0].sector
-        grid = small_table.grid(sector)
-        back = project_cauchy({sector: grid.zeros()}, beta_set, small_table)
+        back = project_cauchy({sector: small_table.grid.zeros()}, beta_set,
+                              small_table)
         assert all(abs(v) < 1e-15 for v in back.entries.values())
 
     def test_round_trip(self, small_table, beta_set):
@@ -204,7 +213,7 @@ class TestProjection:
         # not band-limited: discrete Bessel inequality must still hold
         rng = np.random.default_rng(11)
         sector = Sector(0, 0, 0, 0)
-        grid = small_table.grid(sector)
+        grid = small_table.grid
         data = {sector: (rng.normal(size=grid.shape)
                          + 1j * rng.normal(size=grid.shape))}
         back = project_cauchy(data, beta_set, small_table)
@@ -215,7 +224,7 @@ class TestProjection:
         for (beta, i), v in back.items():
             by_beta.setdefault(beta, {})[i] = v
         for beta, ivals in by_beta.items():
-            _, _, _, _, _, _, _, gram_x = small_table.block(beta)
+            *_, gram_x = small_table.block(beta)
             vec = np.zeros(small_table.i_max + 1, dtype=complex)
             for i, v in ivals.items():
                 vec[i] = v
@@ -233,8 +242,8 @@ def _naive_synthesize(coeffs, table):
     """Per-beta 5d outer products, accumulated in coefficient order."""
     out = {}
     for (beta, i), v in coeffs.items():
-        grid, vec1, vec2, vecth, vecy, fmat, _, _ = table.block(beta)
-        arr = out.setdefault(beta.sector, grid.zeros())
+        vec1, vec2, vecth, vecy, fmat, _ = table.block(beta)
+        arr = out.setdefault(beta.sector, table.grid.zeros())
         arr += np.einsum("x,a,b,t,y->xabty", v * fmat[i], vec1, vec2,
                          vecth, vecy)
     return out
@@ -243,10 +252,11 @@ def _naive_synthesize(coeffs, table):
 def _naive_project(data, modes, table):
     """Per-beta axis-by-axis tensordots and one x-Gram solve each."""
     out = {}
+    grid = table.grid
     for beta in modes:
         if beta.sector not in data:
             continue
-        grid, vec1, vec2, vecth, vecy, fmat, _, gram_x = table.block(beta)
+        vec1, vec2, vecth, vecy, fmat, gram_x = table.block(beta)
         red = data[beta.sector]
         for w, vec in ((grid.y_weights, vecy), (grid.th_weights, vecth),
                        (grid.t2_weights, vec2), (grid.t1_weights, vec1)):
@@ -295,7 +305,7 @@ class TestSectorTransforms:
         data = synthesize(sparse, small_table)
         # a sector holding data that no mode lives in is ignored
         orphan = Sector(0, 5, 0, 0)
-        data[orphan] = np.ones(small_table.grid(orphan).shape, dtype=complex)
+        data[orphan] = np.ones(small_table.grid.shape, dtype=complex)
         modes = beta_set[::2]
         got = project_cauchy(data, modes, small_table)
         want = _naive_project(data, modes, small_table)
@@ -310,3 +320,36 @@ class TestSectorTransforms:
         monkeypatch.setattr(ads, "_physical_memory", lambda: 1000)
         with pytest.raises(FieldTooLarge, match="more than the 1000 bytes"):
             synthesize(sparse, small_table)
+
+
+def test_each_factor_built_once_per_key(gp23, small_y_modes, beta_set,
+                                        monkeypatch):
+    # x tables depend on (s1, c), theta and y on the Y mode alone: a
+    # round trip over every beta builds each of them once, not per beta
+    table = _small_table(gp23, small_y_modes)
+    x_keys, y_calls = [], []
+    f_table, radial_value = ads._f_table, RadialMode.value
+
+    def counted_f_table(beta1, c, i_max, x):
+        x_keys.append((beta1, c))
+        return f_table(beta1, c, i_max, x)
+
+    def counted_value(mode, y):
+        y_calls.append(mode)
+        return radial_value(mode, y)
+
+    monkeypatch.setattr(ads, "_f_table", counted_f_table)
+    monkeypatch.setattr(RadialMode, "value", counted_value)
+    rng = np.random.default_rng(23)
+    coeffs = SpectralCoefficients(
+        {(beta, i): complex(rng.normal(), rng.normal())
+         for beta in beta_set for i in range(5)})
+    back = project_cauchy(synthesize(coeffs, table), beta_set, table)
+    for key, v in coeffs.items():
+        assert abs(back[key] - v) < 1e-9
+    y_keys = {(b.n, b.m, b.l, b.k, b.j) for b in beta_set}
+    want_x = {(b.s1, c_beta(1.0, 1.0, small_y_modes[(b.n, b.m, b.l, b.k,
+                                                      b.j)].lam))
+              for b in beta_set}
+    assert sorted(x_keys) == sorted(want_x)
+    assert len(y_calls) == len(y_keys) < len(beta_set)

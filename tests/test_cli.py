@@ -97,6 +97,21 @@ class TestTableCommands:
         assert [float(r["omega"]) for r in rows] == [16.0, 36.0, 64.0]
         assert all(float(r["norm_residual"]) < 1e-10 for r in rows)
 
+    @pytest.mark.parametrize("argv", [
+        "ads-modes --beta1 0 --c 1.5 --imax 2",
+        "ads-modes --beta1 0 --c nan --imax 2",
+        "ads-modes --beta1 -1 --c 2.0 --imax 2",
+        "ads-modes --beta1 0 --c 2.0 --imax -1",
+        "radial --p 2 --q 3 --m 0 --l 0 --Lambda -1 --kmax 1",
+        "radial --p 2 --q 3 --m 0 --l 0 --Lambda 0 --kmax -1",
+        "angular --n 0 --m 0 --jmax -1",
+        "spectrum --p 2 --q 3 --nmax -1 --mmax 0 --lmax 0 --kmax 0 --jmax 0",
+    ])
+    def test_argument_out_of_range_is_usage_error(self, capsys, argv):
+        assert run(argv.split()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "must be at least" in err
+
 
 CONFIG_TEMPLATE = """
 schema_version = 1
@@ -118,6 +133,16 @@ phi0_coef = 0 0 0 0 0 0 0 0 0 : 1.0 : 0.0
 phi0_coef = 0 0 0 1 0 0 0 0 1 : 0.0 : 0.5
 out_format = csv
 """
+
+
+def _with_line(line: str):
+    """CONFIG_TEMPLATE with `line` appended in place of any line that sets
+    the same key (coefficient lines add up), and the number of that line."""
+    key = line.split("=")[0].strip()
+    lines = [old for old in CONFIG_TEMPLATE.splitlines()
+             if key.endswith("_coef") or old.split("=")[0].strip() != key]
+    lines.append(line)
+    return "\n".join(lines) + "\n", len(lines)
 
 
 class TestConfig:
@@ -159,6 +184,39 @@ class TestConfig:
                                                  "kappa = -2.0"))
         with pytest.raises(ConfigError, match="no data"):
             parse_config("schema_version = 1\np = 2\nq = 3\n")
+
+    @pytest.mark.parametrize("line", [
+        "M = nan", "kappa = inf", "preset_width = -inf", "times = 0.0, nan",
+        "times = inf", "phi0_coef = 0 0 0 0 0 0 0 0 0 : nan : 0.0",
+        "phi1_coef = 0 0 0 0 0 0 0 0 0 : 1.0 : -inf"])
+    def test_non_finite_rejected(self, line):
+        text, lineno = _with_line(line)
+        with pytest.raises(ConfigError, match=f"line {lineno}: .*not finite"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("line,message", [
+        ("kappa = -2.0", "kappa must be positive"),
+        ("M = -1.0", "M must be nonnegative"),
+        ("i_max = -1", "i_max must be nonnegative"),
+        ("n_basis = 4", "n_basis must be at least 8"),
+        ("grid_theta = 3", "grid resolutions"),
+        ("out_format = xml", "out_format must be"),
+        ("preset = bump", "preset must be"),
+        ("preset_width = 0.0", "preset_width must be positive"),
+        ("tail_warn_fraction = -1", "tail_warn_fraction must be nonnegative"),
+        ("times = ,", "times must not be empty"),
+        ("phi0_coef = 0 1 0 0 0 0 0 0 0 : 1.0 : 0.0", r"need s1 >= s2 >= \|s3\|"),
+        ("phi1_coef = 1 1 -1 0 0 0 0 0 0 : 1.0 : 0.0", "s1 = 1 outside s1_max"),
+        ("phi1_coef = 0 0 0 0 0 0 0 -1 0 : 1.0 : 0.0",
+         "k, j and i must be nonnegative"),
+        ("phi0_coef = 0 0 0 -3 0 0 0 0 0 : 1.0 : 0.0", "n = -3 outside n_max"),
+        ("phi0_coef = 0 0 0 0 0 0 1 0 0 : 1.0 : 0.0", "k = 1 outside k_max"),
+        ("phi0_coef = 0 0 0 0 0 0 0 0 3 : 1.0 : 0.0", "i = 3 outside i_max"),
+    ])
+    def test_validation_cites_line(self, line, message):
+        text, lineno = _with_line(line)
+        with pytest.raises(ConfigError, match=f"^line {lineno}: {message}"):
+            parse_config(text)
 
 
 class TestPropagate:

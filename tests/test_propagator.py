@@ -246,6 +246,11 @@ class TestInhomogeneous:
         with pytest.raises(SourceCoverage):
             prop.evolve_inhomogeneous(random_data, src, 2.0)
 
+    def test_empty_source_rejected(self):
+        # it used to reach evolve_inhomogeneous and fail there on times[0]
+        with pytest.raises(SourceCoverage, match="at least one"):
+            SourceTerm([], [])
+
 
 def _quad_duhamel(times, vals, om, t):
     """Duhamel displacement and velocity of the not-a-knot spline through
@@ -301,7 +306,7 @@ class TestDuhamelMoments:
 class TestValidation:
     def test_mixed_representation(self, prop):
         sector = Sector(0, 0, 0, 0)
-        grid = prop.table.grid(sector)
+        grid = prop.table.grid
         with pytest.raises(GridMismatch):
             CauchyData(SpectralCoefficients(), {sector: grid.zeros()})
 
@@ -314,7 +319,7 @@ class TestValidation:
     def test_truncation_warning(self, prop):
         rng = np.random.default_rng(5)
         sector = Sector(0, 0, 0, 0)
-        grid = prop.table.grid(sector)
+        grid = prop.table.grid
         rough = {sector: rng.normal(size=grid.shape) + 0j}
         zeros = {sector: grid.zeros()}
         with warnings.catch_warnings(record=True) as caught:
