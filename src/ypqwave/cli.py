@@ -2,14 +2,15 @@
 
 Subcommands: geometry, angular, radial, spectrum, ads-modes, propagate,
 selftest.  Exit codes: 0 success, 1 numerical failure (stderr lines are
-prefixed `error:`), 2 usage error.  CSV output carries a header row and
-RFC-style quoting; JSON output keeps a stable field order.
+prefixed `error:`), 2 usage error.  CSV output has a header row (only
+tables and the energy trace go through `csv`); JSON keeps field order.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -98,7 +99,7 @@ def _cmd_radial(args) -> int:
     prob = radial_problem(gp, args.m, args.l, args.Lambda)
     modes = solve_radial(prob, args.kmax, max(args.nbasis, args.kmax + 8))
     print("# eigenvalues are ell of -S (the operator is nonpositive; "
-          "its spectrum is -ell)")
+          "its spectrum is -ell)", file=sys.stderr)
     rows = []
     for md in modes:
         row = [md.k, md.ell, md.grid_norm_residual]
@@ -201,41 +202,39 @@ def _build_data(cfg, prop: KGPropagator) -> CauchyData:
 
 
 def _write_sample(cfg, prop: KGPropagator, sample) -> None:
-    tag = time_tag(sample.t)
+    """Write field_<tag>.json or .csv: CSV rows in C order of the grid,
+    floats as repr, one write per x slab (at most one slab as text)."""
     grid = prop.table.grid
-    if cfg.out_format == "json":
-        path = os.path.join(cfg.out_dir, f"field_{tag}.json")
-        payload = {"t": sample.t, "tail_norm": sample.tail_norm, "sectors": []}
-        for sector, arr in (sample.values or {}).items():
-            payload["sectors"].append({
-                "s3": sector.s3, "n": sector.n, "m": sector.m, "l": sector.l,
-                "shape": list(arr.shape),
-                "x": grid.x_nodes.tolist(),
-                "theta1": grid.t1_nodes.tolist(),
-                "theta2": grid.t2_nodes.tolist(),
-                "theta": grid.th_nodes.tolist(),
-                "y": grid.y_nodes.tolist(),
-                "re": arr.real.ravel().tolist(),
-                "im": arr.imag.ravel().tolist(),
-            })
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-        return
-    path = os.path.join(cfg.out_dir, f"field_{tag}.csv")
+    axes = dict(zip(("x", "theta1", "theta2", "theta", "y"), (
+        a.tolist() for a in (grid.x_nodes, grid.t1_nodes, grid.t2_nodes,
+                             grid.th_nodes, grid.y_nodes))))
+    is_json = cfg.out_format == "json"
+    sectors = []
+    path = os.path.join(cfg.out_dir,
+                        f"field_{time_tag(sample.t)}.{cfg.out_format}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("s3", "n", "m", "l", "x", "theta1", "theta2",
-                         "theta", "y", "re", "im"))
+        if not is_json:
+            fh.write(",".join(("s3", "n", "m", "l", *axes, "re", "im")) + "\n")
+            x_text, *rest = ([repr(v) for v in axis] for axis in axes.values())
+            # (theta1, theta2, theta, y) of each row of a slab, ravel order
+            tail = [",".join(pt) for pt in itertools.product(*rest)]
         for sector, arr in (sample.values or {}).items():
-            for ix, xv in enumerate(grid.x_nodes):
-                for i1, t1 in enumerate(grid.t1_nodes):
-                    for i2, t2 in enumerate(grid.t2_nodes):
-                        for it, th in enumerate(grid.th_nodes):
-                            for iy, yv in enumerate(grid.y_nodes):
-                                v = arr[ix, i1, i2, it, iy]
-                                writer.writerow((
-                                    sector.s3, sector.n, sector.m, sector.l,
-                                    xv, t1, t2, th, yv, v.real, v.imag))
+            if is_json:
+                sectors.append({
+                    "s3": sector.s3, "n": sector.n, "m": sector.m,
+                    "l": sector.l, "shape": list(arr.shape), **axes,
+                    "re": arr.real.ravel().tolist(),
+                    "im": arr.imag.ravel().tolist()})
+                continue
+            for xv, slab in zip(x_text, arr):
+                lead = f"{sector.s3},{sector.n},{sector.m},{sector.l},{xv},"
+                fh.write("".join(
+                    f"{lead}{pt},{re!r},{im!r}\n" for pt, re, im in zip(
+                        tail, slab.real.ravel().tolist(),
+                        slab.imag.ravel().tolist())))
+        if is_json:
+            json.dump({"t": sample.t, "tail_norm": sample.tail_norm,
+                       "sectors": sectors}, fh)
 
 
 def _cmd_selftest(args) -> int:
@@ -282,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--lmax", type=_nonnegative_int, required=True)
     s.add_argument("--kmax", type=_nonnegative_int, required=True)
     s.add_argument("--jmax", type=_nonnegative_int, required=True)
-    s.add_argument("--lambda-max", type=float, default=None, dest="lambda_max")
+    s.add_argument("--lambda-max", type=_at_least(float, 0.0))
     s.add_argument("--nbasis", type=int, default=40)
     s.add_argument("--format", choices=("csv", "json"), default="csv")
     s.set_defaults(func=_cmd_spectrum)

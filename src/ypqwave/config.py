@@ -18,9 +18,9 @@ schema version.  Coefficient lines may repeat:
 Validation errors carry the offending line number.  Every float must be
 finite, and each coefficient's indices must satisfy s1 >= s2 >= |s3|,
 k, j, i >= 0 and the truncation bounds s1_max .. i_max (|n| <= n_max,
-and so on).  Each output time is written to a file tagged by time_tag;
-times whose tags collide are rejected, since the later file would
-overwrite the earlier one.
+and so on); a preset excludes coefficient lines.  Each output time is
+written to a file tagged by time_tag; times whose tags collide are
+rejected, since the later file would overwrite the earlier one.
 """
 
 from __future__ import annotations
@@ -204,6 +204,9 @@ def _validate(cfg: RunConfig, lines: dict, coefs: list) -> None:
           "tail_warn_fraction must be nonnegative")
     check(cfg.preset != "none" or bool(coefs), "preset",
           "no data: give phi0_coef/phi1_coef lines or a preset")
+    if cfg.preset != "none" and coefs:
+        raise ConfigError(f"line {coefs[0][0]}: coefficient lines and preset "
+                          f"= {cfg.preset} exclude each other")
     for lineno, idx in coefs:
         _check_coef(cfg, idx, lineno)
 

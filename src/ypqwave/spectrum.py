@@ -91,10 +91,7 @@ def build_eigenmode(gp: GeometryParams, idx: YModeIndex,
                     n_basis: int = 40) -> YEigenmode:
     """Compose the angular closed form with a radial solve at
     Lambda = Lambda_{nmj} and select excitation k."""
-    ang = angular_mode(idx.n, idx.m, idx.j)
-    prob = radial_problem(gp, idx.m, idx.l, ang.lambda_cap)
-    rad = solve_radial(prob, idx.k, max(n_basis, idx.k + 8))[idx.k]
-    return YEigenmode(index=idx, lam=rad.ell, angular=ang, radial=rad)
+    return build_modes(gp, [idx], n_basis)[0]
 
 
 def eval_u(mode: YEigenmode, pt: YPoint) -> complex:

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import ypqwave
+from ypqwave.ads import sector_grid
 from ypqwave.cache import CacheKey, cache_get_or_solve
 from ypqwave.cli import run
 from ypqwave.config import parse_config
@@ -81,6 +83,13 @@ class TestTableCommands:
                 / max(1.0, float(row["ell"]))
             assert rel < 1e-6
 
+    def test_radial_json_parses(self, capsys):
+        assert run(["radial", "--p", "2", "--q", "3", "--m", "1", "--l", "0",
+                    "--Lambda", "6", "--kmax", "2", "--nbasis", "24",
+                    "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [row["k"] for row in rows] == [0, 1, 2]
+
     def test_spectrum_sorted(self, capsys):
         assert run(["spectrum", "--p", "2", "--q", "3", "--nmax", "1",
                     "--mmax", "0", "--lmax", "0", "--kmax", "1", "--jmax", "1",
@@ -106,7 +115,8 @@ class TestTableCommands:
         "radial --p 2 --q 3 --m 0 --l 0 --Lambda 0 --kmax -1",
         "angular --n 0 --m 0 --jmax -1",
         "spectrum --p 2 --q 3 --nmax -1 --mmax 0 --lmax 0 --kmax 0 --jmax 0",
-    ])
+    ] + [f"spectrum --p 2 --q 3 --nmax 0 --mmax 0 --lmax 0 --kmax 0 --jmax 0 "
+         f"--lambda-max {bad}" for bad in ("nan", "inf", "-1")])
     def test_argument_out_of_range_is_usage_error(self, capsys, argv):
         assert run(argv.split()) == 2
         err = capsys.readouterr().err
@@ -212,9 +222,14 @@ class TestConfig:
         ("phi0_coef = 0 0 0 -3 0 0 0 0 0 : 1.0 : 0.0", "n = -3 outside n_max"),
         ("phi0_coef = 0 0 0 0 0 0 1 0 0 : 1.0 : 0.0", "k = 1 outside k_max"),
         ("phi0_coef = 0 0 0 0 0 0 0 0 3 : 1.0 : 0.0", "i = 3 outside i_max"),
+        ("preset = gaussian_x", "coefficient lines and preset = gaussian_x"),
     ])
     def test_validation_cites_line(self, line, message):
         text, lineno = _with_line(line)
+        if line == "preset = gaussian_x":
+            # the template's coefficients clash with it: the first is cited
+            lineno = next(n for n, old in enumerate(text.splitlines(), 1)
+                          if old.startswith("phi0_coef"))
         with pytest.raises(ConfigError, match=f"^line {lineno}: {message}"):
             parse_config(text)
 
@@ -280,26 +295,50 @@ class TestPropagate:
         coefs = ("1 1 1 0 0 0 0 0 0", "0 0 0 1 0 0 0 0 1",
                  "1 1 -1 -1 0 0 0 0 0", "0 0 0 0 0 0 0 0 0",
                  "1 1 0 -1 0 0 0 0 1", "1 0 0 1 0 0 0 0 0")
-        text = "\n".join(
-            ["schema_version = 1", "p = 2", "q = 3", "s1_max = 1",
-             "n_max = 1", "i_max = 1", "n_basis = 12", "grid_x = 4",
-             "grid_t1 = 4", "grid_t2 = 4", "grid_theta = 4", "grid_y = 4",
-             "times = 0.0, 1.0", f"out_dir = {tmp_path / 'out'}"]
-            + [f"phi0_coef = {c} : 1.0 : 0.5" for c in coefs]) + "\n"
-        path = tmp_path / "run.cfg"
-        path.write_text(text)
-        assert run(["propagate", "--config", str(path)]) == 0
-        capsys.readouterr()
-        for name in ("field_t0.csv", "field_t1.csv"):
-            with open(tmp_path / "out" / name, encoding="utf-8") as fh:
-                rows = list(csv.reader(fh))[1:]
-            groups = []
-            for row in rows:
-                sector = tuple(int(v) for v in row[:4])
-                if not groups or groups[-1] != sector:
-                    groups.append(sector)
+        shape = (4, 5, 6, 4, 7)
+        for fmt in ("csv", "json"):
+            text = "\n".join(
+                ["schema_version = 1", "p = 2", "q = 3", "s1_max = 1",
+                 "n_max = 1", "i_max = 1", "n_basis = 12", "times = 0.0, 1.0",
+                 f"out_format = {fmt}", f"out_dir = {tmp_path / fmt}"]
+                + [f"{key} = {n}" for key, n in zip(
+                    ("grid_x", "grid_t1", "grid_t2", "grid_theta", "grid_y"),
+                    shape)]
+                + [f"phi0_coef = {c} : 1.0 : 0.5" for c in coefs]) + "\n"
+            path = tmp_path / f"run_{fmt}.cfg"
+            path.write_text(text)
+            assert run(["propagate", "--config", str(path)]) == 0
+            capsys.readouterr()
+        # the field-file layout: per sector, one row per grid point in C
+        # order of the grid, with the values of the JSON file
+        grid = sector_grid(solve_geometry(2, 3), shape)
+        nodes = (grid.x_nodes, grid.t1_nodes, grid.t2_nodes, grid.th_nodes,
+                 grid.y_nodes)
+        at = np.unravel_index(np.arange(np.prod(shape)), shape)
+        coords = np.stack([ax[i] for ax, i in zip(nodes, at)], axis=1)
+        for tag in ("t0", "t1"):
+            with open(tmp_path / "csv" / f"field_{tag}.csv",
+                      encoding="utf-8") as fh:
+                header, *rows = list(csv.reader(fh))
+            assert header == ["s3", "n", "m", "l", "x", "theta1", "theta2",
+                              "theta", "y", "re", "im"]
+            with open(tmp_path / "json" / f"field_{tag}.json",
+                      encoding="utf-8") as fh:
+                payload = json.load(fh)
+            groups = [(key, np.array(list(group), dtype=float)[:, 4:])
+                      for key, group in itertools.groupby(
+                          rows, key=lambda row: tuple(map(int, row[:4])))]
             assert len(groups) == 5
-            assert groups == sorted(set(groups))
+            assert [key for key, _ in groups] == sorted(set(
+                key for key, _ in groups))
+            assert [key for key, _ in groups] == [
+                (sec["s3"], sec["n"], sec["m"], sec["l"])
+                for sec in payload["sectors"]]
+            for (_, table), sec in zip(groups, payload["sectors"]):
+                assert table.shape == (np.prod(shape), 7)
+                assert np.array_equal(table[:, :5], coords)
+                assert np.array_equal(table[:, 5], sec["re"])
+                assert np.array_equal(table[:, 6], sec["im"])
 
     def test_json_output(self, tmp_path, capsys):
         cfg = (CONFIG_TEMPLATE.replace("out_format = csv", "out_format = json")
