@@ -268,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--l", type=int, required=True)
     r.add_argument("--Lambda", type=_at_least(float, 0.0), required=True)
     r.add_argument("--kmax", type=_nonnegative_int, required=True)
-    r.add_argument("--nbasis", type=int, default=40)
+    r.add_argument("--nbasis", type=_at_least(int, 8), default=40)
     r.add_argument("--oracle", action="store_true")
     r.add_argument("--format", choices=("csv", "json"), default="csv")
     r.set_defaults(func=_cmd_radial)
@@ -282,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--kmax", type=_nonnegative_int, required=True)
     s.add_argument("--jmax", type=_nonnegative_int, required=True)
     s.add_argument("--lambda-max", type=_at_least(float, 0.0))
-    s.add_argument("--nbasis", type=int, default=40)
+    s.add_argument("--nbasis", type=_at_least(int, 8), default=40)
     s.add_argument("--format", choices=("csv", "json"), default="csv")
     s.set_defaults(func=_cmd_spectrum)
 

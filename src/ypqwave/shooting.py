@@ -9,20 +9,28 @@ with polynomial coefficients,
         - 9 (1-y) pol^2,
 
 with A2 = a - y^2, C3 = a - 3y^2 + 2y^3, mu = sigma l / tau and
-pol = 12 m A2 + mu (a - 2y + y^2).  Both interval endpoints are regular
-singular points (C3 has simple zeros there), so power series
-u = dist^nu * sum a_k dist^k launched from each endpoint converge on a
-neighbourhood; the series recursion below uses the exact shifted
-polynomial coefficients and truncates when terms drop below 1e-16
-relative.  The two local solutions are integrated to the midpoint with a
-high-order adaptive integrator and an eigenvalue is a zero of their
-Wronskian mismatch.  Nothing here shares code with the Galerkin path.
+pol = 12 m A2 + mu (a - 2y + y^2).  P, Q and R = R0 + ell R1 are kept as
+plain ascending coefficient arrays and evaluated by Horner.  Both
+interval endpoints are regular singular points (C3 has simple zeros
+there), so power series u = dist^nu * sum a_k dist^k launched from each
+endpoint converge on a neighbourhood; the series recursion below uses
+the exact shifted polynomial coefficients and truncates when terms drop
+below 1e-16 relative.  The series are launched a distance d0 inside
+each endpoint, the same distance from the midpoint, so both local
+solutions are carried to it in one state (u_L, u_L', u_R, u_R') over a
+common parameter s, y = y_minus + d0 + s on the left and
+y = y_plus - d0 - s on the right, by one adaptive DOP853 integration; an
+eigenvalue is a zero of their Wronskian mismatch.  Nothing here shares
+code with the Galerkin path.
 """
 
 from __future__ import annotations
 
+import math
+from functools import reduce
+
 import numpy as np
-from numpy.polynomial import Polynomial
+from numpy.polynomial import polynomial as npp
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
@@ -38,41 +46,60 @@ _SERIES_TOL = 1e-16
 _SERIES_MAX = 400
 
 
-def _ode_polys(prob: RadialProblem, ell: float):
-    gp = prob.gp
-    a = gp.a
+def _ode_coeffs(prob: RadialProblem) -> np.ndarray:
+    """Rows P, Q, R0, R1 of ascending coefficients, R = R0 + ell R1,
+    zero-padded to the length of P (degree 8)."""
+    a = prob.gp.a
     mu = prob.alpha_freq
-    a2 = Polynomial([a, 0.0, -1.0])
-    c3 = Polynomial([a, 0.0, -3.0, 2.0])
-    c3p = c3.deriv()
-    one_my = Polynomial([1.0, -1.0])
-    pol = 12.0 * prob.m * a2 + mu * Polynomial([a, -2.0, 1.0])
-    p_poly = 72.0 * a2 * c3 * c3
-    q_poly = 72.0 * a2 * c3 * c3p
-    r_poly = (36.0 * ell * one_my * a2 * c3
-              - 216.0 * prob.lambda_cap * a2 * c3
-              - 18.0 * mu * mu * one_my * one_my * c3
-              - 9.0 * one_my * pol * pol)
-    return p_poly, q_poly, r_poly
+    a2 = np.array([a, 0.0, -1.0])
+    c3 = np.array([a, 0.0, -3.0, 2.0])
+    one_my = np.array([1.0, -1.0])
+    a2c3 = npp.polymul(a2, c3)
+    pol = npp.polyadd(12.0 * prob.m * a2, mu * np.array([a, -2.0, 1.0]))
+    rows = (72.0 * npp.polymul(a2c3, c3),
+            72.0 * npp.polymul(a2c3, npp.polyder(c3)),
+            reduce(npp.polyadd, (
+                -216.0 * prob.lambda_cap * a2c3,
+                -18.0 * mu * mu * npp.polymul(npp.polypow(one_my, 2), c3),
+                -9.0 * npp.polymul(one_my, npp.polypow(pol, 2)))),
+            36.0 * npp.polymul(one_my, a2c3))
+    out = np.zeros((4, len(rows[0])))
+    for row, c in zip(out, rows):
+        row[:len(c)] = c
+    return out
 
 
-def _frobenius_state(prob: RadialProblem, ell: float, endpoint: int,
+def _horner_pqr(desc: list, y: float) -> tuple[float, float, float]:
+    """P(y), Q(y), R(y) by Horner from (p, q, r) coefficient triples in
+    descending order (Python floats)."""
+    pv = qv = rv = 0.0
+    for pc, qc, rc in desc:
+        pv = pv * y + pc
+        qv = qv * y + qc
+        rv = rv * y + rc
+    return pv, qv, rv
+
+
+def _frobenius_state(prob: RadialProblem, pqr: np.ndarray, endpoint: int,
                      dist: float) -> np.ndarray:
     """(u, du/dy)/dist^nu at distance `dist` inside the interval from the
-    chosen endpoint (-1 for y_minus, +1 for y_plus)."""
+    chosen endpoint (-1 for y_minus, +1 for y_plus); `pqr` holds the
+    ascending coefficient rows P, Q, R."""
     gp = prob.gp
     if endpoint == -1:
         y0, sgn, nu = gp.y_minus, 1.0, prob.nu_minus
     else:
         y0, sgn, nu = gp.y_plus, -1.0, prob.nu_plus
-    p_poly, q_poly, r_poly = _ode_polys(prob, ell)
-    shift = Polynomial([y0, sgn])
-    pz = p_poly(shift).coef
-    qz = sgn * q_poly(shift).coef
-    rz = r_poly(shift).coef
-    pz = np.pad(pz, (0, 16))
-    qz = np.pad(qz, (0, 16))
-    rz = np.pad(rz, (0, 16))
+    # coefficients in z of each row at y = y0 + sgn z, by Horner:
+    # shifted <- shifted * (y0 + sgn z) + c_k from the top degree down
+    shifted = np.zeros_like(pqr)
+    for col in pqr.T[::-1]:
+        nxt = y0 * shifted
+        nxt[:, 1:] += sgn * shifted[:, :-1]
+        nxt[:, 0] += col
+        shifted = nxt
+    shifted[1] *= sgn  # Q multiplies d/dy = sgn d/dz
+    pz, qz, rz = shifted.tolist()
 
     def indicial(x: float) -> float:
         return pz[2] * x * (x - 1.0) + qz[1] * x + rz[0]
@@ -104,37 +131,42 @@ def shooting_matcher(prob: RadialProblem, ell: float,
     sample values of both half-solutions are returned as well (used for
     oscillation counting).
     """
+    if not math.isfinite(ell):
+        raise BracketError(f"ell must be finite, got {ell}")
     gp = prob.gp
-    delta = gp.y_plus - gp.y_minus
-    d0 = _LAUNCH_FRACTION * delta
-    y_mid = 0.5 * (gp.y_minus + gp.y_plus)
-    p_poly, q_poly, r_poly = _ode_polys(prob, ell)
+    d0 = _LAUNCH_FRACTION * (gp.y_plus - gp.y_minus)
+    y_lo = gp.y_minus + d0
+    y_hi = gp.y_plus - d0
+    span = 0.5 * (gp.y_minus + gp.y_plus) - y_lo
+    p, q, r0, r1 = _ode_coeffs(prob)
+    pqr = np.array([p, q, r0 + ell * r1])
+    desc = list(zip(*pqr[:, ::-1].tolist()))
 
-    def rhs(y, state):
-        u, du = state
-        py = p_poly(y)
-        return [du, -(q_poly(y) * du + r_poly(y) * u) / py]
+    def rhs(s, state):
+        ul, dul, ur, dur = state.tolist()
+        pl, ql, rl = _horner_pqr(desc, y_lo + s)
+        pr, qr, rr = _horner_pqr(desc, y_hi - s)
+        # the right half runs towards smaller y: d/ds = -d/dy
+        return [dul, -(ql * dul + rl * ul) / pl,
+                -dur, (qr * dur + rr * ur) / pr]
 
-    paths = []
-    states = []
-    for endpoint in (-1, 1):
-        y_start = gp.y_minus + d0 if endpoint == -1 else gp.y_plus - d0
-        s0 = _frobenius_state(prob, ell, endpoint, d0)
-        nrm = np.hypot(*s0)
-        sol = solve_ivp(rhs, (y_start, y_mid), s0 / nrm, method="DOP853",
-                        rtol=1e-12, atol=1e-14, dense_output=return_paths)
-        if not sol.success:  # pragma: no cover - smooth interior ODE
-            raise BracketError(f"integration failed: {sol.message}")
-        state = sol.y[:, -1]
-        scale = np.hypot(*state)
-        states.append(state / scale)
-        if return_paths:
-            ys = np.linspace(y_start, y_mid, 400)
-            paths.append((ys, sol.sol(ys)[0] / scale))
-    (ul, dul), (ur, dur) = states
+    launch = [_frobenius_state(prob, pqr, endpoint, d0)
+              for endpoint in (-1, 1)]
+    state0 = np.concatenate([s0 / np.hypot(*s0) for s0 in launch])
+    sol = solve_ivp(rhs, (0.0, span), state0, method="DOP853",
+                    rtol=1e-12, atol=1e-14, dense_output=return_paths)
+    if not sol.success:  # pragma: no cover - smooth interior ODE
+        raise BracketError(f"integration failed: {sol.message}")
+    scale_l = np.hypot(*sol.y[:2, -1])
+    scale_r = np.hypot(*sol.y[2:, -1])
+    ul, dul = sol.y[:2, -1] / scale_l
+    ur, dur = sol.y[2:, -1] / scale_r
     mism = ul * dur - dul * ur
     if return_paths:
-        return mism, paths
+        ss = np.linspace(0.0, span, 400)
+        vals = sol.sol(ss)
+        return mism, [(y_lo + ss, vals[0] / scale_l),
+                      (y_hi - ss, vals[2] / scale_r)]
     return mism
 
 

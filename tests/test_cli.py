@@ -114,7 +114,11 @@ class TestTableCommands:
         "radial --p 2 --q 3 --m 0 --l 0 --Lambda -1 --kmax 1",
         "radial --p 2 --q 3 --m 0 --l 0 --Lambda 0 --kmax -1",
         "angular --n 0 --m 0 --jmax -1",
+        "radial --p 2 --q 3 --m 0 --l 0 --Lambda 0 --kmax 0 --nbasis -3",
+        "radial --p 2 --q 3 --m 0 --l 0 --Lambda 0 --kmax 0 --nbasis 7",
         "spectrum --p 2 --q 3 --nmax -1 --mmax 0 --lmax 0 --kmax 0 --jmax 0",
+        "spectrum --p 2 --q 3 --nmax 0 --mmax 0 --lmax 0 --kmax 0 --jmax 0 "
+        "--nbasis -3",
     ] + [f"spectrum --p 2 --q 3 --nmax 0 --mmax 0 --lmax 0 --kmax 0 --jmax 0 "
          f"--lambda-max {bad}" for bad in ("nan", "inf", "-1")])
     def test_argument_out_of_range_is_usage_error(self, capsys, argv):

@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
+from scipy.integrate import solve_ivp
 
+from ypqwave import shooting
 from ypqwave.angular import angular_eigenvalue
 from ypqwave.errors import BracketError, OutOfRange
 from ypqwave.radial import (assemble_galerkin, char_exponents, radial_problem,
@@ -204,3 +207,58 @@ class TestShooting:
                 pad = 0.03 * max(1.0, md.ell)
                 ell = shooting_oracle(prob, (md.ell - pad, md.ell + pad), md.k)
                 assert md.ell == pytest.approx(ell, rel=1e-6)
+
+    @pytest.mark.parametrize("bracket", [(math.nan, 1.0), (0.5, math.nan),
+                                         (-math.inf, 1.0), (0.5, math.inf)])
+    def test_non_finite_bracket_rejected(self, gp23, bracket):
+        prob = radial_problem(gp23, 1, 0, 8.0)
+        with pytest.raises(BracketError, match="finite"):
+            shooting_oracle(prob, bracket, 0)
+        bad = next(e for e in bracket if not math.isfinite(e))
+        with pytest.raises(BracketError, match="finite"):
+            shooting_matcher(prob, bad)
+
+    @pytest.mark.parametrize("p,q,m,l,lam", [(2, 3, 0, 0, 0.0),
+                                             (2, 3, 1, 0, 8.0),
+                                             (3, 4, 2, -1, 6.0)])
+    def test_ode_coefficients(self, request, p, q, m, l, lam):
+        # the module docstring's formulas, built here with Polynomial
+        gp = request.getfixturevalue(f"gp{p}{q}")
+        prob = radial_problem(gp, m, l, lam)
+        a, mu = gp.a, prob.alpha_freq
+        a2 = Polynomial([a, 0.0, -1.0])
+        c3 = Polynomial([a, 0.0, -3.0, 2.0])
+        one_my = Polynomial([1.0, -1.0])
+        pol = 12.0 * m * a2 + mu * Polynomial([a, -2.0, 1.0])
+        p_ref = 72.0 * a2 * c3 ** 2
+        q_ref = 72.0 * a2 * c3 * c3.deriv()
+        ys = np.linspace(gp.y_minus, gp.y_plus, 9)[1:-1]
+        p_c, q_c, r0_c, r1_c = shooting._ode_coeffs(prob)
+        for ell in (-2.0, 0.0, 3.5, 60.0):
+            r_ref = (36.0 * ell * one_my * a2 * c3 - 216.0 * lam * a2 * c3
+                     - 18.0 * mu ** 2 * one_my ** 2 * c3
+                     - 9.0 * one_my * pol ** 2)
+            desc = list(zip(*np.array([p_c, q_c, r0_c + ell * r1_c])
+                            [:, ::-1].tolist()))
+            for y in ys:
+                got = shooting._horner_pqr(desc, float(y))
+                for g, ref in zip(got, (p_ref, q_ref, r_ref)):
+                    # relative to sum |c_k| |y|^k, the size of the terms
+                    scale = Polynomial(np.abs(ref.coef))(abs(y))
+                    assert abs(g - ref(y)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("return_paths", [False, True])
+    def test_one_solve_per_matcher_call(self, gp23, monkeypatch, return_paths):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(shooting, "solve_ivp", counting)
+        prob = radial_problem(gp23, 0, 1, 0.0)
+        out = shooting_matcher(prob, 5.0, return_paths=return_paths)
+        assert len(calls) == 1
+        if return_paths:
+            _, paths = out
+            assert len(paths) == 2
