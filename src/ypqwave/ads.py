@@ -55,10 +55,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FieldTooLarge, GridMismatch, IndexChainError
+from .errors import FieldTooLarge, GridMismatch, IndexChainError, OutOfRange
 from .geometry import GeometryParams
-from .specfun import (assoc_legendre, assoc_legendre_derivs, gauss_jacobi,
-                      gegenbauer_scale, jacobi_deriv_all, jacobi_poly_all,
+from .specfun import (assoc_legendre, envelope_jacobi_derivs, gauss_jacobi,
+                      gegenbauer_scale, jacobi_poly_all, legendre_scale,
                       rule_on_01, rule_on_interval)
 
 __all__ = ["ModeIndex", "AdSRadialMode", "SpectralCoefficients", "Sector",
@@ -131,55 +131,42 @@ def s3_harmonic(s1: int, s2: int, s3: int, point) -> complex:
     return val * complex(math.cos(s3 * t3), math.sin(s3 * t3))
 
 
-def _t1_gegenbauer(s1: int, s2: int, cth, order: int = 0):
-    """C_{s1-s2}^{(s2+1)}(cos t1), or its order-th derivative in cos t1,
-    as the rescaled Jacobi polynomial P_{s1-s2}^(s2+1/2, s2+1/2)."""
-    r, half = s1 - s2, s2 + 0.5
-    return (gegenbauer_scale(s2 + 1.0, r)
-            * jacobi_deriv_all(half, half, r, cth, order)[r])
-
-
 def _t1_factor(s1: int, s2: int, t1):
-    """A(t1) = N-free sin^{s2} t1 * C_{s1-s2}^{(s2+1)}(cos t1)."""
+    """A(t1) = N-free sin^{s2} t1 * C_{s1-s2}^{(s2+1)}(cos t1), the
+    Gegenbauer polynomial as the rescaled Jacobi polynomial
+    P_{s1-s2}^(s2+1/2, s2+1/2)."""
     t1 = np.asarray(t1, dtype=float)
-    return np.sin(t1) ** s2 * _t1_gegenbauer(s1, s2, np.cos(t1))
+    r, half = s1 - s2, s2 + 0.5
+    return np.sin(t1) ** s2 * (gegenbauer_scale(s2 + 1.0, r)
+                               * jacobi_poly_all(half, half, r, np.cos(t1))[r])
 
 
-def _t1_factor_derivs(s1: int, s2: int, t1):
-    """A(t1) of _t1_factor and its two derivatives in t1."""
-    t1 = np.asarray(t1, dtype=float)
-    s, cth = np.sin(t1), np.cos(t1)
-    gc, gc1, gc2 = (_t1_gegenbauer(s1, s2, cth, order) for order in range(3))
-    pow0 = s ** s2
-    a_val = pow0 * gc
-    pow1 = s2 * s ** (s2 - 1) if s2 >= 1 else np.zeros_like(s)
-    a_d1 = pow1 * cth * gc - pow0 * s * gc1
-    pow2 = s2 * (s2 - 1) * s ** (s2 - 2) if s2 >= 2 else np.zeros_like(s)
-    a_d2 = (pow2 * cth * cth * gc - pow1 * s * gc
-            - 2.0 * pow1 * cth * s * gc1
-            - pow0 * cth * gc1 + pow0 * s * s * gc2)
-    return a_val, a_d1, a_d2
+def _sin_jacobi_derivs(power: int, alpha: float, scale: float, r: int, t):
+    """(F, F', F'') in t of F = scale sin^power t P_r^(alpha, alpha)(cos t),
+    the shape of both the t1 and the t2 factor of Y^{s1 s2 s3}."""
+    s, c = np.sin(t), np.cos(t)
+    return envelope_jacobi_derivs(alpha, alpha, scale * np.eye(r + 1)[r],
+                                  c, -s, -c, [(power, s, c, -s)])
 
 
 def s3_laplace_residual(s1: int, s2: int, s3: int, points) -> np.ndarray:
-    """|Delta_{S3} Y + s1(s1+2) Y| at the given points, all derivatives
-    analytic (Gegenbauer shift rule and Legendre recurrence identities)."""
-    out = np.empty(len(points))
-    norm = s3_harmonic_norm(s1, s2, s3)
-    for i, (t1, t2, _t3) in enumerate(points):
-        a, a1, a2 = (float(v) for v in _t1_factor_derivs(s1, s2, t1))
-        x2 = math.cos(t2)
-        pval, pd1, pd2 = (float(v) for v in assoc_legendre_derivs(s2, s3, x2))
-        s_t2 = math.sin(t2)
-        b = pval
-        b1 = -s_t2 * pd1
-        b2 = -x2 * pd1 + s_t2 * s_t2 * pd2
-        s_t1 = math.sin(t1)
-        lap = ((a2 + 2.0 * math.cos(t1) / s_t1 * a1) * b
-               + (a / s_t1 ** 2) * (b2 + (x2 / s_t2) * b1
-                                    - (s3 * s3 / s_t2 ** 2) * b))
-        out[i] = abs(norm * (lap + s1 * (s1 + 2.0) * a * b))
-    return out
+    """|Delta_{S3} Y + s1(s1+2) Y| at (t1, t2, t3) points, t1 and t2 in
+    (0, pi) (OutOfRange otherwise).  All derivatives are analytic: both
+    factors are sin^k times a rescaled Jacobi polynomial in the cosine
+    (Gegenbauer in t1, associated Legendre in t2), differentiated by the
+    shift identity and the chain rule."""
+    t1, t2, _t3 = np.asarray(points, dtype=float).reshape(-1, 3).T
+    if not np.all((0.0 < t1) & (t1 < np.pi) & (0.0 < t2) & (t2 < np.pi)):
+        raise OutOfRange("t1 and t2 must lie in (0, pi)")
+    k = abs(s3)
+    r = s1 - s2
+    a, a1, a2 = _sin_jacobi_derivs(s2, s2 + 0.5, gegenbauer_scale(s2 + 1.0, r),
+                                   r, t1)
+    b, b1, b2 = _sin_jacobi_derivs(k, k, legendre_scale(s2, s3), s2 - k, t2)
+    lap = ((a2 + 2.0 / np.tan(t1) * a1) * b
+           + (a / np.sin(t1) ** 2) * (b2 + b1 / np.tan(t2)
+                                      - (s3 * s3 / np.sin(t2) ** 2) * b))
+    return np.abs(s3_harmonic_norm(s1, s2, s3) * (lap + s1 * (s1 + 2.0) * a * b))
 
 
 def c_beta(M: float, kappa: float, lam: float) -> float:
@@ -208,20 +195,11 @@ class AdSRadialMode:
     def value_and_derivs(self, x):
         xv = np.asarray(x, dtype=float)
         s, co = np.sin(xv), np.cos(xv)
-        u = -np.cos(2.0 * xv)
-        du = 2.0 * np.sin(2.0 * xv)
-        env = self.norm_const * co ** self.beta1 * s ** (2.0 + self.c)
-        g1 = -self.beta1 * s / co + (2.0 + self.c) * co / s
-        g1p = -self.beta1 / co ** 2 - (2.0 + self.c) / s ** 2
-        a, i = self.beta1 + 1.0, self.i
-        pj, pd, pdd = (jacobi_deriv_all(a, self.c, i, u, order)[i]
-                       for order in range(3))
-        f = env * pj
-        f1 = env * (g1 * pj + du * pd)
-        f2 = env * ((g1 * g1 + g1p) * pj
-                    + (2.0 * g1 * du + 4.0 * np.cos(2.0 * xv)) * pd
-                    + du * du * pdd)
-        return f, f1, f2
+        return envelope_jacobi_derivs(
+            self.beta1 + 1.0, self.c,
+            self.norm_const * np.eye(self.i + 1)[self.i],
+            -np.cos(2.0 * xv), 2.0 * np.sin(2.0 * xv), 4.0 * np.cos(2.0 * xv),
+            [(self.beta1, co, -s, -co), (2.0 + self.c, s, co, -s)])
 
     def operator_residual(self, x, M: float, kappa: float) -> np.ndarray:
         """(L(beta1, lam) - Omega) f with lam recovered from c."""

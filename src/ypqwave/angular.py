@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import gauss_jacobi, jacobi_deriv_all, jacobi_poly_all
+from .specfun import envelope_jacobi_derivs, gauss_jacobi, jacobi_poly_all
 
 __all__ = ["AngularMode", "angular_eigenvalue", "angular_mode", "angular_gram"]
 
@@ -85,23 +85,14 @@ class AngularMode:
         """(v, v', v'') at interior points, by analytic differentiation of
         the closed form; no finite differences."""
         th = np.asarray(theta, dtype=float)
-        a, b, j = self.a_exp, self.b_exp, self.j
+        j = self.j
         s = np.sin(0.5 * th)
         c = np.cos(0.5 * th)
-        x = np.cos(th)
-        envelope = self.norm_const * s ** a * c ** b
-        g = 0.5 * (a * c / s - b * s / c)
-        gp = -a / (4.0 * s * s) - b / (4.0 * c * c)
-        pj = jacobi_poly_all(a, b, j, x)[j]
-        pd = jacobi_deriv_all(a, b, j, x, 1)[j]
-        pdd = jacobi_deriv_all(a, b, j, x, 2)[j]
-        sin_th = np.sin(th)
-        q = -sin_th * pd
-        qp = -np.cos(th) * pd + sin_th * sin_th * pdd
-        v = envelope * pj
-        vp = envelope * (g * pj + q)
-        vpp = envelope * ((g * g + gp) * pj + 2.0 * g * q + qp)
-        return v, vp, vpp
+        return envelope_jacobi_derivs(
+            self.a_exp, self.b_exp, self.norm_const * np.eye(j + 1)[j],
+            np.cos(th), -np.sin(th), -np.cos(th),
+            [(self.a_exp, s, 0.5 * c, -0.25 * s),
+             (self.b_exp, c, -0.5 * s, -0.25 * c)])
 
     def operator_residual(self, theta):
         """T v + Lambda v at interior points (zero for an eigenfunction)."""
@@ -119,7 +110,7 @@ def angular_mode(n: int, m: int, j: int) -> AngularMode:
                        norm_const=_norm_const(a, b, j))
 
 
-def angular_gram(n: int, m: int, j_max: int, n_nodes: int | None = None) -> np.ndarray:
+def angular_gram(n: int, m: int, j_max: int) -> np.ndarray:
     """Gram matrix of {v_{nmj}}_{j<=j_max} under sin(theta) dtheta.
 
     Substituting z = sin^2(theta/2) gives polynomial integrands against the
@@ -129,7 +120,7 @@ def angular_gram(n: int, m: int, j_max: int, n_nodes: int | None = None) -> np.n
         raise ValueError("j_max above 100 not supported")
     a = abs(n + 2 * m)
     b = abs(n - 2 * m)
-    rule = gauss_jacobi(a, b, n_nodes or j_max + 4)
+    rule = gauss_jacobi(a, b, j_max + 4)
     consts = np.array([_norm_const(a, b, j) for j in range(j_max + 1)])
     basis = jacobi_poly_all(a, b, j_max, rule.nodes)
     # int_0^pi v_j v_k sin dtheta = 2 C_j C_k 2^{-a-b-1} int (1-x)^a (1+x)^b P_j P_k dx

@@ -45,7 +45,8 @@ from scipy.linalg import eigh
 
 from .errors import NotConverged, OutOfRange, QuadratureUnderflow
 from .geometry import GeometryParams
-from .specfun import (jacobi_deriv_all, jacobi_poly_all, rule_on_interval)
+from .specfun import (envelope_jacobi_derivs, jacobi_deriv_all,
+                      jacobi_poly_all, rule_on_interval)
 
 __all__ = ["RadialProblem", "RadialMode", "char_exponents", "radial_problem",
            "assemble_galerkin", "solve_radial"]
@@ -87,6 +88,21 @@ class RadialProblem:
         a = self.gp.a
         h = (a - 2.0 * y + y * y) / (6.0 * (a - y * y))
         return 2.0 * self.m + h * self.alpha_freq
+
+    def apply(self, y, g, g1, g2):
+        """(S g)(y) from g, g' and g'' at interior points y."""
+        a = self.gp.a
+        c3 = a - 3.0 * y ** 2 + 2.0 * y ** 3
+        c = c3 / 9.0
+        cp = (6.0 * y * y - 6.0 * y) / 9.0
+        rho = (1.0 - y) / 18.0
+        w = 2.0 * (a - y * y) / (1.0 - y)
+        r = c3 / (a - y * y)
+        mu = self.alpha_freq
+        charge = self.potential_charge(y)
+        pot = mu * mu / w + 9.0 * charge * charge / r \
+            + 6.0 * self.lambda_cap / (1.0 - y)
+        return (c * g2 + cp * g1) / rho - pot * g
 
 
 def radial_problem(gp: GeometryParams, m: int, l: int,
@@ -156,8 +172,8 @@ def _basis_data(prob: RadialProblem, n_basis: int, n_nodes: int):
     return (y_b, w_b, p_b, rho_b, f_mass, w_d, r_mat, p_d, f_kin, f_cent)
 
 
-def assemble_galerkin(prob: RadialProblem, n_basis: int,
-                      n_nodes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def assemble_galerkin(prob: RadialProblem,
+                      n_basis: int) -> tuple[np.ndarray, np.ndarray]:
     """Stiffness and mass matrices (A, B) of the weak form of -S.
 
     A_jk = int [rho w r phi_j' phi_k' + V phi_j phi_k rho] dy,
@@ -166,9 +182,8 @@ def assemble_galerkin(prob: RadialProblem, n_basis: int,
     """
     if n_basis < 4:
         raise ValueError("n_basis must be at least 4")
-    nq = n_nodes or n_basis + _QUAD_PAD
     (y_b, w_b, p_b, rho_b, f_mass, w_d, r_mat, p_d, f_kin, f_cent) = \
-        _basis_data(prob, n_basis, nq)
+        _basis_data(prob, n_basis, n_basis + _QUAD_PAD)
     b_mat = (p_b * (w_b * rho_b)) @ p_b.T
     a_mat = (p_b * (w_b * (f_mass - rho_b))) @ p_b.T
     a_mat += (r_mat * (w_d * f_kin)) @ r_mat.T
@@ -186,72 +201,38 @@ class RadialMode:
     coeffs: np.ndarray
     grid_norm_residual: float
 
-    def _weight_and_powers(self, y: np.ndarray, order: int):
-        gp = self.problem.gp
-        nm, npl = self.problem.nu_minus, self.problem.nu_plus
-        dl = y - gp.y_minus
-        dr = gp.y_plus - y
-        wgt = dl ** nm * dr ** npl
-        if order == 0:
-            return wgt, None, None
-        lw1 = nm / dl - npl / dr
-        lw2 = (nm * (nm - 1.0) / dl ** 2 - 2.0 * nm * npl / (dl * dr)
-               + npl * (npl - 1.0) / dr ** 2)
-        return wgt, wgt * lw1, wgt * lw2
-
     def value(self, y):
-        yv = np.atleast_1d(np.asarray(y, dtype=float))
-        self._check_range(yv)
-        out = self._eval(yv, 0)[0]
+        dl, dr, t = self._local(y)
+        nm, npl = self.problem.nu_minus, self.problem.nu_plus
+        out = dl ** nm * dr ** npl * (self.coeffs @ jacobi_poly_all(
+            2.0 * npl, 2.0 * nm, len(self.coeffs) - 1, t))
         return out if np.ndim(y) else float(out[0])
 
     def value_and_derivs(self, y):
-        yv = np.atleast_1d(np.asarray(y, dtype=float))
-        self._check_range(yv)
-        return self._eval(yv, 2)
+        dl, dr, t = self._local(y)
+        gp = self.problem.gp
+        nm, npl = self.problem.nu_minus, self.problem.nu_plus
+        return envelope_jacobi_derivs(
+            2.0 * npl, 2.0 * nm, self.coeffs, t,
+            2.0 / (gp.y_plus - gp.y_minus), 0.0,
+            [(nm, dl, 1.0, 0.0), (npl, dr, -1.0, 0.0)])
 
-    def _check_range(self, yv: np.ndarray) -> None:
+    def _local(self, y):
+        """(y - y_minus, y_plus - y, t(y)) at points of the open interval,
+        t affine onto [-1, 1]."""
+        yv = np.atleast_1d(np.asarray(y, dtype=float))
         gp = self.problem.gp
         if np.any(yv <= gp.y_minus) or np.any(yv >= gp.y_plus):
             raise OutOfRange("y outside the open radial interval")
-
-    def _eval(self, yv: np.ndarray, order: int):
-        gp = self.problem.gp
-        nm, npl = self.problem.nu_minus, self.problem.nu_plus
-        delta = gp.y_plus - gp.y_minus
-        t = (2.0 * yv - gp.y_plus - gp.y_minus) / delta
-        jmax = len(self.coeffs) - 1
-        pv = self.coeffs @ jacobi_poly_all(2.0 * npl, 2.0 * nm, jmax, t)
-        wgt, dwgt, d2wgt = self._weight_and_powers(yv, order)
-        g = wgt * pv
-        if order == 0:
-            return (g,)
-        dp = self.coeffs @ jacobi_deriv_all(2.0 * npl, 2.0 * nm, jmax, t)
-        d2p = self.coeffs @ jacobi_deriv_all(2.0 * npl, 2.0 * nm, jmax, t, 2)
-        sc = 2.0 / delta
-        g1 = dwgt * pv + wgt * dp * sc
-        g2 = d2wgt * pv + 2.0 * dwgt * dp * sc + wgt * d2p * sc * sc
-        return g, g1, g2
+        t = (2.0 * yv - gp.y_plus - gp.y_minus) / (gp.y_plus - gp.y_minus)
+        return yv - gp.y_minus, gp.y_plus - yv, t
 
     def operator_residual(self, y):
         """(-S - ell) applied to the eigenfunction at interior points,
         relative to ell*|g| + 1; analytic derivatives throughout."""
         yv = np.atleast_1d(np.asarray(y, dtype=float))
         g, g1, g2 = self.value_and_derivs(yv)
-        prob = self.problem
-        gp = prob.gp
-        a = gp.a
-        c3 = a - 3.0 * yv ** 2 + 2.0 * yv ** 3
-        c = c3 / 9.0
-        cp = (6.0 * yv * yv - 6.0 * yv) / 9.0
-        rho = (1.0 - yv) / 18.0
-        w = 2.0 * (a - yv * yv) / (1.0 - yv)
-        r = c3 / (a - yv * yv)
-        mu = prob.alpha_freq
-        charge = prob.potential_charge(yv)
-        pot = mu * mu / w + 9.0 * charge * charge / r \
-            + 6.0 * prob.lambda_cap / (1.0 - yv)
-        left = -((c * g2 + cp * g1) / rho) + pot * g
+        left = -self.problem.apply(yv, g, g1, g2)
         return (left - self.ell * g) / (abs(self.ell) * np.abs(g) + 1.0)
 
 
@@ -265,14 +246,15 @@ def solve_radial(prob: RadialProblem, k_max: int, n_basis: int) -> list[RadialMo
     """
     if n_basis < k_max + 8:
         raise ValueError("n_basis must be at least k_max + 8")
-    ell_a, _, _ = _solve_once(prob, k_max, n_basis)
+    ell_a, _ = _solve_once(prob, k_max, n_basis)
     n_big = int(np.ceil(1.25 * n_basis))
-    ell_b, vecs, resid = _solve_once(prob, k_max, n_big)
+    ell_b, vecs = _solve_once(prob, k_max, n_big)
     for k in (max(k_max - 1, 0), k_max):
         drift = abs(ell_a[k] - ell_b[k]) / max(1.0, abs(ell_b[k]))
         if drift > _CONV_REL:
             raise NotConverged(
                 f"eigenvalue {k} moved by {drift:.2e} under basis refinement")
+    resid = _norm_residuals(prob, vecs, n_big)
     modes = []
     for k in range(k_max + 1):
         ell = ell_b[k]
@@ -294,8 +276,7 @@ def _solve_once(prob: RadialProblem, k_max: int, n_basis: int):
         lead = np.argmax(np.abs(vecs[:, k]))
         if vecs[lead, k] < 0.0:
             vecs[:, k] = -vecs[:, k]
-    resid = _norm_residuals(prob, vecs, n_basis)
-    return vals, vecs, resid
+    return vals, vecs
 
 
 def _norm_residuals(prob: RadialProblem, vecs: np.ndarray, n_basis: int):

@@ -1,8 +1,13 @@
-"""Orthogonal polynomials, Legendre functions and Gauss-Jacobi quadrature.
+"""Jacobi polynomials, associated Legendre functions and Gauss-Jacobi
+quadrature.
 
-Every normalization constant built from factorials is assembled in log
-space (lgamma) and exponentiated last, so index ranges that would overflow
-a double factorial-wise remain usable.
+One three-term recurrence (`jacobi_poly_all`) evaluates every polynomial:
+Gegenbauer polynomials and associated Legendre functions are rescaled
+Jacobi polynomials, and `envelope_jacobi_derivs` is the one chain rule
+for the closed-form factors (envelope times Jacobi series) built on it.
+Normalization constants are products of small factors, or assembled in
+log space (lgamma) and exponentiated last, so index ranges that would
+overflow a double factorial-wise remain usable.
 
 All functions are pure; quadrature rules are immutable after construction
 and safe to share between threads.
@@ -24,8 +29,9 @@ __all__ = [
     "jacobi_deriv_all",
     "jacobi_norm_integral",
     "gegenbauer_scale",
+    "legendre_scale",
     "assoc_legendre",
-    "assoc_legendre_derivs",
+    "envelope_jacobi_derivs",
     "gauss_jacobi",
     "rule_on_01",
     "rule_on_interval",
@@ -98,63 +104,61 @@ def jacobi_norm_integral(a_exp: int, b_exp: int, j: int) -> float:
     return math.exp(lg) / (2 * j + a_exp + b_exp + 1)
 
 
-def assoc_legendre(l: int, m: int, x):
-    """Associated Legendre function P_l^m(x) with Condon-Shortley phase.
+def legendre_scale(l: int, m: int) -> float:
+    """The factor g with P_l^m = g (1-x^2)^{k/2} P_{l-k}^(k,k), k = |m|:
+    (-1)^m (l+m)!/(2^m l!) for m >= 0 and (l-k)!/(2^k l!) for m < 0 (the
+    reflection folded in), taken as a product of small factors."""
+    g = 1.0
+    if m >= 0:
+        for i in range(1, m + 1):
+            g *= -0.5 * (l + i)
+    else:
+        for i in range(-m):
+            g *= 0.5 / (l - i)
+    return g
 
-    Negative m is handled by the reflection formula
-    P_l^(-m) = (-1)^m (l-m)!/(l+m)! P_l^m.
-    """
+
+def assoc_legendre(l: int, m: int, x):
+    """Associated Legendre function P_l^m(x) with Condon-Shortley phase,
+    as the rescaled Jacobi polynomial of `legendre_scale`."""
     if abs(m) > l:
         raise DegreeOrderError(f"order |m|={abs(m)} exceeds degree l={l}")
     x = np.asarray(x, dtype=float)
-    if m < 0:
-        ma = -m
-        fac = (-1.0) ** ma * math.exp(math.lgamma(l - ma + 1) - math.lgamma(l + ma + 1))
-        out = fac * _assoc_legendre_pos(l, ma, x)
-    else:
-        out = _assoc_legendre_pos(l, m, x)
+    k = abs(m)
+    envelope = np.sqrt(np.maximum(0.0, (1.0 - x) * (1.0 + x))) ** k
+    out = (legendre_scale(l, m) * envelope
+           * jacobi_poly_all(k, k, l - k, x)[l - k])
     return out if out.ndim else float(out)
 
 
-def _assoc_legendre_pos(l: int, m: int, x: np.ndarray) -> np.ndarray:
-    # P_m^m = (-1)^m (2m-1)!! (1-x^2)^{m/2}, then upward in degree.
-    pmm = np.ones_like(x)
-    if m > 0:
-        somx2 = np.sqrt(np.maximum(0.0, (1.0 - x) * (1.0 + x)))
-        fact = 1.0
-        for _ in range(m):
-            pmm = pmm * (-fact) * somx2
-            fact += 2.0
-    if l == m:
-        return pmm
-    pmmp1 = x * (2.0 * m + 1.0) * pmm
-    if l == m + 1:
-        return pmmp1
-    for ll in range(m + 2, l + 1):
-        pmm, pmmp1 = pmmp1, (x * (2.0 * ll - 1.0) * pmmp1 - (ll + m - 1.0) * pmm) / (ll - m)
-    return pmmp1
+def envelope_jacobi_derivs(alpha: float, beta: float, coeffs, u, du, d2u,
+                           factors):
+    """(f, f', f'') in t of
 
+        f(t) = prod_k phi_k(t)^e_k * sum_j c_j P_j^(alpha,beta)(u(t)),
 
-def assoc_legendre_derivs(l: int, m: int, x):
-    """(P, dP/dx, d2P/dx2) for P_l^m, from recurrence identities.
-
-    Uses (1-x^2) P' = (l+m) P_{l-1}^m - l x P, differentiated once more for
-    the second derivative; both identities are independent of the Legendre
-    differential equation, so they are safe inside residual oracles.
-    Requires |x| < 1.
+    given u, u', u'' and, for each envelope factor, the tuple
+    (e_k, phi_k, phi_k', phi_k'') at the same points; every phi_k must be
+    nonzero there.  The polynomial derivatives come from the shift
+    identity only, never from a differential equation, so the result can
+    check one.
     """
-    x = np.asarray(x, dtype=float)
-    one = 1.0 - x * x
-    p = assoc_legendre(l, m, x)
-    pm1 = assoc_legendre(l - 1, m, x) if abs(m) <= l - 1 else np.zeros_like(x)
-    dp = ((l + m) * pm1 - l * x * p) / one
-    if abs(m) <= l - 2:
-        pm2 = assoc_legendre(l - 2, m, x)
-        dpm1 = ((l - 1 + m) * pm2 - (l - 1) * x * pm1) / one
-    else:
-        dpm1 = ((l - 1 + m) * 0.0 - (l - 1) * x * pm1) / one
-    d2p = (2.0 * x * dp + (l + m) * dpm1 - l * p - l * x * dp) / one
-    return p, dp, d2p
+    j_max = len(coeffs) - 1
+    p0, p1, p2 = (np.tensordot(coeffs,
+                               jacobi_deriv_all(alpha, beta, j_max, u, order),
+                               axes=1)
+                  for order in range(3))
+    # envelope E and its logarithmic derivatives E'/E and (E'/E)'
+    env, log1, log2 = 1.0, 0.0, 0.0
+    for e, phi, dphi, d2phi in factors:
+        ratio = dphi / phi
+        env = env * phi ** e
+        log1 = log1 + e * ratio
+        log2 = log2 + e * (d2phi / phi - ratio * ratio)
+    s1 = p1 * du
+    s2 = p2 * du * du + p1 * d2u
+    return (env * p0, env * (log1 * p0 + s1),
+            env * ((log1 * log1 + log2) * p0 + 2.0 * log1 * s1 + s2))
 
 
 @dataclass(frozen=True)
@@ -166,8 +170,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    alpha_exp: float
-    beta_exp: float
 
     def integrate(self, values: np.ndarray) -> float:
         return float(np.dot(self.weights, values))
@@ -204,7 +206,7 @@ def gauss_jacobi(alpha: float, beta: float, n: int) -> QuadratureRule:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - signals a bug
         raise EigenFailure(str(exc)) from exc
     weights = mu0 * vecs[0, :] ** 2
-    return QuadratureRule(nodes=vals, weights=weights, alpha_exp=alpha, beta_exp=beta)
+    return QuadratureRule(nodes=vals, weights=weights)
 
 
 def rule_on_01(a_exp: float, b_exp: float, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,7 @@ import numpy as np
 from .angular import AngularMode, angular_eigenvalue, angular_mode
 from .errors import OutOfRange
 from .geometry import GeometryParams
-from .radial import radial_problem, solve_radial
+from .radial import RadialMode, radial_problem, solve_radial
 from .specfun import gauss_jacobi, rule_on_interval
 
 __all__ = ["YModeIndex", "YEigenmode", "YPoint", "TruncationPolicy",
@@ -186,10 +186,7 @@ def basis_gram(modes: list[YEigenmode]) -> np.ndarray:
         key = (md.index.n, md.index.m, md.index.l)
         by_sector.setdefault(key, []).append(i)
     for idxs in by_sector.values():
-        block = sector_gram([modes[i] for i in idxs])
-        for bi, i in enumerate(idxs):
-            for bj, j in enumerate(idxs):
-                gram[i, j] = block[bi, bj]
+        gram[np.ix_(idxs, idxs)] = sector_gram([modes[i] for i in idxs])
     return gram
 
 
@@ -199,37 +196,25 @@ def laplacian_residual(mode: YEigenmode, pts: list[YPoint]) -> np.ndarray:
     gp = mode.gp
     idx = mode.index
     prob = mode.radial.problem
-    out = np.empty(len(pts))
-    mu = prob.alpha_freq
-    for i, pt in enumerate(pts):
+    for pt in pts:
         pt.validate(gp)
-        y, th = pt.y, pt.theta
-        g, g1, g2 = mode.radial.value_and_derivs(np.array([y]))
-        v, v1, v2 = mode.angular.value_and_derivs(np.array([th]))
-        g, g1, g2 = g[0], g1[0], g2[0]
-        v, v1, v2 = v[0], v1[0], v2[0]
-        a = gp.a
-        c3 = a - 3.0 * y * y + 2.0 * y ** 3
-        c = c3 / 9.0
-        cp = (6.0 * y * y - 6.0 * y) / 9.0
-        rho = (1.0 - y) / 18.0
-        w = 2.0 * (a - y * y) / (1.0 - y)
-        r = c3 / (a - y * y)
-        charge = prob.potential_charge(y)
-        rad_part = (c * g2 + cp * g1) / rho - (mu * mu / w) * g \
-            - (9.0 / r) * charge * charge * g
-        t_v = v2 + v1 / math.tan(th) \
-            - ((idx.n + 2.0 * idx.m * math.cos(th)) / math.sin(th)) ** 2 * v
-        lap = rad_part * v + (6.0 / (1.0 - y)) * t_v * g
-        out[i] = abs(lap + mode.lam * g * v) / (abs(mode.lam * g * v) + 1.0)
-    return out
+    y = np.array([pt.y for pt in pts])
+    th = np.array([pt.theta for pt in pts])
+    g, g1, g2 = mode.radial.value_and_derivs(y)
+    v, v1, v2 = mode.angular.value_and_derivs(th)
+    # Delta u = (S + 6 Lambda/(1-y)) g v + 6/(1-y) g T v
+    t_v = v2 + v1 / np.tan(th) \
+        - ((idx.n + 2.0 * idx.m * np.cos(th)) / np.sin(th)) ** 2 * v
+    lap = (prob.apply(y, g, g1, g2) * v
+           + (6.0 / (1.0 - y)) * (t_v + prob.lambda_cap * v) * g)
+    return np.abs(lap + mode.lam * g * v) / (np.abs(mode.lam * g * v) + 1.0)
 
 
-def random_points(gp: GeometryParams, n: int, rng=None,
-                  margin: float = 0.08) -> list[YPoint]:
+def random_points(gp: GeometryParams, n: int, rng=None) -> list[YPoint]:
     """Uniform random interior chart points, away from the singular loci
-    by the given fractional margin."""
+    by a fractional margin of 0.08."""
     rng = rng or np.random.default_rng(0)
+    margin = 0.08
     delta = gp.y_plus - gp.y_minus
     pts = []
     for _ in range(n):

@@ -13,7 +13,8 @@ from ypqwave.ads import (ModeIndex, Sector, SpectralCoefficients,
                          project_cauchy, s3_harmonic, s3_harmonic_norm,
                          s3_laplace_residual, synthesize, ModeTable)
 from ypqwave import ads
-from ypqwave.errors import FieldTooLarge, GridMismatch, IndexChainError
+from ypqwave.errors import (FieldTooLarge, GridMismatch, IndexChainError,
+                            OutOfRange)
 from ypqwave.radial import RadialMode
 from ypqwave.specfun import assoc_legendre, gauss_jacobi
 from ypqwave.spectrum import TruncationPolicy, build_modes, enumerate_modes
@@ -60,6 +61,12 @@ class TestHarmonics:
         pts = [(rng.uniform(0.3, 2.8), rng.uniform(0.3, 2.8),
                 rng.uniform(0.0, 2 * math.pi)) for _ in range(30)]
         assert s3_laplace_residual(s1, s2, s3, pts).max() < 1e-6
+
+    @pytest.mark.parametrize("point", [(0.0, 1.0, 0.0), (1.0, math.pi, 0.0),
+                                       (1.0, float("nan"), 0.0)])
+    def test_laplace_residual_off_chart(self, point):
+        with pytest.raises(OutOfRange):
+            s3_laplace_residual(2, 1, 0, [(1.0, 1.0, 0.0), point])
 
     def test_gram_s1_up_to_3(self):
         # fixed s3 sector blocks; distinct s3 are orthogonal exactly by the

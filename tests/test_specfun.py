@@ -9,10 +9,10 @@ import pytest
 from scipy.special import eval_gegenbauer, eval_jacobi, jacobi
 
 from ypqwave.errors import DegreeOrderError
-from ypqwave.specfun import (assoc_legendre, assoc_legendre_derivs,
+from ypqwave.specfun import (assoc_legendre, envelope_jacobi_derivs,
                              gauss_jacobi, gegenbauer_scale, jacobi_deriv_all,
-                             jacobi_norm_integral, jacobi_poly_all, rule_on_01,
-                             rule_on_interval)
+                             jacobi_norm_integral, jacobi_poly_all,
+                             legendre_scale, rule_on_01, rule_on_interval)
 
 
 def jacobi_series(alpha, beta, j, x):
@@ -181,15 +181,105 @@ class TestAssocLegendre:
             assert np.abs(res).max() / scale < 1e-8
 
     def test_deriv_identities(self):
+        # the Legendre case of the chain rule, in x: g (1-x^2)^{k/2} P^(k,k)
         x = np.linspace(-0.8, 0.8, 9)
         h = 1e-6
         for l, m in [(4, 2), (3, 3), (6, 1)]:
-            _, dp, d2p = assoc_legendre_derivs(l, m, x)
+            k = abs(m)
+            _, dp, d2p = envelope_jacobi_derivs(
+                k, k, legendre_scale(l, m) * np.eye(l - k + 1)[l - k], x,
+                1.0, 0.0, [(0.5 * k, 1.0 - x * x, -2.0 * x, -2.0)])
             fd = (assoc_legendre(l, m, x + h) - assoc_legendre(l, m, x - h)) / (2 * h)
             assert np.allclose(dp, fd, rtol=1e-7, atol=1e-7)
             fd2 = (assoc_legendre(l, m, x + h) - 2 * assoc_legendre(l, m, x)
                    + assoc_legendre(l, m, x - h)) / h ** 2
             assert np.allclose(d2p, fd2, rtol=1e-3, atol=1e-3)
+
+    def test_matches_exact_rational(self):
+        # x = (1-s^2)/(1+s^2) makes sqrt(1-x^2) = 2s/(1+s^2) rational, so
+        # the reference is exact: (-1)^m (1-x^2)^{m/2} d^m/dx^m P_l from
+        # the explicit coefficients of P_l, and the reflection for m < 0
+        ss = [Fraction(i, 17) for i in range(1, 60, 4)]
+        xs = [(1 - s * s) / (1 + s * s) for s in ss]
+        roots = [2 * s / (1 + s * s) for s in ss]
+        for l in range(13):
+            poly = [Fraction(0)] * (l + 1)
+            for i in range(l // 2 + 1):
+                poly[l - 2 * i] = Fraction(
+                    (-1) ** i * math.factorial(2 * l - 2 * i),
+                    2 ** l * math.factorial(i) * math.factorial(l - i)
+                    * math.factorial(l - 2 * i))
+            for m in range(-l, l + 1):
+                k = abs(m)
+                deriv = poly
+                for _ in range(k):
+                    deriv = [c * e for e, c in enumerate(deriv)][1:]
+                fac = Fraction((-1) ** k)
+                if m < 0:
+                    fac *= Fraction((-1) ** k * math.factorial(l - k),
+                                    math.factorial(l + k))
+                ref = np.array([float(fac * root ** k * sum(
+                    c * x ** e for e, c in enumerate(deriv)))
+                    for x, root in zip(xs, roots)])
+                got = assoc_legendre(l, m, np.array([float(x) for x in xs]))
+                assert np.abs(got - ref).max() < 1e-14 * np.abs(ref).max(), \
+                    (l, m)
+
+
+def _chain_rule_cases():
+    """The five factor shapes of the package, each as (t -> inputs of
+    envelope_jacobi_derivs, interior points)."""
+    def angular(t):                 # s^a c^b P_j^(a,b)(cos t), half angles
+        s, c = np.sin(0.5 * t), np.cos(0.5 * t)
+        return (3, 1, 1.7 * np.eye(5)[4], np.cos(t), -np.sin(t), -np.cos(t),
+                [(3, s, 0.5 * c, -0.25 * s), (1, c, -0.5 * s, -0.25 * c)])
+
+    def ads_radial(x):              # cos^b1 sin^{2+c} P_i^(b1+1,c)(-cos 2x)
+        s, c = np.sin(x), np.cos(x)
+        return (3.0, 2.7, 0.9 * np.eye(4)[3], -np.cos(2 * x),
+                2 * np.sin(2 * x), 4 * np.cos(2 * x),
+                [(2, c, -s, -c), (4.7, s, c, -s)])
+
+    def y_radial(y):                # (y-lo)^nu (hi-y)^nu' sum c_j P_j(t(y))
+        lo, hi = -0.3, 0.8
+        return (3.0, 1.0, [0.4, -1.1, 0.3, 0.05, -0.2],
+                (2 * y - lo - hi) / (hi - lo), 2 / (hi - lo), 0.0,
+                [(0.5, y - lo, 1.0, 0.0), (1.5, hi - y, -1.0, 0.0)])
+
+    def gegenbauer(t):              # sin^s2 t P_r^(s2+1/2, s2+1/2)(cos t)
+        s, c = np.sin(t), np.cos(t)
+        return (2.5, 2.5, 1.3 * np.eye(4)[3], c, -s, -c, [(2, s, c, -s)])
+
+    def legendre(t):                # sin^k t P_{l-k}^(k,k)(cos t)
+        s, c = np.sin(t), np.cos(t)
+        return (1, 1, -0.6 * np.eye(6)[5], c, -s, -c, [(1, s, c, -s)])
+
+    return [(angular, np.linspace(0.3, 2.8, 9)),
+            (ads_radial, np.linspace(0.15, 1.4, 9)),
+            (y_radial, np.linspace(-0.2, 0.7, 9)),
+            (gegenbauer, np.linspace(0.3, 2.8, 9)),
+            (legendre, np.linspace(0.3, 2.8, 9))]
+
+
+class TestChainRule:
+    @pytest.mark.parametrize("case,t", _chain_rule_cases(),
+                             ids=["angular", "ads_radial", "y_radial",
+                                  "gegenbauer", "legendre"])
+    def test_against_finite_differences(self, case, t):
+        def value(tt):
+            # the same function with scipy's Jacobi values
+            alpha, beta, coeffs, u, _, _, factors = case(tt)
+            series = sum(c * eval_jacobi(j, alpha, beta, u)
+                         for j, c in enumerate(coeffs))
+            return math.prod(phi ** e for e, phi, _, _ in factors) * series
+        f, f1, f2 = envelope_jacobi_derivs(*case(t))
+        h = 1e-3
+        g = [value(t + i * h) for i in (-2, -1, 0, 1, 2)]
+        fd1 = (g[0] - 8 * g[1] + 8 * g[3] - g[4]) / (12 * h)
+        fd2 = (-g[0] + 16 * g[1] - 30 * g[2] + 16 * g[3] - g[4]) / (12 * h * h)
+        assert np.abs(f - g[2]).max() < 1e-13 * np.abs(g[2]).max()
+        assert np.abs(f1 - fd1).max() < 1e-8 * np.abs(fd1).max()
+        assert np.abs(f2 - fd2).max() < 1e-6 * np.abs(fd2).max()
 
 
 def exact_moment(alpha: int, beta: int, k: int) -> float:
