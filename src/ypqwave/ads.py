@@ -34,7 +34,9 @@ Pieces:
   factors against the stacked theta (x) y factors; projection is the
   transposed contraction followed by one batched x-Gram solve.
   Synthesis refuses, before allocating, a field larger than the
-  machine's physical memory.
+  machine's physical memory, and the grid refuses, before building a
+  rule, a shape whose one-sector field or longest-axis rule would not
+  fit (`check_grid_memory`).
 
 Sector amplitude convention: the full field is
 
@@ -63,8 +65,8 @@ from .specfun import (assoc_legendre, envelope_jacobi_derivs, gauss_jacobi,
 
 __all__ = ["ModeIndex", "AdSRadialMode", "SpectralCoefficients", "Sector",
            "SectorGrid", "s3_harmonic", "s3_harmonic_norm", "c_beta",
-           "ads_radial_mode", "ads_gram", "project_cauchy", "synthesize",
-           "ModeTable"]
+           "ads_radial_mode", "ads_gram", "check_grid_memory",
+           "project_cauchy", "synthesize", "ModeTable"]
 
 
 @dataclass(frozen=True, order=True)
@@ -170,12 +172,17 @@ def s3_laplace_residual(s1: int, s2: int, s3: int, points) -> np.ndarray:
 
 
 def c_beta(M: float, kappa: float, lam: float) -> float:
-    """c = sqrt(4 + (M^2 + lam)/kappa) >= 2."""
+    """c = sqrt(4 + (M^2 + lam)/kappa) >= 2; OutOfRange when c^2
+    overflows a double."""
     if kappa <= 0.0:
         raise ValueError("kappa must be positive")
     if M < 0.0 or lam < 0.0:
         raise ValueError("M and lam must be nonnegative")
-    return math.sqrt(4.0 + (M * M + lam) / kappa)
+    c_sq = 4.0 + (M * M + lam) / kappa
+    if not math.isfinite(c_sq):
+        raise OutOfRange(f"c^2 = 4 + (M^2 + lam)/kappa overflows for M = "
+                         f"{M!r}, kappa = {kappa!r}, lam = {lam!r}")
+    return math.sqrt(c_sq)
 
 
 @dataclass(frozen=True)
@@ -305,8 +312,20 @@ class SectorGrid:
         return float(np.einsum("rc,rc,c->r", flat, flat, w_col) @ w_row)
 
 
+def check_grid_memory(shape: tuple) -> None:
+    """FieldTooLarge unless one sector's field on a grid of this shape
+    (16 bytes a point) and the n x n eigenvector matrix behind the rule
+    of its longest axis (8 bytes an entry) each fit in physical memory."""
+    n = max(shape)
+    _require_memory(math.prod(shape) * 16, f"one sector on grid {shape}")
+    _require_memory(n * n * 8, f"the {n}-node rule of grid {shape}")
+
+
 def sector_grid(gp: GeometryParams,
                 shape: tuple[int, int, int, int, int]) -> SectorGrid:
+    """The product grid of `shape`; FieldTooLarge, before any rule is
+    built, when check_grid_memory refuses the shape."""
+    check_grid_memory(shape)
     nx, n1, n2, nth, ny = shape
     # x axis: int_0^{pi/2} F d nu = int_0^1 F(xi) xi (1-xi)^{-2} dxi;
     # admissible integrands decay at least like (1-xi)^2 there
@@ -409,11 +428,18 @@ class ModeTable:
                 betas, [self.block(beta) for beta in betas], self.grid)
         return self._stacks[betas]
 
-    def omegas(self, beta: ModeIndex) -> np.ndarray:
-        y_mode = self._y_modes[(beta.n, beta.m, beta.l, beta.k, beta.j)]
-        c = c_beta(self.M, self.kappa, y_mode.lam)
+    def omega_table(self, betas) -> np.ndarray:
+        """Omega_i = (2i + s1 + c + 2)^2 of every (beta, i), shaped
+        (len(betas), i_max + 1) with rows in the order of `betas`: c is
+        computed once per Y^{p,q} mode, the table in one broadcast
+        expression."""
+        y_keys = [(b.n, b.m, b.l, b.k, b.j) for b in betas]
+        c_of = {key: c_beta(self.M, self.kappa, self._y_modes[key].lam)
+                for key in dict.fromkeys(y_keys)}
+        s1 = np.array([b.s1 for b in betas])[:, None]
+        c = np.array([c_of[key] for key in y_keys])[:, None]
         i = np.arange(self.i_max + 1, dtype=float)
-        return (2.0 * i + beta.s1 + c + 2.0) ** 2
+        return (2.0 * i + s1 + c + 2.0) ** 2
 
 
 class SectorStack:
@@ -508,12 +534,8 @@ def synthesize(coeffs: SpectralCoefficients, table: ModeTable) -> dict:
             raise GridMismatch(
                 f"coefficient {(beta, i)} outside i = 0..{table.i_max}")
         by_sector.setdefault(beta.sector, []).append((beta, i, v))
-    need = len(by_sector) * math.prod(table._grid_shape) * 16
-    have = _physical_memory()
-    if need > have:
-        raise FieldTooLarge(
-            f"synthesized field needs {need} bytes for {len(by_sector)} "
-            f"sectors, more than the {have} bytes of physical memory")
+    _require_memory(len(by_sector) * math.prod(table._grid_shape) * 16,
+                    f"synthesized field of {len(by_sector)} sectors")
     out: dict[Sector, np.ndarray] = {}
     for sector, entries in sorted(by_sector.items()):
         stack = table.stack({beta for beta, _, _ in entries})
@@ -527,6 +549,14 @@ def synthesize(coeffs: SpectralCoefficients, table: ModeTable) -> dict:
 def _physical_memory() -> int:
     """Bytes of physical memory of this machine."""
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _require_memory(need: int, what: str) -> None:
+    """FieldTooLarge when `need` bytes exceed physical memory."""
+    have = _physical_memory()
+    if need > have:
+        raise FieldTooLarge(f"{what} needs {need} bytes, more than the "
+                            f"{have} bytes of physical memory")
 
 
 def grid_norm_sq(data: dict, table: ModeTable) -> float:

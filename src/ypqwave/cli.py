@@ -9,6 +9,7 @@ tables and the energy trace go through `csv`); JSON keeps field order.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import json
@@ -23,7 +24,7 @@ from .angular import angular_mode
 from .ads import ModeIndex, Sector, SpectralCoefficients, ads_radial_mode
 from .cache import CacheKey, cache_get_or_solve
 from .config import load_config, time_tag
-from .errors import YpqError
+from .errors import UnusablePath, YpqError
 from .geometry import solve_geometry
 from .propagator import CauchyData, KGPropagator, TruncationSpec
 from .radial import radial_problem, solve_radial
@@ -148,20 +149,23 @@ def _cmd_propagate(args) -> int:
         k_max=cfg.k_max, j_max=cfg.j_max, i_max=cfg.i_max,
         n_basis=cfg.n_basis, grid_shape=cfg.grid_shape,
         tail_warn_fraction=cfg.tail_warn_fraction)
+    with _out_dir_errors(cfg):
+        os.makedirs(cfg.out_dir, exist_ok=True)
     solver = None
     cache_dir = os.environ.get("YPQWAVE_CACHE_DIR") or cfg.cache_dir
     if cache_dir:
+        # rules and Jacobi tables shared by the misses of this run
+        tables: dict = {}
 
         def solver(prob, k_max, n_basis):
             key = CacheKey(p=cfg.p, q=cfg.q, m=prob.m, l=prob.l,
                            lambda_cap=prob.lambda_cap, n_basis=n_basis)
             return cache_get_or_solve(
-                key, lambda: solve_radial(prob, k_max, n_basis),
+                key, lambda: solve_radial(prob, k_max, n_basis, tables),
                 cache_dir, min_modes=k_max + 1)
 
     prop = KGPropagator(gp, cfg.M, cfg.kappa, trunc, radial_solver=solver)
     data = _build_data(cfg, prop)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     energy_rows = []
     for t in cfg.times:
         sample = prop.evolve(data, t, synthesize_values=True)
@@ -170,13 +174,24 @@ def _cmd_propagate(args) -> int:
             energy_rows.append(beta.beta + (i, t, e))
         print(f"t={t:g}: wrote field sample, tail norm {sample.tail_norm:.3e}")
     path = os.path.join(cfg.out_dir, "energy_trace.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _out_dir_errors(cfg), open(path, "w", encoding="utf-8",
+                                    newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("s1", "s2", "s3", "n", "m", "l", "k", "j", "i",
                          "t", "energy"))
         writer.writerows(energy_rows)
     print(f"energy trace: {path}")
     return 0
+
+
+@contextlib.contextmanager
+def _out_dir_errors(cfg):
+    """Turn an OSError of the block (creating, opening or writing in
+    out_dir) into UnusablePath naming out_dir."""
+    try:
+        yield
+    except OSError as exc:
+        raise UnusablePath(f"out_dir {cfg.out_dir!r}: {exc}") from exc
 
 
 def _build_data(cfg, prop: KGPropagator) -> CauchyData:
@@ -212,7 +227,8 @@ def _write_sample(cfg, prop: KGPropagator, sample) -> None:
     sectors = []
     path = os.path.join(cfg.out_dir,
                         f"field_{time_tag(sample.t)}.{cfg.out_format}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _out_dir_errors(cfg), open(path, "w", encoding="utf-8",
+                                    newline="") as fh:
         if not is_json:
             fh.write(",".join(("s3", "n", "m", "l", *axes, "re", "im")) + "\n")
             x_text, *rest = ([repr(v) for v in axis] for axis in axes.values())

@@ -18,7 +18,9 @@ schema version.  Coefficient lines may repeat:
 Validation errors carry the offending line number.  Every float must be
 finite, and each coefficient's indices must satisfy s1 >= s2 >= |s3|,
 k, j, i >= 0 and the truncation bounds s1_max .. i_max (|n| <= n_max,
-and so on); a preset excludes coefficient lines.  Each output time is
+and so on); a preset excludes coefficient lines.  M^2/kappa must not
+overflow a double, and the grid must pass `ads.check_grid_memory` (its
+error cites the largest grid key).  Each output time is
 written to a file tagged by time_tag; times whose tags collide are
 rejected, since the later file would overwrite the earlier one.
 """
@@ -28,7 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from . import ads
+from .errors import ConfigError, FieldTooLarge
 
 __all__ = ["RunConfig", "parse_config", "load_config", "time_tag"]
 
@@ -42,6 +45,7 @@ _LIST_KEYS = {"times"}
 _COEF_KEYS = {"phi0_coef", "phi1_coef"}
 # truncation bounds, in the order of the indices they bound
 _BOUND_KEYS = ("s1_max", "n_max", "m_max", "l_max", "k_max", "j_max", "i_max")
+_GRID_KEYS = ("grid_x", "grid_t1", "grid_t2", "grid_theta", "grid_y")
 
 _DEFAULTS = {
     "M": 0.0, "kappa": 1.0,
@@ -187,12 +191,23 @@ def _validate(cfg: RunConfig, lines: dict, coefs: list) -> None:
 
     check(cfg.kappa > 0.0, "kappa", "kappa must be positive")
     check(cfg.M >= 0.0, "M", "M must be nonnegative")
+    # c^2 = 4 + (M^2 + lam)/kappa must be a double; cite M when M^2
+    # alone overflows, else the small kappa
+    check(math.isfinite(cfg.M * cfg.M / cfg.kappa),
+          "M" if math.isinf(cfg.M * cfg.M) else "kappa",
+          f"M^2/kappa overflows a double (M = {cfg.M!r}, "
+          f"kappa = {cfg.kappa!r})")
     for name in _BOUND_KEYS:
         check(getattr(cfg, name) >= 0, name, f"{name} must be nonnegative")
     check(cfg.n_basis >= 8, "n_basis", "n_basis must be at least 8")
-    for name in ("grid_x", "grid_t1", "grid_t2", "grid_theta", "grid_y"):
+    for name in _GRID_KEYS:
         check(getattr(cfg, name) >= 4, name,
               "grid resolutions must be at least 4")
+    try:
+        ads.check_grid_memory(cfg.grid_shape)
+    except FieldTooLarge as exc:
+        largest = max(_GRID_KEYS, key=lambda name: getattr(cfg, name))
+        raise ConfigError(f"line {lines.get(largest, 1)}: {exc}") from exc
     check(bool(cfg.times), "times", "times must not be empty")
     check(cfg.out_format in ("csv", "json"), "out_format",
           "out_format must be 'csv' or 'json'")

@@ -57,5 +57,9 @@ class CacheCorrupt(YpqError):
     """Cache entry failed its checksum (recovered by re-solving)."""
 
 
+class UnusablePath(YpqError):
+    """A configured directory or file cannot be created, opened or written."""
+
+
 class ConfigError(YpqError):
     """Run configuration file is malformed; message carries the line number."""

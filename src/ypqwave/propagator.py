@@ -157,7 +157,7 @@ class KGPropagator:
         self.betas = enumerate_beta(trunc)
         self._rows = {beta: r for r, beta in enumerate(self.betas)}
         # Omega of key (betas[r], i) at [r, i]
-        self._omega = np.array([self.table.omegas(b) for b in self.betas])
+        self._omega = self.table.omega_table(self.betas)
 
     def omega(self, key) -> float:
         return float(self._omega[self._position(key)])

@@ -32,8 +32,13 @@ entries are Gauss-Jacobi integrals of (smooth analytic factor) x (exact
 Jacobi weight); the lone 1/r potential singularity cancels analytically
 against the basis weight before any node is evaluated.
 
-Problems and modes are immutable; independent (m, l, Lambda) solves can
-run concurrently without coordination.
+Problems and modes are immutable.  The quadrature rules and Jacobi
+tables of a solve depend only on (gp, nu_minus, nu_plus) and the sizes,
+which many (m, l, Lambda) problems share, so solves may share them
+through a `tables` dict keyed by those values (Galerkin rules and
+tables, and the finer rule of the norm check).  The dict is filled as
+solves go and is not locked: it belongs to one call (one build_modes,
+one CLI run), never to several threads, and nothing outlives the call.
 """
 
 from __future__ import annotations
@@ -114,15 +119,13 @@ def radial_problem(gp: GeometryParams, m: int, l: int,
                          nu_minus=nu_minus, nu_plus=nu_plus)
 
 
-def _basis_data(prob: RadialProblem, n_basis: int, n_nodes: int):
-    """Quadrature nodes and assembled basis tables for one problem."""
-    gp = prob.gp
+def _exponent_tables(gp: GeometryParams, nm: float, npl: float,
+                     n_basis: int, n_nodes: int):
+    """Both quadrature rules and the basis tables on them: everything of
+    the Galerkin matrices that depends on the exponent pair and the sizes
+    alone, not on (m, l, Lambda)."""
     ym, yp = gp.y_minus, gp.y_plus
-    y3 = gp.y_third
-    a = gp.a
-    nm, npl = prob.nu_minus, prob.nu_plus
     delta = yp - ym
-    mu = prob.alpha_freq
 
     # mass-type rule: full basis weight (y-ym)^{2nm} (yp-y)^{2npl}
     y_b, w_b = rule_on_interval(ym, yp, 2.0 * nm, 2.0 * npl, n_nodes)
@@ -155,6 +158,35 @@ def _basis_data(prob: RadialProblem, n_basis: int, n_nodes: int):
     if d_hi:
         div = div * (yp - y_d)
     r_mat = r_mat / div[None, :]
+    return y_b, w_b, p_b, y_d, w_d, p_d, r_mat, div
+
+
+def _shared(tables: dict, key: tuple, build):
+    """tables[key], built as build(*key[1:]) on the first request."""
+    if key not in tables:
+        tables[key] = build(*key[1:])
+    return tables[key]
+
+
+def assemble_galerkin(prob: RadialProblem, n_basis: int,
+                      tables: dict | None = None
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Stiffness and mass matrices (A, B) of the weak form of -S.
+
+    A_jk = int [rho w r phi_j' phi_k' + V phi_j phi_k rho] dy,
+    B_jk = int phi_j phi_k rho dy.  Both exactly symmetric; B positive
+    definite.  n_basis >= 4.  `tables` as in solve_radial.
+    """
+    if n_basis < 4:
+        raise ValueError("n_basis must be at least 4")
+    gp = prob.gp
+    y_b, w_b, p_b, y_d, w_d, p_d, r_mat, div = _shared(
+        {} if tables is None else tables,
+        ("galerkin", gp, prob.nu_minus, prob.nu_plus, n_basis,
+         n_basis + _QUAD_PAD), _exponent_tables)
+    a = gp.a
+    y3 = gp.y_third
+    mu = prob.alpha_freq
 
     # smooth factors
     rho_b = (1.0 - y_b) / 18.0
@@ -169,21 +201,6 @@ def _basis_data(prob: RadialProblem, n_basis: int, n_nodes: int):
     f_kin = (2.0 / 9.0) * (y3 - y_d)
     f_cent = rho_d * pol * pol / (8.0 * a2_d * (y3 - y_d))
 
-    return (y_b, w_b, p_b, rho_b, f_mass, w_d, r_mat, p_d, f_kin, f_cent)
-
-
-def assemble_galerkin(prob: RadialProblem,
-                      n_basis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stiffness and mass matrices (A, B) of the weak form of -S.
-
-    A_jk = int [rho w r phi_j' phi_k' + V phi_j phi_k rho] dy,
-    B_jk = int phi_j phi_k rho dy.  Both exactly symmetric; B positive
-    definite.  n_basis >= 4.
-    """
-    if n_basis < 4:
-        raise ValueError("n_basis must be at least 4")
-    (y_b, w_b, p_b, rho_b, f_mass, w_d, r_mat, p_d, f_kin, f_cent) = \
-        _basis_data(prob, n_basis, n_basis + _QUAD_PAD)
     b_mat = (p_b * (w_b * rho_b)) @ p_b.T
     a_mat = (p_b * (w_b * (f_mass - rho_b))) @ p_b.T
     a_mat += (r_mat * (w_d * f_kin)) @ r_mat.T
@@ -236,25 +253,33 @@ class RadialMode:
         return (left - self.ell * g) / (abs(self.ell) * np.abs(g) + 1.0)
 
 
-def solve_radial(prob: RadialProblem, k_max: int, n_basis: int) -> list[RadialMode]:
+def solve_radial(prob: RadialProblem, k_max: int, n_basis: int,
+                 tables: dict | None = None) -> list[RadialMode]:
     """First k_max+1 eigenpairs of A c = ell B c, ascending.
 
     n_basis >= k_max + 8.  An internal re-solve with 25% more basis
     functions must move the two largest requested eigenvalues by less
     than 1e-8 (relative, floored at 1); otherwise NotConverged.  Small
     negative eigenvalues within 1e-9 are clamped to zero.
+
+    `tables` holds the quadrature rules and Jacobi tables of each
+    (geometry, endpoint-exponent pair, basis size) met so far; solves
+    that share the dict build each of them once.  The caller owns it and
+    scopes it to one build (see the module docstring); None means a
+    fresh dict.  The results do not depend on it, bit for bit.
     """
     if n_basis < k_max + 8:
         raise ValueError("n_basis must be at least k_max + 8")
-    ell_a, _ = _solve_once(prob, k_max, n_basis)
+    tables = {} if tables is None else tables
+    ell_a, _ = _solve_once(prob, k_max, n_basis, tables)
     n_big = int(np.ceil(1.25 * n_basis))
-    ell_b, vecs = _solve_once(prob, k_max, n_big)
+    ell_b, vecs = _solve_once(prob, k_max, n_big, tables)
     for k in (max(k_max - 1, 0), k_max):
         drift = abs(ell_a[k] - ell_b[k]) / max(1.0, abs(ell_b[k]))
         if drift > _CONV_REL:
             raise NotConverged(
                 f"eigenvalue {k} moved by {drift:.2e} under basis refinement")
-    resid = _norm_residuals(prob, vecs, n_big)
+    resid = _norm_residuals(prob, vecs, n_big, tables)
     modes = []
     for k in range(k_max + 1):
         ell = ell_b[k]
@@ -266,8 +291,9 @@ def solve_radial(prob: RadialProblem, k_max: int, n_basis: int) -> list[RadialMo
     return modes
 
 
-def _solve_once(prob: RadialProblem, k_max: int, n_basis: int):
-    a_mat, b_mat = assemble_galerkin(prob, n_basis)
+def _solve_once(prob: RadialProblem, k_max: int, n_basis: int,
+                tables: dict):
+    a_mat, b_mat = assemble_galerkin(prob, n_basis, tables)
     vals, vecs = eigh(a_mat, b_mat)
     vals = vals[:k_max + 1]
     vecs = vecs[:, :k_max + 1]
@@ -279,15 +305,23 @@ def _solve_once(prob: RadialProblem, k_max: int, n_basis: int):
     return vals, vecs
 
 
-def _norm_residuals(prob: RadialProblem, vecs: np.ndarray, n_basis: int):
-    """|B-norm on an independent finer grid - 1| per column."""
-    gp = prob.gp
-    nm, npl = prob.nu_minus, prob.nu_plus
+def _norm_tables(gp: GeometryParams, nm: float, npl: float, n_basis: int):
+    """(basis table, weights times rho) of the finer rule of
+    _norm_residuals, which depend on the exponent pair and size alone."""
     y, w = rule_on_interval(gp.y_minus, gp.y_plus, 2.0 * nm, 2.0 * npl,
                             n_basis + _QUAD_PAD + 17)
     t = (2.0 * y - gp.y_plus - gp.y_minus) / (gp.y_plus - gp.y_minus)
     basis = jacobi_poly_all(2.0 * npl, 2.0 * nm, n_basis - 1, t)
     rho = (1.0 - y) / 18.0
+    return basis, w * rho
+
+
+def _norm_residuals(prob: RadialProblem, vecs: np.ndarray, n_basis: int,
+                    tables: dict):
+    """|B-norm on an independent finer grid - 1| per column."""
+    basis, w_rho = _shared(
+        tables, ("norm", prob.gp, prob.nu_minus, prob.nu_plus, n_basis),
+        _norm_tables)
     vals = vecs.T @ basis
-    norms = (vals * vals) @ (w * rho)
+    norms = (vals * vals) @ w_rho
     return np.abs(norms - 1.0)

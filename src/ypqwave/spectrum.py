@@ -122,9 +122,18 @@ def build_modes(gp: GeometryParams, indices: list[YModeIndex],
     """Batch build sharing radial solves across (m, l, Lambda, k) groups.
 
     radial_solver(problem, k_max, n_basis) may be injected (the CLI wires
-    the on-disk cache through here); defaults to solve_radial.
+    the on-disk cache through here).  By default each group is one
+    solve_radial call, and the calls of this build share one `tables`
+    dict, so each endpoint-exponent pair's rules and Jacobi tables are
+    built once per build; the dict is dropped when the build returns.
     """
-    solver = radial_solver or solve_radial
+    solver = radial_solver
+    if solver is None:
+        tables: dict = {}
+
+        def solver(prob, k_max, n_basis):
+            return solve_radial(prob, k_max, n_basis, tables)
+
     by_sector: dict[tuple, list[YModeIndex]] = {}
     for idx in indices:
         lam_cap = angular_eigenvalue(idx.n, idx.m, idx.j)

@@ -119,6 +119,11 @@ class TestCBeta:
         with pytest.raises(ValueError):
             c_beta(-1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("M,kappa", [(1e200, 1.0), (1.0, 1e-320)])
+    def test_overflow_is_out_of_range(self, M, kappa):
+        with pytest.raises(OutOfRange, match="overflows"):
+            c_beta(M, kappa, 0.0)
+
 
 class TestAdSRadial:
     def test_omega_values(self):
@@ -328,6 +333,23 @@ class TestSectorTransforms:
         with pytest.raises(FieldTooLarge, match="more than the 1000 bytes"):
             synthesize(sparse, small_table)
 
+    @pytest.mark.parametrize("shape,what", [
+        # 4^4 * 2000 * 16 bytes of field fit, the 2000^2 * 8 of the y rule
+        # do not; then a field too large with rules that fit
+        ((4, 4, 4, 4, 2000), "2000-node rule"),
+        ((60, 60, 60, 60, 60), "one sector on grid")])
+    def test_grid_size_guard(self, gp23, monkeypatch, shape, what):
+        # refused before any rule is built: no size here is allocated
+        monkeypatch.setattr(ads, "_physical_memory", lambda: 10 ** 7)
+
+        def no_rule(*args):
+            raise AssertionError("rule built for a refused grid")
+
+        for name in ("gauss_jacobi", "rule_on_01", "rule_on_interval"):
+            monkeypatch.setattr(ads, name, no_rule)
+        with pytest.raises(FieldTooLarge, match=what):
+            ads.sector_grid(gp23, shape)
+
 
 def test_each_factor_built_once_per_key(gp23, small_y_modes, beta_set,
                                         monkeypatch):
@@ -360,3 +382,17 @@ def test_each_factor_built_once_per_key(gp23, small_y_modes, beta_set,
               for b in beta_set}
     assert sorted(x_keys) == sorted(want_x)
     assert len(y_calls) == len(y_keys) < len(beta_set)
+
+
+def test_omega_table_matches_closed_form(small_table, small_y_modes,
+                                         beta_set):
+    # one broadcast expression, bitwise the per-key closed form
+    # (2i + s1 + c + 2)^2 with c from the beta's own Y^{p,q} mode
+    betas = beta_set[::-1]
+    table = small_table.omega_table(betas)
+    assert table.shape == (len(betas), small_table.i_max + 1)
+    for row, beta in zip(table, betas):
+        lam = small_y_modes[(beta.n, beta.m, beta.l, beta.k, beta.j)].lam
+        c = c_beta(1.0, 1.0, lam)
+        assert row.tolist() == [(2.0 * i + beta.s1 + c + 2.0) ** 2
+                                for i in range(small_table.i_max + 1)]

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import ypqwave
+from ypqwave import ads
 from ypqwave.ads import sector_grid
 from ypqwave.cache import CacheKey, cache_get_or_solve
 from ypqwave.cli import run
@@ -375,6 +376,54 @@ class TestPropagate:
             assert run(["propagate", "--config", str(path)]) == 0
         capsys.readouterr()
         assert (tmp_path / "out" / "energy_trace.csv").exists()
+
+
+@pytest.mark.parametrize("line,cites", [
+    ("M = 1e200", "line"),
+    ("kappa = 1e-320", "line"),            # M = 1 over a tiny kappa
+    ("grid_y = 1000000", "line"),
+    ("n_basis = 4", "line"),
+    ("grid_t1 = 3", "line"),
+    ("times = 0.0, nan", "line"),
+    ("phi0_coef = 0 0 0 -3 0 0 0 0 0 : 1.0 : 0.0", "line"),
+    ("times = 1.0, 1.0000001", "line"),    # both tagged t1
+    ("out_dir = {file}/out", "path"),      # beneath a regular file
+    ("cache_dir = {file}/cache", "path"),
+])
+def test_propagate_fails_loudly(tmp_path, capsys, monkeypatch, line, cites):
+    # bad input exits 1 with a YpqError message citing its config line or
+    # naming its path, never as an internal error
+    monkeypatch.delenv("YPQWAVE_CACHE_DIR", raising=False)
+    # the verdict on the huge grid must not depend on this machine
+    monkeypatch.setattr(ads, "_physical_memory", lambda: 2 ** 30)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    line = line.format(file=blocker)
+    text, lineno = _with_line(line)
+    if not line.startswith("out_dir"):
+        text += f"out_dir = {tmp_path / 'out'}\n"
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    assert run(["propagate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "error: internal:" not in err
+    if cites == "line":
+        assert err.startswith(f"error: line {lineno}:")
+    else:
+        key, _, where = line.partition(" = ")
+        assert err.startswith(f"error: {key} {where!r}:")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_propagate_write_failure_names_out_dir(tmp_path, capsys):
+    # the open succeeds, the write fails (ENOSPC): still a YpqError
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "energy_trace.csv").symlink_to("/dev/full")
+    path = tmp_path / "run.cfg"
+    path.write_text(CONFIG_TEMPLATE + f"out_dir = {out_dir}\n")
+    assert run(["propagate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: out_dir {str(out_dir)!r}:")
 
 
 class TestCache:

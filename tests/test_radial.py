@@ -131,6 +131,20 @@ class TestSolveRadial:
         modes = solve_radial(radial_problem(gp23, 1, 0, 8.0), 3, 24)
         assert all(md.grid_norm_residual < 1e-10 for md in modes)
 
+    def test_tables_keyed_by_geometry(self, gp23, gp34):
+        # (m, l) = (1, 0) has exponents (1, 1) on both geometries: a dict
+        # shared across them must not hand (2, 3)'s rules to (3, 4)
+        tables = {}
+        for gp in (gp23, gp34):
+            prob = radial_problem(gp, 1, 0, 4.0)
+            assert char_exponents(gp, 1, 0) == (1.0, 1.0)
+            shared = solve_radial(prob, 2, 20, tables)
+            fresh = solve_radial(prob, 2, 20)
+            for a, b in zip(shared, fresh):
+                assert a.ell == b.ell
+                assert np.array_equal(a.coeffs, b.coeffs)
+                assert a.grid_norm_residual == b.grid_norm_residual
+
     def test_nbasis_guard(self, gp23):
         with pytest.raises(ValueError):
             solve_radial(radial_problem(gp23, 0, 0, 0.0), 4, 8)

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from ypqwave import radial
 from ypqwave.errors import OutOfRange
-from ypqwave.radial import radial_problem
+from ypqwave.radial import char_exponents, radial_problem, solve_radial
 from ypqwave.shooting import shooting_oracle
 from ypqwave.spectrum import (TruncationPolicy, YModeIndex, YPoint,
                               basis_gram, build_eigenmode, build_modes,
@@ -60,6 +61,45 @@ class TestBuild:
         lam_j = [build_eigenmode(gp23, YModeIndex(k=0, j=j, **base), 28).lam
                  for j in range(3)]
         assert lam_j[0] < lam_j[1] < lam_j[2]
+
+
+# the Y^{p,q} part of the duhamel_source benchmark truncation: 24 radial
+# problems over 5 endpoint-exponent pairs at (2, 3)
+DUHAMEL_POLICY = TruncationPolicy(2, 1, 1, 1, 1)
+
+
+@pytest.mark.parametrize("pq", [(2, 3), (3, 4)])
+def test_shared_tables_match_independent_solves(request, pq):
+    # one tables dict per build changes no bit of any mode
+    gp = request.getfixturevalue(f"gp{pq[0]}{pq[1]}")
+    idxs = enumerate_modes(gp, DUHAMEL_POLICY)
+    shared = build_modes(gp, idxs, 20)
+    alone = build_modes(gp, idxs, 20, radial_solver=solve_radial)
+    assert [md.index for md in shared] == [md.index for md in alone]
+    for a, b in zip(shared, alone):
+        assert a.lam == b.lam and a.radial.ell == b.radial.ell
+        assert np.array_equal(a.radial.coeffs, b.radial.coeffs)
+        assert a.radial.grid_norm_residual == b.radial.grid_norm_residual
+
+
+def test_rules_built_once_per_exponent_pair_and_build(gp23, monkeypatch):
+    # 5 rules per exponent pair: two per Galerkin size (n_basis and the
+    # 25% refinement) and the norm check's; none kept between builds
+    calls = []
+    rule = radial.rule_on_interval
+
+    def counted(*args):
+        calls.append(args)
+        return rule(*args)
+
+    monkeypatch.setattr(radial, "rule_on_interval", counted)
+    idxs = enumerate_modes(gp23, DUHAMEL_POLICY)
+    pairs = {char_exponents(gp23, idx.m, idx.l) for idx in idxs}
+    assert len(pairs) == 5
+    for _ in range(2):
+        calls.clear()
+        build_modes(gp23, idxs, 20)
+        assert len(calls) == 5 * len(pairs) == 25
 
 
 class TestEval:
