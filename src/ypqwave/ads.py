@@ -25,7 +25,9 @@ Pieces:
   Gram solve per angular block, which makes synthesize -> project the
   identity on the truncated span: a single x-rule cannot be exact for
   every c at once (c varies per mode and is generically irrational), and
-  the Gram solve removes exactly that defect.
+  the Gram solve removes exactly that defect.  One read of each sector
+  gives the coefficient array and the discrete data norm, whose excess
+  over the captured norm is the truncation tail (Bessel).
 
 * Sum factorization (Orszag 1980).  Within a sector every mode is a
   separable product x (x) t1 (x) t2 (x) theta (x) y, so the sector's
@@ -414,7 +416,13 @@ class ModeTable:
             memo[y_key] = (y_mode.angular.value(grid.th_nodes),
                            y_mode.radial.value(grid.y_nodes))
         if (s1, c) not in memo:
-            fmat = _f_table(s1, c, self.i_max, grid.x_nodes)
+            # a huge c overflows the sweep: refused below, not warned about
+            with np.errstate(over="ignore", invalid="ignore"):
+                fmat = _f_table(s1, c, self.i_max, grid.x_nodes)
+            if not np.isfinite(fmat).all():
+                raise OutOfRange(
+                    f"x table of s1 = {s1}, c = {c!r} is not finite "
+                    f"(M = {self.M!r}, kappa = {self.kappa!r})")
             memo[s1, c] = fmat, (fmat * grid.x_weights) @ fmat.T
         return memo[s1, s2, s3] + memo[y_key] + memo[s1, c]
 
@@ -490,34 +498,31 @@ class SectorStack:
         return np.linalg.solve(self.gram, raw[:, :, None])[:, :, 0]
 
 
-def project_cauchy(data: dict, modes: list[ModeIndex], table: ModeTable) -> SpectralCoefficients:
-    """Coefficients <data, Psi_beta f_i> for every beta in `modes` and
-    i <= table.i_max, in the order of `modes`.
+def project_cauchy(data: dict, modes: list[ModeIndex],
+                   table: ModeTable) -> tuple[np.ndarray, float]:
+    """(coeffs, norm_sq) of data: dict Sector -> complex 5d array on
+    `table.grid` (GridMismatch otherwise), each sector read once.
 
-    data: dict Sector -> complex 5d array on `table.grid`; sectors no
-    mode of `modes` lives in are ignored.  The x moments are refined by
-    the per-block discrete Gram solve (see module docstring).
+    coeffs[r, i] = <data, Psi_beta f_i>, beta = modes[r] (distinct), its
+    x moments refined by the per-block discrete Gram solve; zero where
+    beta's sector holds no data.  norm_sq: the discrete squared norm of
+    every sector, mode-free ones too, summed in data order.
     """
-    by_sector: dict[Sector, set] = {}
+    row_of = {beta: r for r, beta in enumerate(modes)}
+    by_sector: dict[Sector, list] = {}
     for beta in modes:
-        sector = beta.sector
-        if sector in data:
-            by_sector.setdefault(sector, set()).add(beta)
-    vals: dict[ModeIndex, list] = {}
-    for sector, betas in by_sector.items():
-        arr = data[sector]
-        if arr.shape != table.grid.shape:
-            raise GridMismatch(
-                f"{sector}: data {arr.shape} != grid {table.grid.shape}")
-        stack = table.stack(betas)
-        for beta, row in zip(stack.betas, stack.project(arr).tolist()):
-            vals[beta] = row
-    coeffs = SpectralCoefficients()
-    for beta in modes:
-        for i, v in enumerate(vals.get(beta, ())):
-            if v != 0.0:
-                coeffs[(beta, i)] = v
-    return coeffs
+        by_sector.setdefault(beta.sector, []).append(beta)
+    coeffs = np.zeros((len(modes), table.i_max + 1), dtype=complex)
+    norm_sq, shape = 0.0, table.grid.shape
+    for sector, arr in data.items():
+        if arr.shape != shape:
+            raise GridMismatch(f"{sector}: data {arr.shape} != grid {shape}")
+        if sector in by_sector:
+            stack = table.stack(by_sector[sector])
+            coeffs[[row_of[beta] for beta in stack.betas]] = stack.project(arr)
+        # reads what the projection has just pulled into cache
+        norm_sq += table.grid.grid_norm_sq(arr)
+    return coeffs, norm_sq
 
 
 def synthesize(coeffs: SpectralCoefficients, table: ModeTable) -> dict:
@@ -557,8 +562,3 @@ def _require_memory(need: int, what: str) -> None:
     if need > have:
         raise FieldTooLarge(f"{what} needs {need} bytes, more than the "
                             f"{have} bytes of physical memory")
-
-
-def grid_norm_sq(data: dict, table: ModeTable) -> float:
-    """Total discrete squared norm over all sectors."""
-    return sum(table.grid.grid_norm_sq(arr) for arr in data.values())

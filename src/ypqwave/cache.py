@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CacheCorrupt, UnusablePath
+from .errors import CacheCorrupt
 from .geometry import GeometryParams
 from .radial import RadialMode, RadialProblem
 
@@ -93,14 +93,11 @@ def cache_get_or_solve(key: CacheKey, solve, cache_dir: str,
 
     `solve` is only invoked on a miss.  Entries holding fewer than
     min_modes eigenpairs count as misses (the excitation count is not
-    part of the key).  UnusablePath, naming cache_dir, when the directory
-    cannot be created or an entry cannot be opened or written.
+    part of the key).  OSErrors propagate, for the caller to name the
+    setting the path came from.
     """
     path = os.path.join(cache_dir, key.filename())
-    try:
-        os.makedirs(cache_dir, exist_ok=True)
-    except OSError as exc:
-        raise _unusable(cache_dir, exc) from exc
+    os.makedirs(cache_dir, exist_ok=True)
     if os.path.exists(path):
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -112,8 +109,6 @@ def cache_get_or_solve(key: CacheKey, solve, cache_dir: str,
             modes = _decode_modes(entry["payload"])
             if len(modes) >= min_modes:
                 return modes
-        except OSError as exc:
-            raise _unusable(cache_dir, exc) from exc
         except (CacheCorrupt, KeyError, TypeError, ValueError,
                 json.JSONDecodeError) as exc:
             warnings.warn(f"cache entry {path} unusable ({exc}); re-solving",
@@ -123,20 +118,13 @@ def cache_get_or_solve(key: CacheKey, solve, cache_dir: str,
     entry = {"key": key.canonical(),
              "checksum": _payload_checksum(payload),
              "payload": payload}
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
-        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh)
-            os.replace(tmp, path)
-        finally:
-            # left only by a failed write or rename
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-    except OSError as exc:
-        raise _unusable(cache_dir, exc) from exc
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(entry, fh)
+        os.replace(tmp, path)
+    finally:
+        # left only by a failed write or rename
+        if os.path.exists(tmp):
+            os.unlink(tmp)
     return modes
-
-
-def _unusable(cache_dir: str, exc: OSError) -> UnusablePath:
-    return UnusablePath(f"cache_dir {cache_dir!r}: {exc}")

@@ -142,17 +142,21 @@ def _cmd_ads_modes(args) -> int:
 
 
 def _cmd_propagate(args) -> int:
-    cfg = load_config(args.config)
+    with _path_errors("--config", args.config):
+        cfg = load_config(args.config)
     gp = solve_geometry(cfg.p, cfg.q)
     trunc = TruncationSpec(
         s1_max=cfg.s1_max, n_max=cfg.n_max, m_max=cfg.m_max, l_max=cfg.l_max,
         k_max=cfg.k_max, j_max=cfg.j_max, i_max=cfg.i_max,
         n_basis=cfg.n_basis, grid_shape=cfg.grid_shape,
         tail_warn_fraction=cfg.tail_warn_fraction)
-    with _out_dir_errors(cfg):
+    with _path_errors("out_dir", cfg.out_dir):
         os.makedirs(cfg.out_dir, exist_ok=True)
     solver = None
-    cache_dir = os.environ.get("YPQWAVE_CACHE_DIR") or cfg.cache_dir
+    # the environment overrides the config key; errors name the source
+    env_dir = os.environ.get("YPQWAVE_CACHE_DIR")
+    cache_dir, source = ((env_dir, "YPQWAVE_CACHE_DIR") if env_dir
+                         else (cfg.cache_dir, "cache_dir"))
     if cache_dir:
         # rules and Jacobi tables shared by the misses of this run
         tables: dict = {}
@@ -160,9 +164,10 @@ def _cmd_propagate(args) -> int:
         def solver(prob, k_max, n_basis):
             key = CacheKey(p=cfg.p, q=cfg.q, m=prob.m, l=prob.l,
                            lambda_cap=prob.lambda_cap, n_basis=n_basis)
-            return cache_get_or_solve(
-                key, lambda: solve_radial(prob, k_max, n_basis, tables),
-                cache_dir, min_modes=k_max + 1)
+            with _path_errors(source, cache_dir):
+                return cache_get_or_solve(
+                    key, lambda: solve_radial(prob, k_max, n_basis, tables),
+                    cache_dir, min_modes=k_max + 1)
 
     prop = KGPropagator(gp, cfg.M, cfg.kappa, trunc, radial_solver=solver)
     data = _build_data(cfg, prop)
@@ -174,8 +179,8 @@ def _cmd_propagate(args) -> int:
             energy_rows.append(beta.beta + (i, t, e))
         print(f"t={t:g}: wrote field sample, tail norm {sample.tail_norm:.3e}")
     path = os.path.join(cfg.out_dir, "energy_trace.csv")
-    with _out_dir_errors(cfg), open(path, "w", encoding="utf-8",
-                                    newline="") as fh:
+    with _path_errors("out_dir", cfg.out_dir), open(
+            path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("s1", "s2", "s3", "n", "m", "l", "k", "j", "i",
                          "t", "energy"))
@@ -185,13 +190,13 @@ def _cmd_propagate(args) -> int:
 
 
 @contextlib.contextmanager
-def _out_dir_errors(cfg):
-    """Turn an OSError of the block (creating, opening or writing in
-    out_dir) into UnusablePath naming out_dir."""
+def _path_errors(name: str, path: str):
+    """Turn an OSError or UnicodeDecodeError of the block (creating,
+    reading or writing at `path`) into UnusablePath naming setting `name`."""
     try:
         yield
-    except OSError as exc:
-        raise UnusablePath(f"out_dir {cfg.out_dir!r}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UnusablePath(f"{name} {path!r}: {exc}") from exc
 
 
 def _build_data(cfg, prop: KGPropagator) -> CauchyData:
@@ -227,8 +232,8 @@ def _write_sample(cfg, prop: KGPropagator, sample) -> None:
     sectors = []
     path = os.path.join(cfg.out_dir,
                         f"field_{time_tag(sample.t)}.{cfg.out_format}")
-    with _out_dir_errors(cfg), open(path, "w", encoding="utf-8",
-                                    newline="") as fh:
+    with _path_errors("out_dir", cfg.out_dir), open(
+            path, "w", encoding="utf-8", newline="") as fh:
         if not is_json:
             fh.write(",".join(("s3", "n", "m", "l", *axes, "re", "im")) + "\n")
             x_text, *rest = ([repr(v) for v in axis] for axis in axes.values())

@@ -22,7 +22,7 @@ class DegreeOrderError(YpqError):
 
 
 class EigenFailure(YpqError):
-    """Tridiagonal eigensolver did not converge."""
+    """An eigensolver failed: no convergence, or an indefinite mass matrix."""
 
 
 class QuadratureUnderflow(YpqError):
@@ -58,7 +58,7 @@ class CacheCorrupt(YpqError):
 
 
 class UnusablePath(YpqError):
-    """A configured directory or file cannot be created, opened or written."""
+    """A configured directory or file cannot be created, read or written."""
 
 
 class ConfigError(YpqError):

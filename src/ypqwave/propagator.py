@@ -23,8 +23,9 @@ runnable checks here, not assumptions.
 
 Coefficients live in one dense complex array per component over the
 keys (beta, i), rows in `enumerate_beta` order: evolution, energies and
-the Duhamel term are array expressions.  SpectralCoefficients stay the
-exchange type at the boundary.
+the Duhamel term are array expressions.  Gridded data enters as such an
+array, with its grid norm, from `project_cauchy`; SpectralCoefficients
+hold spectral data and the coefficients of a FieldSample.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .ads import (ModeIndex, ModeTable, SpectralCoefficients, grid_norm_sq,
-                  project_cauchy, synthesize)
+from .ads import (ModeIndex, ModeTable, SpectralCoefficients, project_cauchy,
+                  synthesize)
 from .errors import GridMismatch, SourceCoverage
 from .geometry import GeometryParams
 from .spectrum import TruncationPolicy, build_modes, enumerate_modes
@@ -169,17 +170,19 @@ class KGPropagator:
             raise GridMismatch(f"coefficient {key} outside the truncation")
         return row, i
 
-    def _gather(self, comp) -> tuple[np.ndarray, np.ndarray]:
-        """(values, support) of one data component on the key table;
-        gridded data is projected first."""
+    def _gather(self, comp) -> tuple[np.ndarray, np.ndarray, float]:
+        """(values, support, squared tail) of one data component on the
+        key table; only gridded data, projected here, has a tail."""
         if not isinstance(comp, SpectralCoefficients):
-            comp = project_cauchy(comp, self.betas, self.table)
+            vals, norm_sq = project_cauchy(comp, self.betas, self.table)
+            return (vals, vals != 0.0,
+                    max(norm_sq - np.linalg.norm(vals) ** 2, 0.0))
         vals = np.zeros(self._omega.shape, dtype=complex)
         support = np.zeros(self._omega.shape, dtype=bool)
         for key, v in comp.items():
             pos = self._position(key)
             vals[pos], support[pos] = v, True
-        return vals, support
+        return vals, support, 0.0
 
     def _scatter(self, arr: np.ndarray, support: np.ndarray) -> dict:
         """(beta, i) -> entry of `arr` over `support`, in table order."""
@@ -189,12 +192,9 @@ class KGPropagator:
 
     def _project(self, data: CauchyData):
         """(a0, a1, support, tail estimate) of Cauchy data."""
-        a0, s0 = self._gather(data.phi0)
-        a1, s1 = self._gather(data.phi1)
-        tail_sq = 0.0 if data.is_spectral else sum(
-            max(grid_norm_sq(comp, self.table) - np.linalg.norm(a) ** 2, 0.0)
-            for comp, a in ((data.phi0, a0), (data.phi1, a1)))
-        return a0, a1, s0 | s1, math.sqrt(tail_sq)
+        a0, s0, tail0 = self._gather(data.phi0)
+        a1, s1, tail1 = self._gather(data.phi1)
+        return a0, a1, s0 | s1, math.sqrt(tail0 + tail1)
 
     # -- evolution --------------------------------------------------------
 
@@ -240,9 +240,9 @@ class KGPropagator:
                 f"needs [{lo}, {hi}]")
         at, vt, support, tail = self._evolved(data, t)
         slices = [self._gather(sl) for sl in source.slices]
-        touched = np.logical_or.reduce([s for _, s in slices])
+        touched = np.logical_or.reduce([s for _, s, _ in slices])
         duh, dv = _duhamel(source.times,
-                           np.array([vals[touched] for vals, _ in slices]),
+                           np.array([vals[touched] for vals, _, _ in slices]),
                            np.sqrt(self._omega[touched]), t)
         at[touched] += duh
         vt[touched] += dv

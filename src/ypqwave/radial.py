@@ -46,9 +46,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import LinAlgError, eigh
 
-from .errors import NotConverged, OutOfRange, QuadratureUnderflow
+from .errors import (EigenFailure, NotConverged, OutOfRange,
+                     QuadratureUnderflow)
 from .geometry import GeometryParams
 from .specfun import (envelope_jacobi_derivs, jacobi_deriv_all,
                       jacobi_poly_all, rule_on_interval)
@@ -294,7 +295,12 @@ def solve_radial(prob: RadialProblem, k_max: int, n_basis: int,
 def _solve_once(prob: RadialProblem, k_max: int, n_basis: int,
                 tables: dict):
     a_mat, b_mat = assemble_galerkin(prob, n_basis, tables)
-    vals, vecs = eigh(a_mat, b_mat)
+    try:
+        vals, vecs = eigh(a_mat, b_mat)
+    except LinAlgError as exc:
+        labels = (prob.gp.p, prob.gp.q, prob.m, prob.l, prob.lambda_cap)
+        raise EigenFailure(f"Galerkin eigensolve failed for (p, q, m, l, Lambda)"
+                           f" = {labels}, n_basis = {n_basis}: {exc}") from exc
     vals = vals[:k_max + 1]
     vecs = vecs[:, :k_max + 1]
     # fix sign for reproducibility: dominant coefficient positive

@@ -2,6 +2,7 @@
 the cot^3 measure, and the grid projection."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -9,9 +10,9 @@ import pytest
 from scipy.special import eval_gegenbauer
 
 from ypqwave.ads import (ModeIndex, Sector, SpectralCoefficients,
-                         ads_gram, ads_radial_mode, c_beta, grid_norm_sq,
-                         project_cauchy, s3_harmonic, s3_harmonic_norm,
-                         s3_laplace_residual, synthesize, ModeTable)
+                         ads_gram, ads_radial_mode, c_beta, project_cauchy,
+                         s3_harmonic, s3_harmonic_norm, s3_laplace_residual,
+                         synthesize, ModeTable)
 from ypqwave import ads
 from ypqwave.errors import (FieldTooLarge, GridMismatch, IndexChainError,
                             OutOfRange)
@@ -181,22 +182,32 @@ def beta_set():
             for k in (0, 1) for j in (0, 1)]
 
 
+def _dense(coeffs, modes, table):
+    """SpectralCoefficients as the (len(modes), i_max + 1) array that
+    project_cauchy returns."""
+    out = np.zeros((len(modes), table.i_max + 1), dtype=complex)
+    for (beta, i), v in coeffs.items():
+        out[modes.index(beta), i] = v
+    return out
+
+
 class TestProjection:
     def test_pure_mode(self, small_table, beta_set):
         target = beta_set[7]
         coeffs = SpectralCoefficients()
         coeffs[(target, 0)] = 1.0
         data = synthesize(coeffs, small_table)
-        back = project_cauchy(data, beta_set, small_table)
-        assert back[(target, 0)] == pytest.approx(1.0, abs=1e-9)
-        others = [abs(v) for key, v in back.items() if key != (target, 0)]
-        assert max(others, default=0.0) < 1e-9
+        back, _ = project_cauchy(data, beta_set, small_table)
+        assert back[7, 0] == pytest.approx(1.0, abs=1e-9)
+        back[7, 0] = 0.0
+        assert np.abs(back).max() < 1e-9
 
     def test_zero_data(self, small_table, beta_set):
         sector = beta_set[0].sector
-        back = project_cauchy({sector: small_table.grid.zeros()}, beta_set,
-                              small_table)
-        assert all(abs(v) < 1e-15 for v in back.entries.values())
+        back, norm_sq = project_cauchy({sector: small_table.grid.zeros()},
+                                       beta_set, small_table)
+        assert np.abs(back).max() < 1e-15
+        assert norm_sq == 0.0
 
     def test_round_trip(self, small_table, beta_set):
         rng = np.random.default_rng(9)
@@ -205,10 +216,9 @@ class TestProjection:
             for i in range(5):
                 coeffs[(beta, i)] = complex(rng.normal(), rng.normal())
         data = synthesize(coeffs, small_table)
-        back = project_cauchy(data, beta_set, small_table)
-        for beta in beta_set:
-            for i in range(5):
-                assert abs(back[(beta, i)] - coeffs[(beta, i)]) < 1e-9
+        back, _ = project_cauchy(data, beta_set, small_table)
+        want = _dense(coeffs, beta_set, small_table)
+        assert np.abs(back - want).max() < 1e-9
 
     def test_parseval_on_band_limited(self, small_table, beta_set):
         rng = np.random.default_rng(10)
@@ -218,7 +228,8 @@ class TestProjection:
         data = synthesize(coeffs, small_table)
         # grid norm carries the discrete x-rule defect (reported quantity,
         # only Bessel is exact); agreement at the grid's own accuracy
-        assert grid_norm_sq(data, small_table) == pytest.approx(
+        _, norm_sq = project_cauchy(data, beta_set, small_table)
+        assert norm_sq == pytest.approx(
             sum(abs(v) ** 2 for v in coeffs.entries.values()), rel=1e-8)
 
     def test_bessel_on_rough_data(self, small_table, beta_set):
@@ -228,26 +239,50 @@ class TestProjection:
         grid = small_table.grid
         data = {sector: (rng.normal(size=grid.shape)
                          + 1j * rng.normal(size=grid.shape))}
-        back = project_cauchy(data, beta_set, small_table)
-        total = grid_norm_sq(data, small_table)
+        back, total = project_cauchy(data, beta_set, small_table)
         # sum over blocks of a^H G a, the discrete norm of the projection
         proj_sq = 0.0
-        by_beta = {}
-        for (beta, i), v in back.items():
-            by_beta.setdefault(beta, {})[i] = v
-        for beta, ivals in by_beta.items():
+        for beta, vec in zip(beta_set, back):
             *_, gram_x = small_table.block(beta)
-            vec = np.zeros(small_table.i_max + 1, dtype=complex)
-            for i, v in ivals.items():
-                vec[i] = v
             proj_sq += float(np.real(vec.conj() @ gram_x @ vec))
         assert proj_sq <= total * (1.0 + 1e-12) + 1e-12
 
     def test_grid_mismatch(self, small_table, beta_set):
-        sector = beta_set[0].sector
-        with pytest.raises(GridMismatch):
-            project_cauchy({sector: np.zeros((3, 3, 3, 3, 3), dtype=complex)},
-                           beta_set, small_table)
+        # refused also in a sector no mode lives in
+        for sector in (beta_set[0].sector, Sector(0, 5, 0, 0)):
+            with pytest.raises(GridMismatch,
+                               match=re.escape(f"{sector}: data")):
+                project_cauchy(
+                    {sector: np.zeros((3, 3, 3, 3, 3), dtype=complex)},
+                    beta_set, small_table)
+
+    def test_norm_of_every_sector(self, small_table, beta_set):
+        # the fused norm is the per-sector grid norm summed in data order,
+        # bitwise, sectors no mode lives in included
+        rng = np.random.default_rng(12)
+        shape = small_table.grid.shape
+        data = {sector: rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                for sector in (Sector(0, 5, 0, 0), Sector(0, 0, 0, 0),
+                               Sector(1, -1, 0, 0))}
+        _, norm_sq = project_cauchy(data, beta_set, small_table)
+        assert norm_sq == sum(small_table.grid.grid_norm_sq(a)
+                              for a in data.values())
+
+    def test_rows_follow_modes(self, small_table, beta_set):
+        # row r belongs to modes[r] whatever the order; betas whose sector
+        # holds no data get zero rows
+        rng = np.random.default_rng(13)
+        coeffs = SpectralCoefficients(
+            {(beta, 1): complex(rng.normal(), rng.normal())
+             for beta in beta_set if beta.sector.n == 0})
+        data = synthesize(coeffs, small_table)
+        modes = beta_set[::-1]
+        fwd, _ = project_cauchy(data, beta_set, small_table)
+        rev, _ = project_cauchy(data, modes, small_table)
+        assert np.array_equal(rev, fwd[::-1])
+        empty = [r for r, beta in enumerate(modes) if beta.sector not in data]
+        assert empty and not rev[empty].any()
+        assert np.abs(rev - _dense(coeffs, modes, small_table)).max() < 1e-9
 
 
 def _naive_synthesize(coeffs, table):
@@ -319,14 +354,10 @@ class TestSectorTransforms:
         orphan = Sector(0, 5, 0, 0)
         data[orphan] = np.ones(small_table.grid.shape, dtype=complex)
         modes = beta_set[::2]
-        got = project_cauchy(data, modes, small_table)
-        want = _naive_project(data, modes, small_table)
-        scale = max(abs(v) for v in want.values())
-        assert got.entries.keys() <= want.keys()
-        for key, v in want.items():
-            assert abs(got[key] - v) <= 1e-13 * scale
-        assert [beta for beta, _ in got.entries] == sorted(
-            (beta for beta, _ in got.entries), key=modes.index)
+        got, _ = project_cauchy(data, modes, small_table)
+        want = _dense(SpectralCoefficients(
+            _naive_project(data, modes, small_table)), modes, small_table)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_field_size_guard(self, small_table, sparse, monkeypatch):
         monkeypatch.setattr(ads, "_physical_memory", lambda: 1000)
@@ -373,9 +404,8 @@ def test_each_factor_built_once_per_key(gp23, small_y_modes, beta_set,
     coeffs = SpectralCoefficients(
         {(beta, i): complex(rng.normal(), rng.normal())
          for beta in beta_set for i in range(5)})
-    back = project_cauchy(synthesize(coeffs, table), beta_set, table)
-    for key, v in coeffs.items():
-        assert abs(back[key] - v) < 1e-9
+    back, _ = project_cauchy(synthesize(coeffs, table), beta_set, table)
+    assert np.abs(back - _dense(coeffs, beta_set, table)).max() < 1e-9
     y_keys = {(b.n, b.m, b.l, b.k, b.j) for b in beta_set}
     want_x = {(b.s1, c_beta(1.0, 1.0, small_y_modes[(b.n, b.m, b.l, b.k,
                                                       b.j)].lam))

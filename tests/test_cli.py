@@ -389,6 +389,7 @@ class TestPropagate:
     ("times = 1.0, 1.0000001", "line"),    # both tagged t1
     ("out_dir = {file}/out", "path"),      # beneath a regular file
     ("cache_dir = {file}/cache", "path"),
+    ("M = 1e150", "c"),                    # finite c, non-finite x table
 ])
 def test_propagate_fails_loudly(tmp_path, capsys, monkeypatch, line, cites):
     # bad input exits 1 with a YpqError message citing its config line or
@@ -409,9 +410,37 @@ def test_propagate_fails_loudly(tmp_path, capsys, monkeypatch, line, cites):
     assert "error: internal:" not in err
     if cites == "line":
         assert err.startswith(f"error: line {lineno}:")
+    elif cites == "c":
+        # refused by the mode table, which knows c: no line to cite
+        assert err.startswith("error:") and "c = 1e+150" in err
     else:
         key, _, where = line.partition(" = ")
         assert err.startswith(f"error: {key} {where!r}:")
+
+
+def test_cache_env_dir_named(tmp_path, capsys, monkeypatch):
+    # YPQWAVE_CACHE_DIR overrides cache_dir, and its error says so
+    where = tmp_path / "file" / "cache"
+    (tmp_path / "file").write_text("")
+    monkeypatch.setenv("YPQWAVE_CACHE_DIR", str(where))
+    path = tmp_path / "run.cfg"
+    path.write_text(CONFIG_TEMPLATE + f"out_dir = {tmp_path / 'out'}\n"
+                    + f"cache_dir = {tmp_path / 'unused'}\n")
+    assert run(["propagate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: YPQWAVE_CACHE_DIR {str(where)!r}:")
+    assert not (tmp_path / "unused").exists()
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])
+def test_unreadable_config(tmp_path, capsys, kind):
+    path = tmp_path / "run.cfg"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not utf-8":
+        path.write_bytes(CONFIG_TEMPLATE.encode() + b"# \xff\xfe\n")
+    assert run(["propagate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: --config {str(path)!r}:")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

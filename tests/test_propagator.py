@@ -10,6 +10,8 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from ypqwave.ads import ModeIndex, Sector, SpectralCoefficients, synthesize
+from ypqwave.cli import _build_data
+from ypqwave.config import parse_config
 from ypqwave.errors import GridMismatch, SourceCoverage
 from ypqwave.propagator import (CauchyData, KGPropagator, SourceTerm,
                                 TruncationSpec, TruncationWarning,
@@ -327,6 +329,21 @@ class TestValidation:
             prop.evolve(CauchyData(rough, zeros), 1.0,
                         synthesize_values=False)
         assert any(issubclass(w.category, TruncationWarning) for w in caught)
+
+    def test_preset_tail_norm_pinned(self, gp23):
+        # the gaussian_x preset on the grid of the CLI tests: the tail
+        # norm, from one read of each component, keeps its last digit
+        cfg = parse_config("schema_version = 1\np = 2\nq = 3\nM = 1.0\n"
+                           "n_max = 1\ni_max = 2\nn_basis = 16\n"
+                           "preset = gaussian_x\n")
+        trunc = TruncationSpec(s1_max=0, n_max=1, m_max=0, l_max=0, k_max=0,
+                               j_max=0, i_max=2, n_basis=16,
+                               grid_shape=(16, 6, 6, 8, 16))
+        prop = KGPropagator(gp23, M=1.0, kappa=1.0, trunc=trunc)
+        with pytest.warns(TruncationWarning):
+            sample = prop.evolve(_build_data(cfg, prop), 1.0,
+                                 synthesize_values=False)
+        assert sample.tail_norm == 0.17943351307206307
 
 
 def test_enumerate_beta_counts():

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 from scipy.integrate import solve_ivp
+from scipy.linalg import LinAlgError
 
-from ypqwave import shooting
+from ypqwave import radial, shooting
 from ypqwave.angular import angular_eigenvalue
-from ypqwave.errors import BracketError, OutOfRange
+from ypqwave.cli import run
+from ypqwave.errors import BracketError, EigenFailure, OutOfRange
 from ypqwave.radial import (assemble_galerkin, char_exponents, radial_problem,
                             solve_radial)
 from ypqwave.shooting import (shooting_matcher, shooting_oracle,
@@ -148,6 +150,25 @@ class TestSolveRadial:
     def test_nbasis_guard(self, gp23):
         with pytest.raises(ValueError):
             solve_radial(radial_problem(gp23, 0, 0, 0.0), 4, 8)
+
+    def test_eigensolver_failure_fails_loudly(self, gp23, monkeypatch,
+                                              capsys):
+        # a mass matrix eigh refuses (seen for Y^{3,5}, m = 0, l = 1 at
+        # n_basis 75) is an EigenFailure naming the problem, also in the CLI
+        def refuse(a_mat, b_mat):
+            raise LinAlgError("The leading minor of order 3 of B is not "
+                              "positive definite.")
+
+        monkeypatch.setattr(radial, "eigh", refuse)
+        with pytest.raises(EigenFailure, match=r"\(p, q, m, l, Lambda\) = "
+                           r"\(2, 3, 1, -1, 0\.5\), n_basis = 16: The "):
+            solve_radial(radial_problem(gp23, 1, -1, 0.5), 1, 16)
+        assert run(["radial", "--p", "2", "--q", "3", "--m", "0", "--l", "1",
+                    "--Lambda", "0", "--kmax", "1", "--nbasis", "12"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Galerkin eigensolve failed for "
+                              "(p, q, m, l, Lambda) = (2, 3, 0, 1, 0.0), "
+                              "n_basis = 12: ")
 
 
 class TestEval:
