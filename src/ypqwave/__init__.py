@@ -10,8 +10,8 @@ from .cache import SOLVER_VERSION, CacheKey, cache_get_or_solve
 from .config import RunConfig, load_config, parse_config
 from .geometry import (GeometryParams, ProfileValues, cubic_roots,
                        eval_profiles, solve_geometry)
-from .propagator import (CauchyData, FieldSample, KGPropagator, SourceTerm,
-                         TruncationSpec, TruncationWarning)
+from .propagator import (CauchyData, FieldSample, KGPropagator, Projection,
+                         SourceTerm, TruncationSpec, TruncationWarning)
 from .radial import (RadialMode, RadialProblem, assemble_galerkin,
                      char_exponents, radial_problem, solve_radial)
 from .shooting import shooting_matcher, shooting_oracle, shooting_spectrum

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import itertools
 import json
 import math
@@ -145,11 +146,9 @@ def _cmd_propagate(args) -> int:
     with _path_errors("--config", args.config):
         cfg = load_config(args.config)
     gp = solve_geometry(cfg.p, cfg.q)
-    trunc = TruncationSpec(
-        s1_max=cfg.s1_max, n_max=cfg.n_max, m_max=cfg.m_max, l_max=cfg.l_max,
-        k_max=cfg.k_max, j_max=cfg.j_max, i_max=cfg.i_max,
-        n_basis=cfg.n_basis, grid_shape=cfg.grid_shape,
-        tail_warn_fraction=cfg.tail_warn_fraction)
+    # every TruncationSpec field has a RunConfig namesake
+    trunc = TruncationSpec(**{f.name: getattr(cfg, f.name)
+                              for f in dataclasses.fields(TruncationSpec)})
     with _path_errors("out_dir", cfg.out_dir):
         os.makedirs(cfg.out_dir, exist_ok=True)
     solver = None
@@ -170,10 +169,10 @@ def _cmd_propagate(args) -> int:
                     cache_dir, min_modes=k_max + 1)
 
     prop = KGPropagator(gp, cfg.M, cfg.kappa, trunc, radial_solver=solver)
-    data = _build_data(cfg, prop)
+    proj = prop.project(_build_data(cfg, prop))
     energy_rows = []
     for t in cfg.times:
-        sample = prop.evolve(data, t, synthesize_values=True)
+        sample = prop.evolve(proj, t, synthesize_values=True)
         _write_sample(cfg, prop, sample)
         for (beta, i), e in sorted(sample.per_mode_energy.items()):
             energy_rows.append(beta.beta + (i, t, e))
@@ -181,10 +180,8 @@ def _cmd_propagate(args) -> int:
     path = os.path.join(cfg.out_dir, "energy_trace.csv")
     with _path_errors("out_dir", cfg.out_dir), open(
             path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("s1", "s2", "s3", "n", "m", "l", "k", "j", "i",
-                         "t", "energy"))
-        writer.writerows(energy_rows)
+        _write_rows(energy_rows, ("s1", "s2", "s3", "n", "m", "l", "k", "j",
+                                  "i", "t", "energy"), "csv", fh)
     print(f"energy trace: {path}")
     return 0
 
@@ -208,7 +205,7 @@ def _build_data(cfg, prop: KGPropagator) -> CauchyData:
                 target[(beta, idx[8])] = val
         return CauchyData(a0, a1)
     # gaussian_x: a bump in the AdS radial coordinate on the constant
-    # angular sector, sampled on the grid (projection happens inside)
+    # angular sector, sampled on the grid (the caller projects it)
     sector = Sector(0, 0, 0, 0)
     x = prop.table.grid.x_nodes
     prof = cfg.preset_amplitude * np.exp(

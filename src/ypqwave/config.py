@@ -28,66 +28,47 @@ rejected, since the later file would overwrite the earlier one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import ads
 from .errors import ConfigError, FieldTooLarge
 
 __all__ = ["RunConfig", "parse_config", "load_config", "time_tag"]
 
-_INT_KEYS = {"schema_version", "p", "q", "s1_max", "n_max", "m_max", "l_max",
-             "k_max", "j_max", "i_max", "n_basis", "grid_x", "grid_t1",
-             "grid_t2", "grid_theta", "grid_y"}
-_FLOAT_KEYS = {"M", "kappa", "tail_warn_fraction", "preset_x0",
-               "preset_width", "preset_amplitude"}
-_STR_KEYS = {"preset", "out_dir", "out_format", "cache_dir"}
-_LIST_KEYS = {"times"}
 _COEF_KEYS = {"phi0_coef", "phi1_coef"}
 # truncation bounds, in the order of the indices they bound
 _BOUND_KEYS = ("s1_max", "n_max", "m_max", "l_max", "k_max", "j_max", "i_max")
 _GRID_KEYS = ("grid_x", "grid_t1", "grid_t2", "grid_theta", "grid_y")
-
-_DEFAULTS = {
-    "M": 0.0, "kappa": 1.0,
-    "s1_max": 0, "n_max": 0, "m_max": 0, "l_max": 0, "k_max": 0, "j_max": 0,
-    "i_max": 4, "n_basis": 40,
-    "grid_x": 36, "grid_t1": 10, "grid_t2": 10, "grid_theta": 12,
-    "grid_y": 36,
-    "times": [0.0], "preset": "none",
-    "preset_x0": 0.8, "preset_width": 0.25, "preset_amplitude": 1.0,
-    "out_dir": "out", "out_format": "csv", "cache_dir": None,
-    "tail_warn_fraction": 0.1,
-}
 
 
 @dataclass
 class RunConfig:
     p: int
     q: int
-    M: float
-    kappa: float
-    s1_max: int
-    n_max: int
-    m_max: int
-    l_max: int
-    k_max: int
-    j_max: int
-    i_max: int
-    n_basis: int
-    grid_x: int
-    grid_t1: int
-    grid_t2: int
-    grid_theta: int
-    grid_y: int
-    times: list
-    preset: str
-    preset_x0: float
-    preset_width: float
-    preset_amplitude: float
-    out_dir: str
-    out_format: str
-    cache_dir: str | None
-    tail_warn_fraction: float
+    M: float = 0.0
+    kappa: float = 1.0
+    s1_max: int = 0
+    n_max: int = 0
+    m_max: int = 0
+    l_max: int = 0
+    k_max: int = 0
+    j_max: int = 0
+    i_max: int = 4
+    n_basis: int = 40
+    grid_x: int = 36
+    grid_t1: int = 10
+    grid_t2: int = 10
+    grid_theta: int = 12
+    grid_y: int = 36
+    times: list[float] = field(default_factory=lambda: [0.0])
+    preset: str = "none"
+    preset_x0: float = 0.8
+    preset_width: float = 0.25
+    preset_amplitude: float = 1.0
+    out_dir: str = "out"
+    out_format: str = "csv"
+    cache_dir: str | None = None
+    tail_warn_fraction: float = 0.1
     phi0_coefs: list = field(default_factory=list)
     phi1_coefs: list = field(default_factory=list)
 
@@ -110,6 +91,18 @@ def _float(token: str) -> float:
     return val
 
 
+def _times(value: str) -> list[float]:
+    return [_float(tok) for tok in value.split(",") if tok.strip()]
+
+
+# each RunConfig field with its default is a key, parsed by its type
+# (annotations are strings); the phi*_coefs lists come from *_coef lines
+_PARSERS = {"int": int, "float": _float, "str": str, "str | None": str,
+            "list[float]": _times}
+_KEYS = {"schema_version": int, **{
+    f.name: _PARSERS[f.type] for f in fields(RunConfig) if f.type in _PARSERS}}
+
+
 def _parse_coef(value: str, lineno: int):
     parts = [p.strip() for p in value.split(":")]
     if len(parts) != 3:
@@ -128,9 +121,7 @@ def _parse_coef(value: str, lineno: int):
 
 
 def parse_config(text: str) -> RunConfig:
-    values = dict(_DEFAULTS)
-    values["phi0_coefs"] = []
-    values["phi1_coefs"] = []
+    values: dict = {"phi0_coefs": [], "phi1_coefs": []}
     # line of each key given, and (line, indices) of each coefficient
     lines: dict[str, int] = {}
     coefs: list[tuple[int, tuple]] = []
@@ -150,23 +141,17 @@ def parse_config(text: str) -> RunConfig:
         if key in lines:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         lines[key] = lineno
+        if key not in _KEYS:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            if key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                values[key] = _float(value)
-            elif key in _STR_KEYS:
-                values[key] = value
-            elif key in _LIST_KEYS:
-                values[key] = [_float(tok) for tok in value.split(",") if tok.strip()]
-                tags = [time_tag(t) for t in values[key]]
-                if len(set(tags)) < len(tags):
-                    raise ConfigError(f"line {lineno}: two times share an "
-                                      f"output file tag in {tags}")
-            else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            values[key] = _KEYS[key](value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
+        if key == "times":
+            tags = [time_tag(t) for t in values[key]]
+            if len(set(tags)) < len(tags):
+                raise ConfigError(f"line {lineno}: two times share an "
+                                  f"output file tag in {tags}")
     if "schema_version" not in lines:
         raise ConfigError("line 1: schema_version is required")
     if values.pop("schema_version") != 1:

@@ -21,11 +21,11 @@ evolution up to roundoff, and time reflection
 (phi0, -phi1) -> t equals (phi0, phi1) -> -t coefficientwise; both are
 runnable checks here, not assumptions.
 
-Coefficients live in one dense complex array per component over the
-keys (beta, i), rows in `enumerate_beta` order: evolution, energies and
-the Duhamel term are array expressions.  Gridded data enters as such an
-array, with its grid norm, from `project_cauchy`; SpectralCoefficients
-hold spectral data and the coefficients of a FieldSample.
+Cauchy data is projected once, by `KGPropagator.project` (gridded data
+read once, through `project_cauchy`), into a `Projection`: one dense
+complex array per component over the keys (beta, i), rows in
+`enumerate_beta` order, which every evolution and diagnostic reads.
+SpectralCoefficients hold spectral data and FieldSample coefficients.
 """
 
 from __future__ import annotations
@@ -33,19 +33,19 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .ads import (ModeIndex, ModeTable, SpectralCoefficients, project_cauchy,
                   synthesize)
-from .errors import GridMismatch, SourceCoverage
+from .errors import GridMismatch, OutOfRange, SourceCoverage
 from .geometry import GeometryParams
 from .spectrum import TruncationPolicy, build_modes, enumerate_modes
 
-__all__ = ["TruncationSpec", "CauchyData", "SourceTerm", "FieldSample",
-           "KGPropagator", "TruncationWarning", "enumerate_beta"]
+__all__ = ["TruncationSpec", "CauchyData", "Projection", "SourceTerm",
+           "FieldSample", "KGPropagator", "TruncationWarning", "enumerate_beta"]
 
 
 class TruncationWarning(UserWarning):
@@ -101,9 +101,17 @@ class CauchyData:
             if s0 != s1:
                 raise GridMismatch("phi0 and phi1 sampled on different grids")
 
-    @property
-    def is_spectral(self) -> bool:
-        return isinstance(self.phi0, SpectralCoefficients)
+
+@dataclass(frozen=True, eq=False)
+class Projection:
+    """Cauchy data on the key table (rows in `enumerate_beta` order), the
+    keys it gives, the norm truncation drops (0 if spectral), if gridded."""
+
+    a0: np.ndarray
+    a1: np.ndarray
+    support: np.ndarray
+    tail: float
+    gridded: bool
 
 
 @dataclass
@@ -119,6 +127,8 @@ class SourceTerm:
             raise SourceCoverage("a source needs at least one time stamp")
         if len(self.times) != len(self.slices):
             raise SourceCoverage("one slice per time stamp required")
+        if not np.all(np.isfinite(self.times)):
+            raise SourceCoverage(f"time stamps must be finite: {self.times}")
         if len(self.times) >= 2 and not np.all(np.diff(self.times) > 0.0):
             raise SourceCoverage("time stamps must be strictly increasing")
 
@@ -190,11 +200,27 @@ class KGPropagator:
         return {(self.betas[r], i): v for r, i, v in
                 zip(rows.tolist(), cols.tolist(), arr[rows, cols].tolist())}
 
-    def _project(self, data: CauchyData):
-        """(a0, a1, support, tail estimate) of Cauchy data."""
+    def project(self, data: CauchyData) -> Projection:
+        """The mode coefficients of Cauchy data, each component read
+        once; a TruncationWarning when the tail exceeds
+        `tail_warn_fraction` of the data norm."""
         a0, s0, tail0 = self._gather(data.phi0)
         a1, s1, tail1 = self._gather(data.phi1)
-        return a0, a1, s0 | s1, math.sqrt(tail0 + tail1)
+        tail = math.sqrt(tail0 + tail1)
+        total = math.hypot(np.linalg.norm(a0), np.linalg.norm(a1), tail)
+        if total > 0.0 and tail > self.trunc.tail_warn_fraction * total:
+            warnings.warn(
+                f"dropped-coefficient norm {tail:.3e} exceeds "
+                f"{self.trunc.tail_warn_fraction:.0%} of the data norm",
+                TruncationWarning, stacklevel=2)
+        return Projection(a0, a1, s0 | s1, tail,
+                          not isinstance(data.phi0, SpectralCoefficients))
+
+    def _projected(self, data, t: float = 0.0) -> Projection:
+        """Projection of `data`; OutOfRange unless t sqrt(Omega) is finite."""
+        if not math.isfinite(t * math.sqrt(self._omega.max())):
+            raise OutOfRange(f"t = {t!r}: t sqrt(Omega) is not finite")
+        return data if isinstance(data, Projection) else self.project(data)
 
     # -- evolution --------------------------------------------------------
 
@@ -204,41 +230,38 @@ class KGPropagator:
         c, s = np.cos(t * ro), np.sin(t * ro)
         return c * a0 + s / ro * a1, -ro * s * a0 + c * a1
 
-    def _sample(self, data: CauchyData, t: float, at, vt, support, tail,
+    def _sample(self, proj: Projection, t: float, at, vt,
                 synthesize_values: bool | None) -> FieldSample:
         energy = _abs_sq(vt) + self._omega * _abs_sq(at)
-        coefficients = SpectralCoefficients(self._scatter(at, support))
+        coefficients = SpectralCoefficients(self._scatter(at, proj.support))
         if synthesize_values is None:
-            synthesize_values = not data.is_spectral
+            synthesize_values = proj.gridded
         values = (synthesize(coefficients, self.table) if synthesize_values
                   else None)
         return FieldSample(
             t=t, values=values, coefficients=coefficients,
-            velocity=SpectralCoefficients(self._scatter(vt, support)),
-            per_mode_energy=self._scatter(energy, support), tail_norm=tail)
+            velocity=SpectralCoefficients(self._scatter(vt, proj.support)),
+            per_mode_energy=self._scatter(energy, proj.support),
+            tail_norm=proj.tail)
 
-    def _evolved(self, data: CauchyData, t: float):
-        """(a, a', support, tail) of the homogeneous evolution to t."""
-        a0, a1, support, tail = self._project(data)
-        self._warn_tail(tail, a0, a1)
-        return (*self._free(a0, a1, t), support, tail)
-
-    def evolve(self, data: CauchyData, t: float,
+    def evolve(self, data: CauchyData | Projection, t: float,
                synthesize_values: bool | None = None) -> FieldSample:
         """Homogeneous evolution to time t."""
-        return self._sample(data, t, *self._evolved(data, t),
+        proj = self._projected(data, t)
+        return self._sample(proj, t, *self._free(proj.a0, proj.a1, t),
                             synthesize_values)
 
-    def evolve_inhomogeneous(self, data: CauchyData, source: SourceTerm,
-                             t: float,
+    def evolve_inhomogeneous(self, data: CauchyData | Projection,
+                             source: SourceTerm, t: float,
                              synthesize_values: bool | None = None) -> FieldSample:
         """Homogeneous part plus the Duhamel integral of the source."""
+        proj = self._projected(data, t)
         lo, hi = min(0.0, t), max(0.0, t)
         if source.times[0] > lo + 1e-12 or source.times[-1] < hi - 1e-12:
             raise SourceCoverage(
                 f"source covers [{source.times[0]}, {source.times[-1]}], "
                 f"needs [{lo}, {hi}]")
-        at, vt, support, tail = self._evolved(data, t)
+        at, vt = self._free(proj.a0, proj.a1, t)
         slices = [self._gather(sl) for sl in source.slices]
         touched = np.logical_or.reduce([s for _, s, _ in slices])
         duh, dv = _duhamel(source.times,
@@ -246,30 +269,25 @@ class KGPropagator:
                            np.sqrt(self._omega[touched]), t)
         at[touched] += duh
         vt[touched] += dv
-        return self._sample(data, t, at, vt, support | touched, tail,
-                            synthesize_values)
+        return self._sample(replace(proj, support=proj.support | touched),
+                            t, at, vt, synthesize_values)
 
     # -- diagnostics ------------------------------------------------------
 
-    def mode_energy(self, data: CauchyData) -> dict:
+    def mode_energy(self, data: CauchyData | Projection) -> dict:
         """E_{beta,i} = |a1|^2 + Omega |a0|^2."""
-        a0, a1, support, _ = self._project(data)
-        return self._scatter(_abs_sq(a1) + self._omega * _abs_sq(a0), support)
+        proj = self._projected(data)
+        return self._scatter(
+            _abs_sq(proj.a1) + self._omega * _abs_sq(proj.a0), proj.support)
 
-    def check_reflection(self, data: CauchyData, t: float) -> float:
+    def check_reflection(self, data: CauchyData | Projection,
+                         t: float) -> float:
         """Max coefficient discrepancy between evolving (phi0, -phi1)
         forward and (phi0, phi1) backward; contract: below 1e-12."""
-        a0, a1, support, _ = self._project(data)
-        diff = self._free(a0, -a1, t)[0] - self._free(a0, a1, -t)[0]
-        return float(np.abs(diff)[support].max(initial=0.0))
-
-    def _warn_tail(self, tail: float, a0, a1) -> None:
-        total = math.hypot(np.linalg.norm(a0), np.linalg.norm(a1), tail)
-        if total > 0.0 and tail > self.trunc.tail_warn_fraction * total:
-            warnings.warn(
-                f"dropped-coefficient norm {tail:.3e} exceeds "
-                f"{self.trunc.tail_warn_fraction:.0%} of the data norm",
-                TruncationWarning, stacklevel=4)
+        proj = self._projected(data, t)
+        diff = (self._free(proj.a0, -proj.a1, t)[0]
+                - self._free(proj.a0, proj.a1, -t)[0])
+        return float(np.abs(diff)[proj.support].max(initial=0.0))
 
 
 def _abs_sq(a: np.ndarray) -> np.ndarray:

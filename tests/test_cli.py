@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -16,9 +17,10 @@ from ypqwave import ads
 from ypqwave.ads import sector_grid
 from ypqwave.cache import CacheKey, cache_get_or_solve
 from ypqwave.cli import run
-from ypqwave.config import parse_config
+from ypqwave.config import RunConfig, parse_config
 from ypqwave.errors import ConfigError
 from ypqwave.geometry import profile_h, solve_geometry
+from ypqwave.propagator import TruncationWarning
 from ypqwave.radial import radial_problem, solve_radial
 
 
@@ -192,6 +194,18 @@ class TestConfig:
         key = line.split()[0]
         assert capsys.readouterr().err.startswith(
             f"error: line {lineno}: unknown key {key!r}")
+
+    def test_defaults_are_field_defaults(self):
+        text = "schema_version = 1\np = 2\nq = 3\npreset = gaussian_x\n"
+        cfg = parse_config(text)
+        assert cfg == RunConfig(p=2, q=3, preset="gaussian_x")
+        # each config owns its default list
+        cfg.times.append(1.0)
+        assert parse_config(text).times == [0.0]
+        # the coefficient lists are fields but no keys
+        with pytest.raises(ConfigError, match="line 4: unknown key"):
+            parse_config("schema_version = 1\np = 2\nq = 3\n"
+                         "phi0_coefs = 1\n")
 
     def test_validation(self):
         with pytest.raises(ConfigError, match="kappa"):
@@ -376,6 +390,34 @@ class TestPropagate:
             assert run(["propagate", "--config", str(path)]) == 0
         capsys.readouterr()
         assert (tmp_path / "out" / "energy_trace.csv").exists()
+
+
+def test_propagate_projects_once(tmp_path, capsys, monkeypatch):
+    # gaussian_x data on three times: each component is projected once,
+    # and the tail is checked once
+    from ypqwave import propagator
+    calls = []
+    project = propagator.project_cauchy
+
+    def counted(*args, **kwargs):
+        calls.append(True)
+        return project(*args, **kwargs)
+
+    monkeypatch.setattr(propagator, "project_cauchy", counted)
+    lines = [line for line in CONFIG_TEMPLATE.splitlines()
+             if not line.startswith(("phi0_coef", "times"))]
+    cfg = "\n".join(lines + ["times = 0.0, 1.0, -2.5", "preset = gaussian_x",
+                             f"out_dir = {tmp_path / 'out'}", ""])
+    path = tmp_path / "run.cfg"
+    path.write_text(cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["propagate", "--config", str(path)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 2
+    assert sum(issubclass(w.category, TruncationWarning)
+               for w in caught) <= 1
+    assert len(os.listdir(tmp_path / "out")) == 4
 
 
 @pytest.mark.parametrize("line,cites", [

@@ -2,6 +2,7 @@
 conservation, reflection, composition and the Duhamel term."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -12,9 +13,9 @@ from scipy.interpolate import CubicSpline
 from ypqwave.ads import ModeIndex, Sector, SpectralCoefficients, synthesize
 from ypqwave.cli import _build_data
 from ypqwave.config import parse_config
-from ypqwave.errors import GridMismatch, SourceCoverage
-from ypqwave.propagator import (CauchyData, KGPropagator, SourceTerm,
-                                TruncationSpec, TruncationWarning,
+from ypqwave.errors import GridMismatch, OutOfRange, SourceCoverage
+from ypqwave.propagator import (CauchyData, KGPropagator, Projection,
+                                SourceTerm, TruncationSpec, TruncationWarning,
                                 enumerate_beta)
 
 
@@ -303,6 +304,78 @@ class TestDuhamelMoments:
         assert math.sqrt(prop.omega((prop.betas[2], 1))) * (
             times[1] - times[0]) < 0.1
         self._check(prop, times, 2.2)
+
+
+def _assert_same_sample(a, b):
+    """Two FieldSamples agree bitwise."""
+    assert (a.t, a.tail_norm) == (b.t, b.tail_norm)
+    assert a.coefficients.entries == b.coefficients.entries
+    assert a.velocity.entries == b.velocity.entries
+    assert a.per_mode_energy == b.per_mode_energy
+    assert (a.values is None) == (b.values is None)
+    assert (a.values or {}).keys() == (b.values or {}).keys()
+    for sec, arr in (a.values or {}).items():
+        assert np.array_equal(arr, b.values[sec])
+
+
+class TestProjection:
+    """One projection serves every evolution, bitwise as the CauchyData."""
+
+    @pytest.fixture()
+    def grid_data(self, prop):
+        # two modes of one sector, plus grid noise whose tail is warned of
+        coeffs = SpectralCoefficients({(prop.betas[0], 1): 0.6 + 0.2j,
+                                       (prop.betas[1], 0): -0.3j})
+        grids = synthesize(coeffs, prop.table)
+        rng = np.random.default_rng(12)
+        noisy = {sec: arr + rng.normal(size=arr.shape)
+                 for sec, arr in grids.items()}
+        return CauchyData(grids, noisy)
+
+    @pytest.mark.parametrize("kind", ["spectral", "gridded"])
+    def test_projection_evolves_as_data(self, prop, random_data, grid_data,
+                                        kind):
+        data = random_data if kind == "spectral" else grid_data
+        src = _random_source(prop, np.random.default_rng(33),
+                             np.linspace(-3.0, 3.0, 7))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            proj = prop.project(data)
+            assert proj.gridded == (kind == "gridded")
+            for t in (0.0, 1.3, -2.5):
+                _assert_same_sample(prop.evolve(proj, t), prop.evolve(data, t))
+                _assert_same_sample(
+                    prop.evolve_inhomogeneous(proj, src, t),
+                    prop.evolve_inhomogeneous(data, src, t))
+            assert prop.mode_energy(proj) == prop.mode_energy(data)
+            assert (prop.check_reflection(proj, 2.6)
+                    == prop.check_reflection(data, 2.6))
+
+    def test_tail_warned_once_per_projection(self, prop, grid_data):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            proj = prop.project(grid_data)
+            for t in (0.0, 1.0, -2.5):
+                prop.evolve(proj, t, synthesize_values=False)
+        assert [w.category for w in caught] == [TruncationWarning]
+        assert isinstance(proj, Projection) and proj.tail > 0.0
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 1e308])
+    def test_time_refused(self, prop, random_data, t):
+        src = SourceTerm([-1.0, 1.0], [SpectralCoefficients()] * 2)
+        for call in (lambda: prop.evolve(random_data, t),
+                     lambda: prop.evolve_inhomogeneous(random_data, src, t),
+                     lambda: prop.check_reflection(random_data, t)):
+            with pytest.raises(OutOfRange, match=re.escape(f"t = {t!r}:")):
+                call()
+
+    @pytest.mark.parametrize("times", [[math.inf], [0.0, math.nan],
+                                       [-math.inf, 0.0]])
+    def test_source_stamps_refused(self, times):
+        with pytest.raises(SourceCoverage, match="must be finite"):
+            SourceTerm(times, [SpectralCoefficients()] * len(times))
 
 
 class TestValidation:
