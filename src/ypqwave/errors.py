@@ -30,7 +30,8 @@ class QuadratureUnderflow(YpqError):
 
 
 class NotConverged(YpqError):
-    """Eigenvalues still moving under basis refinement."""
+    """Eigenvalues still moving under basis refinement, or a shooting
+    series that cannot step."""
 
 
 class BracketError(YpqError):

@@ -10,31 +10,44 @@ with polynomial coefficients,
 
 with A2 = a - y^2, C3 = a - 3y^2 + 2y^3, mu = sigma l / tau and
 pol = 12 m A2 + mu (a - 2y + y^2).  P, Q and R = R0 + ell R1 are kept as
-plain ascending coefficient arrays and evaluated by Horner.  Both
-interval endpoints are regular singular points (C3 has simple zeros
-there), so power series u = dist^nu * sum a_k dist^k launched from each
-endpoint converge on a neighbourhood; the series recursion below uses
-the exact shifted polynomial coefficients and truncates when terms drop
-below 1e-16 relative.  The series are launched a distance d0 inside
-each endpoint, the same distance from the midpoint, so both local
-solutions are carried to it in one state (u_L, u_L', u_R, u_R') over a
-common parameter s, y = y_minus + d0 + s on the left and
-y = y_plus - d0 - s on the right, by one adaptive DOP853 integration; an
-eigenvalue is a zero of their Wronskian mismatch.  Nothing here shares
-code with the Galerkin path.
+plain ascending coefficient arrays.  The ODE is singular only at the five
+zeros of P: y_minus, y_plus, y_third and +-sqrt(a).
+
+One recurrence builds every series.  Around y0, with y = y0 + delta w,
+the rows become polynomials p, q, r in w (of P, delta Q and delta^2 R),
+and u = w^nu sum_k t_k w^k solves the ODE when, for every n,
+
+    sum_k t_k [p_{n-k} (nu+k)(nu+k-1) + q_{n-1-k} (nu+k) + r_{n-2-k}] = 0,
+
+a banded lower-triangular system solved by forward substitution.  At an
+endpoint, a regular singular point where P has a double zero, this is the
+Frobenius series with nu the characteristic exponent and t_0 = 1.  At an
+interior point nu = 0, and t_0 = u, t_1 = delta u' come from the state.
+
+Each half-solution starts as the Frobenius series at distance d0 inside
+its endpoint and is continued by steps to the midpoint.  A step starts at
+|delta| = min(rho/2, distance left), rho the distance to the nearest zero
+of P, and halves while its 80 terms miss 1e-16 relative or its largest
+term exceeds 100 times |u| + |du/dw| (cancellation, at large ell); the
+launch distance halves by the same rule.  A step that halves below 1e-6
+of the interval, or a non-finite mismatch, raises NotConverged naming
+(p, q, m, l, Lambda) and ell.  Each half is renormalized after every
+step, and an eigenvalue is a zero of the Wronskian mismatch of the two
+normalized halves at the midpoint.  Nothing here shares code with the
+Galerkin path.
 """
 
 from __future__ import annotations
 
 import math
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 from numpy.polynomial import polynomial as npp
-from scipy.integrate import solve_ivp
+from scipy.linalg.lapack import dtbtrs
 from scipy.optimize import brentq
 
-from .errors import BracketError
+from .errors import BracketError, NotConverged, OutOfRange
 from .radial import RadialProblem
 
 __all__ = ["shooting_matcher", "shooting_oracle", "shooting_spectrum"]
@@ -43,12 +56,23 @@ __all__ = ["shooting_matcher", "shooting_oracle", "shooting_spectrum"]
 # stay visible to the oscillation counter, large enough for fast series
 _LAUNCH_FRACTION = 0.02
 _SERIES_TOL = 1e-16
-_SERIES_MAX = 400
+_SERIES_TERMS = 80     # term budget of every series
+_STEP_FRACTION = 0.5   # of the distance to the nearest zero of P
+_STEP_FLOOR = 1e-6     # smallest step, relative to the interval
+_CANCELLATION = 100.0  # largest term over |u| + |du/dw| a step accepts
+
+_DEGREE = 8            # of P; the rows of Q and R are padded to it
+_POWERS = np.arange(_DEGREE + 1)
+_BINOM = np.array([[math.comb(k, i) for i in _POWERS] for k in _POWERS],
+                  dtype=float)
+_GAP = np.maximum(_POWERS[:, None] - _POWERS[None, :], 0)
 
 
+@lru_cache(maxsize=64)
 def _ode_coeffs(prob: RadialProblem) -> np.ndarray:
     """Rows P, Q, R0, R1 of ascending coefficients, R = R0 + ell R1,
-    zero-padded to the length of P (degree 8)."""
+    zero-padded to the length of P (degree 8); read-only, built once per
+    problem."""
     a = prob.gp.a
     mu = prob.alpha_freq
     a2 = np.array([a, 0.0, -1.0])
@@ -66,70 +90,141 @@ def _ode_coeffs(prob: RadialProblem) -> np.ndarray:
     out = np.zeros((4, len(rows[0])))
     for row, c in zip(out, rows):
         row[:len(c)] = c
+    out.setflags(write=False)
     return out
 
 
-def _horner_pqr(desc: list, y: float) -> tuple[float, float, float]:
-    """P(y), Q(y), R(y) by Horner from (p, q, r) coefficient triples in
-    descending order (Python floats)."""
-    pv = qv = rv = 0.0
-    for pc, qc, rc in desc:
-        pv = pv * y + pc
-        qv = qv * y + qc
-        rv = rv * y + rc
-    return pv, qv, rv
+def _shifted(pqr: np.ndarray, y0: float, delta: float) -> np.ndarray:
+    """Rows p, q, r of ascending coefficients in w, at y = y0 + delta w,
+    of P, delta Q and delta^2 R: the ODE reads p u_ww + q u_w + r u = 0."""
+    rows = pqr @ (_BINOM * (y0 ** _POWERS)[_GAP]) * delta ** _POWERS
+    rows[1] *= delta
+    rows[2] *= delta * delta
+    return rows
 
 
-def _frobenius_state(prob: RadialProblem, pqr: np.ndarray, endpoint: int,
-                     dist: float) -> np.ndarray:
-    """(u, du/dy)/dist^nu at distance `dist` inside the interval from the
-    chosen endpoint (-1 for y_minus, +1 for y_plus); `pqr` holds the
-    ascending coefficient rows P, Q, R."""
+def _series(rows: np.ndarray, nu: float, lead: int, head: list) -> np.ndarray:
+    """Coefficients t_0 .. t_{N-1} of u = w^nu sum_k t_k w^k, N the term
+    budget, from the leading ones in `head`: the recurrence of the module
+    docstring by forward substitution.  `lead` is the order of the zero
+    of p at w = 0 (2 at an endpoint, 0 at a regular point)."""
+    k = nu + np.arange(_SERIES_TERMS)
+    # two leading zeros stand for q_{-1}, r_{-2} and r_{-1}
+    ext = np.zeros((3, _DEGREE + 3))
+    ext[:, 2:] = rows
+    top = _DEGREE + 1
+    # band[d, k] multiplies t_k in the equation for t_{k+d}
+    band = (ext[0, lead + 2:top + 2, None] * (k * (k - 1.0))
+            + ext[1, lead + 1:top + 1, None] * k
+            + ext[2, lead:top, None])
+    n_head = len(head)
+    rhs = np.zeros(_SERIES_TERMS - n_head)
+    for i, t in enumerate(head):
+        col = band[n_head - i:n_head - i + len(rhs), i]
+        rhs[:len(col)] -= col * t
+    tail, info = dtbtrs(band[:, n_head:], rhs[:, None], uplo="L")
+    if info != 0:  # a zero diagonal: no series here
+        return np.full(_SERIES_TERMS, np.nan)
+    return np.concatenate([head, tail[:, 0]])
+
+
+def _end_state(t: np.ndarray, nu: float):
+    """u and du/dw at w = 1, or None when the series misses _SERIES_TOL
+    within its budget, loses more than two digits to cancellation, or
+    ends at a zero or non-finite state."""
+    value = t.sum()
+    slope = ((nu + np.arange(len(t))) * t).sum()
+    size = abs(value) + abs(slope)
+    big = np.abs(t)
+    # the recurrence carries on from its last _DEGREE terms alone
+    if (0.0 < size < math.inf and big[-_DEGREE:].max() <= _SERIES_TOL * size
+            and big.max() <= _CANCELLATION * size):
+        return float(value), float(slope)
+    return None
+
+
+def _step(make, h: float, nu: float, floor: float, y0: float):
+    """Halve h until the series make(h) from y0 passes `_end_state`;
+    returns h, the series and its end state, or raises NotConverged
+    below floor."""
+    while True:
+        t = make(h)
+        state = _end_state(t, nu)
+        if state is not None:
+            return h, t, state
+        h *= 0.5
+        if h < floor:
+            raise NotConverged(f"no series step from y = {y0} converges")
+
+
+def _normalized(u: float, du: float, log_scale: float, y: float):
+    """(u, du) / |(u, du)| and log_scale plus the log of the norm."""
+    norm = math.hypot(u, du)
+    if not 0.0 < norm < math.inf:
+        raise NotConverged(f"the solution leaves the double range at y = {y}")
+    return u / norm, du / norm, log_scale + math.log(norm)
+
+
+def _half(prob: RadialProblem, pqr: np.ndarray, endpoint: int, nodes):
+    """Carry the Frobenius solution of `endpoint` (-1 for y_minus, +1 for
+    y_plus) to the midpoint.
+
+    Returns the normalized (u, du/dy) at the midpoint and, when `nodes`
+    (distances from the launch point d0 inside the endpoint) is given, u
+    at those points on the same normalization.
+    """
     gp = prob.gp
     if endpoint == -1:
-        y0, sgn, nu = gp.y_minus, 1.0, prob.nu_minus
+        y_end, nu, sgn = gp.y_minus, prob.nu_minus, 1.0
     else:
-        y0, sgn, nu = gp.y_plus, -1.0, prob.nu_plus
-    # coefficients in z of each row at y = y0 + sgn z, by Horner:
-    # shifted <- shifted * (y0 + sgn z) + c_k from the top degree down
-    shifted = np.zeros_like(pqr)
-    for col in pqr.T[::-1]:
-        nxt = y0 * shifted
-        nxt[:, 1:] += sgn * shifted[:, :-1]
-        nxt[:, 0] += col
-        shifted = nxt
-    shifted[1] *= sgn  # Q multiplies d/dy = sgn d/dz
-    pz, qz, rz = shifted.tolist()
+        y_end, nu, sgn = gp.y_plus, prob.nu_plus, -1.0
+    length = gp.y_plus - gp.y_minus
+    floor = _STEP_FLOOR * length
+    mid = 0.5 * (gp.y_minus + gp.y_plus)
+    root_a = math.sqrt(gp.a)
+    zeros = (gp.y_minus, gp.y_plus, gp.y_third, root_a, -root_a)
+    d0 = _LAUNCH_FRACTION * length
+    # the Frobenius series reaches d0 unless ell is large; steps carry on
+    # from wherever it stops
+    dist, _, (u, du) = _step(
+        lambda h: _series(_shifted(pqr, y_end, sgn * h), nu, 2, [1.0]),
+        d0, nu, floor, y_end)
+    y = y_end + sgn * dist
+    u, du, log_scale = _normalized(u, du / (sgn * dist), 0.0, y)
+    y_launch = y_end + sgn * d0
+    pieces = []
+    while y != mid:
+        left = mid - y
 
-    def indicial(x: float) -> float:
-        return pz[2] * x * (x - 1.0) + qz[1] * x + rz[0]
+        def signed(h):  # the last step lands on the midpoint exactly
+            return math.copysign(h, left) if h < abs(left) else left
 
-    coeffs = [1.0]
-    s0 = 1.0
-    s1 = nu
-    for s in range(1, _SERIES_MAX):
-        acc = 0.0
-        for k in range(max(0, s - 6), s):
-            acc += coeffs[k] * (pz[s + 2 - k] * (nu + k) * (nu + k - 1.0)
-                                + qz[s + 1 - k] * (nu + k) + rz[s - k])
-        a_s = -acc / indicial(nu + s)
-        coeffs.append(a_s)
-        term = a_s * dist ** s
-        s0 += term
-        s1 += (nu + s) * term
-        if abs(term) < _SERIES_TOL * (abs(s0) + 1e-300) and s > 8:
-            break
-    # u = dist^nu * s0; du/dzeta = dist^(nu-1) * s1; du/dy = sgn du/dzeta
-    return np.array([s0, sgn * s1 / dist])
+        h, t, (value, slope) = _step(
+            lambda h: _series(_shifted(pqr, y, signed(h)), 0.0, 0,
+                              [u, signed(h) * du]),
+            min(_STEP_FRACTION * min(abs(z - y) for z in zeros), abs(left)),
+            0.0, floor, y)
+        delta = signed(h)
+        if nodes is not None:
+            pieces.append((sgn * (y - y_launch), h, t, log_scale))
+        y = mid if delta == left else y + delta
+        u, du, log_scale = _normalized(value, slope / delta, log_scale, y)
+    if nodes is None:
+        return u, du
+    starts, widths, coeffs, logs = (np.array(c) for c in zip(*pieces))
+    idx = np.searchsorted(starts, nodes, side="right") - 1
+    vals = npp.polyval((nodes - starts[idx]) / widths[idx], coeffs[idx].T,
+                       tensor=False)
+    return u, du, vals * np.exp(logs[idx] - log_scale)
 
 
 def shooting_matcher(prob: RadialProblem, ell: float,
                      return_paths: bool = False):
     """Wronskian mismatch of the two endpoint solutions at the midpoint.
 
-    Zero exactly at eigenvalues of -S.  With return_paths=True the dense
-    sample values of both half-solutions are returned as well (used for
-    oscillation counting).
+    Zero exactly at eigenvalues of -S.  With return_paths=True the
+    values of both half-solutions at 400 points are returned as well
+    (used for oscillation counting).
     """
     if not math.isfinite(ell):
         raise BracketError(f"ell must be finite, got {ell}")
@@ -137,36 +232,23 @@ def shooting_matcher(prob: RadialProblem, ell: float,
     d0 = _LAUNCH_FRACTION * (gp.y_plus - gp.y_minus)
     y_lo = gp.y_minus + d0
     y_hi = gp.y_plus - d0
-    span = 0.5 * (gp.y_minus + gp.y_plus) - y_lo
+    nodes = (np.linspace(0.0, 0.5 * (gp.y_minus + gp.y_plus) - y_lo, 400)
+             if return_paths else None)
     p, q, r0, r1 = _ode_coeffs(prob)
     pqr = np.array([p, q, r0 + ell * r1])
-    desc = list(zip(*pqr[:, ::-1].tolist()))
-
-    def rhs(s, state):
-        ul, dul, ur, dur = state.tolist()
-        pl, ql, rl = _horner_pqr(desc, y_lo + s)
-        pr, qr, rr = _horner_pqr(desc, y_hi - s)
-        # the right half runs towards smaller y: d/ds = -d/dy
-        return [dul, -(ql * dul + rl * ul) / pl,
-                -dur, (qr * dur + rr * ur) / pr]
-
-    launch = [_frobenius_state(prob, pqr, endpoint, d0)
-              for endpoint in (-1, 1)]
-    state0 = np.concatenate([s0 / np.hypot(*s0) for s0 in launch])
-    sol = solve_ivp(rhs, (0.0, span), state0, method="DOP853",
-                    rtol=1e-12, atol=1e-14, dense_output=return_paths)
-    if not sol.success:  # pragma: no cover - smooth interior ODE
-        raise BracketError(f"integration failed: {sol.message}")
-    scale_l = np.hypot(*sol.y[:2, -1])
-    scale_r = np.hypot(*sol.y[2:, -1])
-    ul, dul = sol.y[:2, -1] / scale_l
-    ur, dur = sol.y[2:, -1] / scale_r
-    mism = ul * dur - dul * ur
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            left = _half(prob, pqr, -1, nodes)
+            right = _half(prob, pqr, 1, nodes)
+        mism = left[0] * right[1] - left[1] * right[0]
+        if not math.isfinite(mism):
+            raise NotConverged("non-finite Wronskian mismatch")
+    except NotConverged as exc:
+        labels = (gp.p, gp.q, prob.m, prob.l, prob.lambda_cap)
+        raise NotConverged(f"{exc} for (p, q, m, l, Lambda) = {labels}, "
+                           f"ell = {ell}") from None
     if return_paths:
-        ss = np.linspace(0.0, span, 400)
-        vals = sol.sol(ss)
-        return mism, [(y_lo + ss, vals[0] / scale_l),
-                      (y_hi - ss, vals[2] / scale_r)]
+        return mism, [(y_lo + nodes, left[2]), (y_hi - nodes, right[2])]
     return mism
 
 
@@ -205,6 +287,10 @@ def shooting_spectrum(prob: RadialProblem, k_max: int,
     """First k_max+1 eigenvalues by scanning the matcher, with no input
     from the Galerkin side.  Expands and densifies the scan until the
     oscillation counts come out as 0, 1, ..., k_max."""
+    if k_max < 0:
+        raise OutOfRange(f"k_max must be non-negative, got {k_max}")
+    if not (math.isfinite(ell_hi) and ell_hi > 0.0):
+        raise OutOfRange(f"ell_hi must be finite and positive, got {ell_hi}")
     n_scan = 24 * (k_max + 2)
     for _ in range(10):
         grid = np.linspace(0.0, ell_hi, n_scan)

@@ -2,17 +2,21 @@
 endpoint exponents, spectral structure."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
+from numpy.polynomial import polynomial as npp
 from scipy.integrate import solve_ivp
 from scipy.linalg import LinAlgError
 
 from ypqwave import radial, shooting
 from ypqwave.angular import angular_eigenvalue
 from ypqwave.cli import run
-from ypqwave.errors import BracketError, EigenFailure, OutOfRange
+from ypqwave.errors import (BracketError, EigenFailure, NotConverged,
+                            OutOfRange)
+from ypqwave.geometry import solve_geometry
 from ypqwave.radial import (assemble_galerkin, char_exponents, radial_problem,
                             solve_radial)
 from ypqwave.shooting import (shooting_matcher, shooting_oracle,
@@ -257,43 +261,127 @@ class TestShooting:
                                              (2, 3, 1, 0, 8.0),
                                              (3, 4, 2, -1, 6.0)])
     def test_ode_coefficients(self, request, p, q, m, l, lam):
-        # the module docstring's formulas, built here with Polynomial
         gp = request.getfixturevalue(f"gp{p}{q}")
         prob = radial_problem(gp, m, l, lam)
-        a, mu = gp.a, prob.alpha_freq
-        a2 = Polynomial([a, 0.0, -1.0])
-        c3 = Polynomial([a, 0.0, -3.0, 2.0])
-        one_my = Polynomial([1.0, -1.0])
-        pol = 12.0 * m * a2 + mu * Polynomial([a, -2.0, 1.0])
-        p_ref = 72.0 * a2 * c3 ** 2
-        q_ref = 72.0 * a2 * c3 * c3.deriv()
         ys = np.linspace(gp.y_minus, gp.y_plus, 9)[1:-1]
         p_c, q_c, r0_c, r1_c = shooting._ode_coeffs(prob)
         for ell in (-2.0, 0.0, 3.5, 60.0):
-            r_ref = (36.0 * ell * one_my * a2 * c3 - 216.0 * lam * a2 * c3
-                     - 18.0 * mu ** 2 * one_my ** 2 * c3
-                     - 9.0 * one_my * pol ** 2)
-            desc = list(zip(*np.array([p_c, q_c, r0_c + ell * r1_c])
-                            [:, ::-1].tolist()))
+            refs = _docstring_rows(prob, ell)
             for y in ys:
-                got = shooting._horner_pqr(desc, float(y))
-                for g, ref in zip(got, (p_ref, q_ref, r_ref)):
+                got = npp.polyval(y, np.array([p_c, q_c, r0_c + ell * r1_c]).T)
+                for g, ref in zip(got, refs):
                     # relative to sum |c_k| |y|^k, the size of the terms
                     scale = Polynomial(np.abs(ref.coef))(abs(y))
                     assert abs(g - ref(y)) <= 1e-13 * scale
 
-    @pytest.mark.parametrize("return_paths", [False, True])
-    def test_one_solve_per_matcher_call(self, gp23, monkeypatch, return_paths):
-        calls = []
+    @pytest.mark.parametrize("p,q,m,l,lam", [(2, 3, 1, 0, 8.0),
+                                             (2, 3, 0, 1, 0.0),
+                                             (3, 4, 2, -1, 6.0),
+                                             (3, 4, 1, 1, 2.0)])
+    def test_matcher_matches_dop853_reference(self, request, p, q, m, l, lam):
+        prob = radial_problem(request.getfixturevalue(f"gp{p}{q}"), m, l, lam)
+        for ell in (0.5, 7.0, 40.0, 200.0):
+            mism, paths = shooting_matcher(prob, ell, return_paths=True)
+            ref_mism, ref_paths = _reference_matcher(prob, ell)
+            assert shooting_matcher(prob, ell) == mism
+            assert abs(mism - ref_mism) < 1e-10
+            for (y, vals), (ref_y, ref_vals) in zip(paths, ref_paths):
+                assert np.array_equal(y, ref_y)
+                assert (np.abs(vals - ref_vals).max()
+                        < 1e-10 * np.abs(ref_vals).max())
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return solve_ivp(*args, **kwargs)
+    @pytest.mark.parametrize("terms,floor", [(8, 1e-6), (20, 0.02)])
+    def test_series_failure_is_loud(self, gp23, monkeypatch, terms, floor):
+        # 8 terms cannot launch the Frobenius series; 20 launch it but the
+        # first shortened interior step falls below the raised floor
+        monkeypatch.setattr(shooting, "_SERIES_TERMS", terms)
+        monkeypatch.setattr(shooting, "_STEP_FLOOR", floor)
+        prob = radial_problem(gp23, 1, 0, 8.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotConverged,
+                               match=r"\(2, 3, 1, 0, 8\.0\), ell = 20\.0"):
+                shooting_matcher(prob, 20.0)
 
-        monkeypatch.setattr(shooting, "solve_ivp", counting)
-        prob = radial_problem(gp23, 0, 1, 0.0)
-        out = shooting_matcher(prob, 5.0, return_paths=return_paths)
-        assert len(calls) == 1
-        if return_paths:
-            _, paths = out
-            assert len(paths) == 2
+    @pytest.mark.parametrize("p,q,m,l", [(5, 7, 0, 1), (5, 7, 0, -1),
+                                         (5, 9, 0, 1)])
+    def test_large_exponent_reach(self, monkeypatch, p, q, m, l):
+        # nu up to 367.5 at ell = 1000: finite, quiet and step-independent
+        prob = radial_problem(solve_geometry(p, q), m, l, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coarse = shooting_matcher(prob, 1000.0)
+            monkeypatch.setattr(shooting, "_STEP_FRACTION",
+                                0.5 * shooting._STEP_FRACTION)
+            fine = shooting_matcher(prob, 1000.0)
+        assert math.isfinite(coarse)
+        assert abs(fine - coarse) < 1e-10
+
+    @pytest.mark.parametrize("kwargs,name", [({"k_max": -1}, "k_max"),
+                                             ({"ell_hi": 0.0}, "ell_hi"),
+                                             ({"ell_hi": -5.0}, "ell_hi"),
+                                             ({"ell_hi": math.nan}, "ell_hi"),
+                                             ({"ell_hi": math.inf}, "ell_hi")])
+    def test_spectrum_refuses_hopeless_scan(self, gp23, monkeypatch, kwargs,
+                                            name):
+        def no_matcher(*args, **kw):
+            raise AssertionError("the scan must not start")
+
+        monkeypatch.setattr(shooting, "shooting_matcher", no_matcher)
+        prob = radial_problem(gp23, 1, 0, 0.0)
+        with pytest.raises(OutOfRange, match=name):
+            shooting_spectrum(prob, **{"k_max": 2, **kwargs})
+
+
+def _docstring_rows(prob, ell):
+    """P, Q and R of the shooting module docstring, built with Polynomial."""
+    a, mu, m = prob.gp.a, prob.alpha_freq, prob.m
+    a2 = Polynomial([a, 0.0, -1.0])
+    c3 = Polynomial([a, 0.0, -3.0, 2.0])
+    one_my = Polynomial([1.0, -1.0])
+    pol = 12.0 * m * a2 + mu * Polynomial([a, -2.0, 1.0])
+    return (72.0 * a2 * c3 ** 2, 72.0 * a2 * c3 * c3.deriv(),
+            36.0 * ell * one_my * a2 * c3 - 216.0 * prob.lambda_cap * a2 * c3
+            - 18.0 * mu ** 2 * one_my ** 2 * c3 - 9.0 * one_my * pol ** 2)
+
+
+def _reference_matcher(prob, ell):
+    """`shooting_matcher(prob, ell, return_paths=True)` from the docstring
+    ODE: a plain Frobenius recurrence launches each half 0.02 of the
+    interval inside its endpoint, and DOP853 at rtol 1e-13 carries it to
+    the midpoint."""
+    gp = prob.gp
+    rows = _docstring_rows(prob, ell)
+    d0 = 0.02 * (gp.y_plus - gp.y_minus)
+    mid = 0.5 * (gp.y_minus + gp.y_plus)
+    nodes = np.linspace(0.0, mid - gp.y_minus - d0, 400)
+    ends, paths = [], []
+    for y_end, nu, sgn in ((gp.y_minus, prob.nu_minus, 1.0),
+                           (gp.y_plus, prob.nu_plus, -1.0)):
+        # coefficients in z = sgn (y - y_end); d/dy = sgn d/dz
+        z = Polynomial([y_end, sgn])
+        pz, qz, rz = (np.pad(c(z).coef, (0, 80)) for c in
+                      (rows[0], sgn * rows[1], rows[2]))
+        coef = [1.0]
+        for s in range(1, 60):
+            acc = sum(coef[k] * (pz[s + 2 - k] * (nu + k) * (nu + k - 1.0)
+                                 + qz[s + 1 - k] * (nu + k) + rz[s - k])
+                      for k in range(s))
+            x = nu + s
+            coef.append(-acc / (pz[2] * x * (x - 1.0) + qz[1] * x + rz[0]))
+        u0 = sum(c * d0 ** k for k, c in enumerate(coef))
+        du0 = sgn * sum((nu + k) * c * d0 ** (k - 1)
+                        for k, c in enumerate(coef))
+        p_c, q_c, r_c = (r.coef for r in rows)
+        sol = solve_ivp(
+            lambda y, v: [v[1], -(npp.polyval(y, q_c) * v[1]
+                                  + npp.polyval(y, r_c) * v[0])
+                          / npp.polyval(y, p_c)],
+            (y_end + sgn * d0, mid), [u0, du0], method="DOP853",
+            rtol=1e-13, atol=1e-15, dense_output=True)
+        scale = np.hypot(*sol.y[:, -1])
+        ends.append(sol.y[:, -1] / scale)
+        ys = (y_end + sgn * d0) + sgn * nodes
+        paths.append((ys, sol.sol(ys)[0] / scale))
+    (ul, dul), (ur, dur) = ends
+    return ul * dur - dul * ur, paths
