@@ -63,7 +63,7 @@ from .errors import FieldTooLarge, GridMismatch, IndexChainError, OutOfRange
 from .geometry import GeometryParams
 from .specfun import (assoc_legendre, envelope_jacobi_derivs, gauss_jacobi,
                       gegenbauer_scale, jacobi_poly_all, legendre_scale,
-                      rule_on_01, rule_on_interval)
+                      rule_on_interval)
 
 __all__ = ["ModeIndex", "AdSRadialMode", "SpectralCoefficients", "Sector",
            "SectorGrid", "s3_harmonic", "s3_harmonic_norm", "c_beta",
@@ -255,7 +255,7 @@ def ads_radial_mode(beta1: int, c: float, i: int) -> AdSRadialMode:
 def ads_gram(beta1: int, c: float, i_max: int) -> np.ndarray:
     """Gram of {f_i}_{i<=i_max} under d nu via the exact rule in
     xi = cos^2 x (weight xi^{beta1+1} (1-xi)^c)."""
-    xi, w = rule_on_01(beta1 + 1.0, c, i_max + 4)
+    xi, w = rule_on_interval(0.0, 1.0, beta1 + 1.0, c, i_max + 4)
     norms = np.array([ads_radial_mode(beta1, c, i).norm_const
                       for i in range(i_max + 1)])
     basis = norms[:, None] * jacobi_poly_all(beta1 + 1.0, c, i_max,
@@ -331,7 +331,7 @@ def sector_grid(gp: GeometryParams,
     nx, n1, n2, nth, ny = shape
     # x axis: int_0^{pi/2} F d nu = int_0^1 F(xi) xi (1-xi)^{-2} dxi;
     # admissible integrands decay at least like (1-xi)^2 there
-    xi, wxi = rule_on_01(1.0, 2.0, nx)
+    xi, wxi = rule_on_interval(0.0, 1.0, 1.0, 2.0, nx)
     x_nodes = np.arccos(np.sqrt(xi))
     x_weights = wxi / (1.0 - xi) ** 4
     # t1 integrands carry sin^{2 s2} x weight-halves: Chebyshev-2 rule

@@ -30,7 +30,7 @@ from .geometry import solve_geometry
 from .propagator import CauchyData, KGPropagator, TruncationSpec
 from .radial import radial_problem, solve_radial
 from .shooting import shooting_oracle
-from .specfun import jacobi_poly_all, rule_on_01
+from .specfun import jacobi_poly_all, rule_on_interval
 from .spectrum import TruncationPolicy, build_modes, enumerate_modes
 
 __all__ = ["run", "main"]
@@ -96,19 +96,27 @@ def _cmd_angular(args) -> int:
     return 0
 
 
+def _oracle_bracket(ells, i: int) -> tuple[float, float]:
+    """Bracket of the i-th of the ascending Galerkin eigenvalues `ells`,
+    reaching halfway to each neighbour; the lowest and the highest use
+    their one gap on both sides, and a lone eigenvalue a 3% pad."""
+    gaps = np.diff(ells) if len(ells) > 1 else [0.06 * max(1.0, abs(ells[0]))]
+    return (ells[i] - 0.5 * gaps[max(i - 1, 0)],
+            ells[i] + 0.5 * gaps[min(i, len(gaps) - 1)])
+
+
 def _cmd_radial(args) -> int:
     gp = solve_geometry(args.p, args.q)
     prob = radial_problem(gp, args.m, args.l, args.Lambda)
     modes = solve_radial(prob, args.kmax, max(args.nbasis, args.kmax + 8))
     print("# eigenvalues are ell of -S (the operator is nonpositive; "
           "its spectrum is -ell)", file=sys.stderr)
+    ells = [md.ell for md in modes]
     rows = []
-    for md in modes:
+    for i, md in enumerate(modes):
         row = [md.k, md.ell, md.grid_norm_residual]
         if args.oracle:
-            pad = 0.03 * max(1.0, abs(md.ell))
-            row.append(shooting_oracle(prob, (md.ell - pad, md.ell + pad),
-                                       md.k))
+            row.append(shooting_oracle(prob, _oracle_bracket(ells, i), md.k))
         rows.append(tuple(row))
     header = ("k", "ell", "norm_residual") + (("oracle_ell",) if args.oracle else ())
     _write_rows(rows, header, args.format)
@@ -129,7 +137,8 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_ads_modes(args) -> int:
-    xi, w = rule_on_01(args.beta1 + 1.0, args.c, args.imax + 6)
+    xi, w = rule_on_interval(0.0, 1.0, args.beta1 + 1.0, args.c,
+                             args.imax + 6)
     polys = jacobi_poly_all(args.beta1 + 1.0, args.c, args.imax,
                             1.0 - 2.0 * xi)
     rows = []

@@ -32,7 +32,7 @@ from .propagator import CauchyData, KGPropagator, SourceTerm, TruncationSpec
 from .radial import radial_problem, solve_radial
 from .shooting import shooting_oracle
 from .specfun import (gauss_jacobi, jacobi_norm_integral, jacobi_poly_all,
-                      rule_on_01)
+                      rule_on_interval)
 from .spectrum import (TruncationPolicy, build_modes, enumerate_modes,
                        basis_gram, laplacian_residual, random_points)
 
@@ -107,7 +107,7 @@ def _jacobi_moment(alpha: int, beta: int, k: int) -> Fraction:
 def check_jacobi_norms():
     worst = 0.0
     for (a, b, j) in [(0, 0, 0), (1, 1, 0), (2, 3, 4), (5, 2, 7)]:
-        z, w = rule_on_01(a, b, j + 6)
+        z, w = rule_on_interval(0.0, 1.0, a, b, j + 6)
         pj = jacobi_poly_all(a, b, j, 1.0 - 2.0 * z)[j]
         quad = float(np.dot(w, pj ** 2))
         closed = jacobi_norm_integral(a, b, j)

@@ -25,16 +25,24 @@ Frobenius series with nu the characteristic exponent and t_0 = 1.  At an
 interior point nu = 0, and t_0 = u, t_1 = delta u' come from the state.
 
 Each half-solution starts as the Frobenius series at distance d0 inside
-its endpoint and is continued by steps to the midpoint.  A step starts at
-|delta| = min(rho/2, distance left), rho the distance to the nearest zero
-of P, and halves while its 80 terms miss 1e-16 relative or its largest
-term exceeds 100 times |u| + |du/dw| (cancellation, at large ell); the
-launch distance halves by the same rule.  A step that halves below 1e-6
-of the interval, or a non-finite mismatch, raises NotConverged naming
-(p, q, m, l, Lambda) and ell.  Each half is renormalized after every
-step, and an eigenvalue is a zero of the Wronskian mismatch of the two
-normalized halves at the midpoint.  Nothing here shares code with the
-Galerkin path.
+its endpoint and is continued by steps to the match point
+
+    y* = (nu_minus y_plus + nu_plus y_minus) / (nu_minus + nu_plus),
+
+the peak of the endpoint envelope (y - y_minus)^nu_minus
+(y_plus - y)^nu_plus, clamped to a tenth of the interval inside each
+endpoint; y* is the midpoint when both exponents are 0.  A step starts
+at |delta| = min(rho/2, distance left), rho the distance to the nearest
+zero of P, and halves while its 80 terms miss 1e-16 relative or its
+largest term exceeds 100 times |u| + |du/dw| (cancellation, at large
+ell); the launch distance halves by the same rule.  A step that halves
+below 1e-6 of the interval raises NotConverged naming (p, q, m, l,
+Lambda) and ell.  Each half is renormalized after every step, and an
+eigenvalue is a zero of the Wronskian mismatch of the two normalized
+halves at y*.  The excitation number is the sum, over both halves, of
+the sign changes of every step's series at 65 points of the step: the
+renormalizations are positive, and y* is generically not a zero.
+Nothing here shares code with the Galerkin path.
 """
 
 from __future__ import annotations
@@ -52,14 +60,15 @@ from .radial import RadialProblem
 
 __all__ = ["shooting_matcher", "shooting_oracle", "shooting_spectrum"]
 
-# small enough that interior zeros of the first handful of excitations
-# stay visible to the oscillation counter, large enough for fast series
+# where the Frobenius series hands over to interior steps: the series
+# converges in few terms there, and its zeros are counted like a step's
 _LAUNCH_FRACTION = 0.02
 _SERIES_TOL = 1e-16
 _SERIES_TERMS = 80     # term budget of every series
 _STEP_FRACTION = 0.5   # of the distance to the nearest zero of P
 _STEP_FLOOR = 1e-6     # smallest step, relative to the interval
 _CANCELLATION = 100.0  # largest term over |u| + |du/dw| a step accepts
+_COUNT_POINTS = np.linspace(0.0, 1.0, 65)  # of a step, for the zero count
 
 _DEGREE = 8            # of P; the rows of Q and R are padded to it
 _POWERS = np.arange(_DEGREE + 1)
@@ -157,21 +166,32 @@ def _step(make, h: float, nu: float, floor: float, y0: float):
             raise NotConverged(f"no series step from y = {y0} converges")
 
 
-def _normalized(u: float, du: float, log_scale: float, y: float):
-    """(u, du) / |(u, du)| and log_scale plus the log of the norm."""
+def _normalized(u: float, du: float, y: float):
+    """(u, du) / |(u, du)|."""
     norm = math.hypot(u, du)
     if not 0.0 < norm < math.inf:
         raise NotConverged(f"the solution leaves the double range at y = {y}")
-    return u / norm, du / norm, log_scale + math.log(norm)
+    return u / norm, du / norm
 
 
-def _half(prob: RadialProblem, pqr: np.ndarray, endpoint: int, nodes):
+def _match_point(prob: RadialProblem) -> float:
+    """y* of the module docstring."""
+    gp, weight = prob.gp, prob.nu_minus + prob.nu_plus
+    if weight == 0.0:
+        return 0.5 * (gp.y_minus + gp.y_plus)
+    margin = 0.1 * (gp.y_plus - gp.y_minus)
+    y = (prob.nu_minus * gp.y_plus + prob.nu_plus * gp.y_minus) / weight
+    return min(max(y, gp.y_minus + margin), gp.y_plus - margin)
+
+
+def _half(prob: RadialProblem, pqr: np.ndarray, endpoint: int,
+          y_match: float):
     """Carry the Frobenius solution of `endpoint` (-1 for y_minus, +1 for
-    y_plus) to the midpoint.
+    y_plus) to y_match.
 
-    Returns the normalized (u, du/dy) at the midpoint and, when `nodes`
-    (distances from the launch point d0 inside the endpoint) is given, u
-    at those points on the same normalization.
+    Returns the normalized (u, du/dy) at y_match and the coefficients of
+    every step's series, the launch first: on each step u has the sign
+    of sum_k t_k w^k, w in [0, 1].
     """
     gp = prob.gp
     if endpoint == -1:
@@ -180,23 +200,20 @@ def _half(prob: RadialProblem, pqr: np.ndarray, endpoint: int, nodes):
         y_end, nu, sgn = gp.y_plus, prob.nu_plus, -1.0
     length = gp.y_plus - gp.y_minus
     floor = _STEP_FLOOR * length
-    mid = 0.5 * (gp.y_minus + gp.y_plus)
     root_a = math.sqrt(gp.a)
     zeros = (gp.y_minus, gp.y_plus, gp.y_third, root_a, -root_a)
-    d0 = _LAUNCH_FRACTION * length
     # the Frobenius series reaches d0 unless ell is large; steps carry on
     # from wherever it stops
-    dist, _, (u, du) = _step(
+    dist, t, (u, du) = _step(
         lambda h: _series(_shifted(pqr, y_end, sgn * h), nu, 2, [1.0]),
-        d0, nu, floor, y_end)
+        _LAUNCH_FRACTION * length, nu, floor, y_end)
     y = y_end + sgn * dist
-    u, du, log_scale = _normalized(u, du / (sgn * dist), 0.0, y)
-    y_launch = y_end + sgn * d0
-    pieces = []
-    while y != mid:
-        left = mid - y
+    u, du = _normalized(u, du / (sgn * dist), y)
+    steps = [t]
+    while y != y_match:
+        left = y_match - y
 
-        def signed(h):  # the last step lands on the midpoint exactly
+        def signed(h):  # the last step lands on y_match exactly
             return math.copysign(h, left) if h < abs(left) else left
 
         h, t, (value, slope) = _step(
@@ -205,63 +222,48 @@ def _half(prob: RadialProblem, pqr: np.ndarray, endpoint: int, nodes):
             min(_STEP_FRACTION * min(abs(z - y) for z in zeros), abs(left)),
             0.0, floor, y)
         delta = signed(h)
-        if nodes is not None:
-            pieces.append((sgn * (y - y_launch), h, t, log_scale))
-        y = mid if delta == left else y + delta
-        u, du, log_scale = _normalized(value, slope / delta, log_scale, y)
-    if nodes is None:
-        return u, du
-    starts, widths, coeffs, logs = (np.array(c) for c in zip(*pieces))
-    idx = np.searchsorted(starts, nodes, side="right") - 1
-    vals = npp.polyval((nodes - starts[idx]) / widths[idx], coeffs[idx].T,
-                       tensor=False)
-    return u, du, vals * np.exp(logs[idx] - log_scale)
+        steps.append(t)
+        y = y_match if delta == left else y + delta
+        u, du = _normalized(value, slope / delta, y)
+    return u, du, steps
 
 
-def shooting_matcher(prob: RadialProblem, ell: float,
-                     return_paths: bool = False):
-    """Wronskian mismatch of the two endpoint solutions at the midpoint.
-
-    Zero exactly at eigenvalues of -S.  With return_paths=True the
-    values of both half-solutions at 400 points are returned as well
-    (used for oscillation counting).
-    """
+def _halves(prob: RadialProblem, ell: float):
+    """`_half` from each endpoint at ell, left first; NotConverged names
+    the problem and ell."""
     if not math.isfinite(ell):
         raise BracketError(f"ell must be finite, got {ell}")
-    gp = prob.gp
-    d0 = _LAUNCH_FRACTION * (gp.y_plus - gp.y_minus)
-    y_lo = gp.y_minus + d0
-    y_hi = gp.y_plus - d0
-    nodes = (np.linspace(0.0, 0.5 * (gp.y_minus + gp.y_plus) - y_lo, 400)
-             if return_paths else None)
     p, q, r0, r1 = _ode_coeffs(prob)
     pqr = np.array([p, q, r0 + ell * r1])
+    y_match = _match_point(prob)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            left = _half(prob, pqr, -1, nodes)
-            right = _half(prob, pqr, 1, nodes)
-        mism = left[0] * right[1] - left[1] * right[0]
-        if not math.isfinite(mism):
-            raise NotConverged("non-finite Wronskian mismatch")
+            return (_half(prob, pqr, -1, y_match),
+                    _half(prob, pqr, 1, y_match))
     except NotConverged as exc:
+        gp = prob.gp
         labels = (gp.p, gp.q, prob.m, prob.l, prob.lambda_cap)
         raise NotConverged(f"{exc} for (p, q, m, l, Lambda) = {labels}, "
                            f"ell = {ell}") from None
-    if return_paths:
-        return mism, [(y_lo + nodes, left[2]), (y_hi - nodes, right[2])]
-    return mism
+
+
+def shooting_matcher(prob: RadialProblem, ell: float) -> float:
+    """Wronskian mismatch of the two endpoint solutions at the match
+    point; zero exactly at eigenvalues of -S."""
+    (ul, dul, _), (ur, dur, _) = _halves(prob, ell)
+    return ul * dur - dul * ur
 
 
 def _oscillation_count(prob: RadialProblem, ell: float) -> int:
-    """Interior zeros of the matched eigenfunction at an eigenvalue."""
-    _, paths = shooting_matcher(prob, ell, return_paths=True)
-    (yl, vl), (yr, vr) = paths
-    # match amplitudes at the midpoint and traverse left to right
-    if abs(vr[-1]) > 1e-13:
-        vr = vr * (vl[-1] / vr[-1])
-    seq = np.concatenate([vl, vr[::-1][1:]])
-    seq = seq[np.abs(seq) > 1e-11 * np.abs(seq).max()]
-    return int(np.sum(seq[1:] * seq[:-1] < 0.0))
+    """Interior zeros of the eigenfunction at an eigenvalue: the sign
+    changes of every step's series at _COUNT_POINTS points, summed."""
+    count = 0
+    for _, _, steps in _halves(prob, ell):
+        # one column of values per step
+        vals = (np.vander(_COUNT_POINTS, len(steps[0]), True)
+                @ np.transpose(steps))
+        count += int(np.sum(vals[1:] * vals[:-1] < 0.0))
+    return count
 
 
 def shooting_oracle(prob: RadialProblem, ell_guess_bracket: tuple[float, float],

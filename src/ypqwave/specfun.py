@@ -33,7 +33,6 @@ __all__ = [
     "assoc_legendre",
     "envelope_jacobi_derivs",
     "gauss_jacobi",
-    "rule_on_01",
     "rule_on_interval",
 ]
 
@@ -207,17 +206,6 @@ def gauss_jacobi(alpha: float, beta: float, n: int) -> QuadratureRule:
         raise EigenFailure(str(exc)) from exc
     weights = mu0 * vecs[0, :] ** 2
     return QuadratureRule(nodes=vals, weights=weights)
-
-
-def rule_on_01(a_exp: float, b_exp: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights with int_0^1 z^a (1-z)^b f(z) dz = sum w_i f(z_i).
-
-    The weight factors z^a and (1-z)^b are absorbed into the weights.
-    """
-    rule = gauss_jacobi(b_exp, a_exp, n)
-    z = 0.5 * (1.0 + rule.nodes)
-    w = rule.weights * 0.5 ** (a_exp + b_exp + 1.0)
-    return z, w
 
 
 def rule_on_interval(lo: float, hi: float, exp_lo: float, exp_hi: float,

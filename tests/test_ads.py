@@ -376,7 +376,7 @@ class TestSectorTransforms:
         def no_rule(*args):
             raise AssertionError("rule built for a refused grid")
 
-        for name in ("gauss_jacobi", "rule_on_01", "rule_on_interval"):
+        for name in ("gauss_jacobi", "rule_on_interval"):
             monkeypatch.setattr(ads, name, no_rule)
         with pytest.raises(FieldTooLarge, match=what):
             ads.sector_grid(gp23, shape)

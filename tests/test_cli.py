@@ -86,6 +86,22 @@ class TestTableCommands:
                 / max(1.0, float(row["ell"]))
             assert rel < 1e-6
 
+    @pytest.mark.parametrize("args", [
+        # several eigenvalues lie within 3% of each other up here
+        ("--p", "5", "--q", "9", "--m", "0", "--l", "1", "--Lambda", "0",
+         "--kmax", "2"),
+        # the kernel ell = 0 sits in a bracket from its upper gap alone
+        ("--p", "2", "--q", "3", "--m", "0", "--l", "0", "--Lambda", "0",
+         "--kmax", "2")])
+    def test_radial_oracle_brackets_from_neighbours(self, capsys, args):
+        assert run(["radial", *args, "--nbasis", "28", "--oracle"]) == 0
+        body = "\n".join(line for line in capsys.readouterr().out.splitlines()
+                         if not line.startswith("#"))
+        rows = list(csv.DictReader(io.StringIO(body)))
+        assert [row["k"] for row in rows] == ["0", "1", "2"]
+        for row in rows:
+            assert abs(float(row["oracle_ell"]) - float(row["ell"])) < 1e-6
+
     def test_radial_json_parses(self, capsys):
         assert run(["radial", "--p", "2", "--q", "3", "--m", "1", "--l", "0",
                     "--Lambda", "6", "--kmax", "2", "--nbasis", "24",

@@ -1,8 +1,10 @@
 """Radial eigensolver: Galerkin against the independent shooting oracle,
 endpoint exponents, spectral structure."""
 
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -274,21 +276,44 @@ class TestShooting:
                     scale = Polynomial(np.abs(ref.coef))(abs(y))
                     assert abs(g - ref(y)) <= 1e-13 * scale
 
-    @pytest.mark.parametrize("p,q,m,l,lam", [(2, 3, 1, 0, 8.0),
+    # (2, 3, 0, 0, 0) has 2 of its 15 zeros at ell = 1500 inside the
+    # launch distance
+    @pytest.mark.parametrize("p,q,m,l,lam", [(2, 3, 0, 0, 0.0),
+                                             (2, 3, 1, 0, 8.0),
                                              (2, 3, 0, 1, 0.0),
                                              (3, 4, 2, -1, 6.0),
                                              (3, 4, 1, 1, 2.0)])
     def test_matcher_matches_dop853_reference(self, request, p, q, m, l, lam):
         prob = radial_problem(request.getfixturevalue(f"gp{p}{q}"), m, l, lam)
-        for ell in (0.5, 7.0, 40.0, 200.0):
-            mism, paths = shooting_matcher(prob, ell, return_paths=True)
-            ref_mism, ref_paths = _reference_matcher(prob, ell)
-            assert shooting_matcher(prob, ell) == mism
-            assert abs(mism - ref_mism) < 1e-10
-            for (y, vals), (ref_y, ref_vals) in zip(paths, ref_paths):
-                assert np.array_equal(y, ref_y)
-                assert (np.abs(vals - ref_vals).max()
-                        < 1e-10 * np.abs(ref_vals).max())
+        for ell in (0.5, 7.0, 40.0, 200.0, 1500.0):
+            ref_mism, ref_count = _reference_matcher(prob, ell)
+            assert abs(shooting_matcher(prob, ell) - ref_mism) < 1e-10
+            assert shooting._oscillation_count(prob, ell) == ref_count
+
+    @pytest.mark.parametrize("p,q", [(5, 9), (6, 11)])
+    @pytest.mark.parametrize("l", [1, -1])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_large_exponent_excitations(self, p, q, l, k):
+        # nu up to 202.5: the eigenfunction is tiny at the midpoint, so
+        # the match and the count must happen near its peak
+        prob = radial_problem(solve_geometry(p, q), 0, l, 0.0)
+        md = solve_radial(prob, 2, 28)[k]
+        ell = shooting_oracle(prob, (0.995 * md.ell, 1.005 * md.ell), k)
+        assert ell == pytest.approx(md.ell, rel=1e-6)
+
+    def test_oracle_imports_no_galerkin_code(self):
+        tree = ast.parse(Path(shooting.__file__).read_text())
+        paths = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                base = (node.module or "").split(".")
+                paths += [(*base, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                paths += [tuple(alias.name.split(".")) for alias in node.names]
+        for path in paths:
+            assert "specfun" not in path and "spectrum" not in path, path
+            if "radial" in path:
+                assert path[-2:] == ("radial", "RadialProblem"), path
 
     @pytest.mark.parametrize("terms,floor", [(8, 1e-6), (20, 0.02)])
     def test_series_failure_is_loud(self, gp23, monkeypatch, terms, floor):
@@ -346,18 +371,24 @@ def _docstring_rows(prob, ell):
 
 
 def _reference_matcher(prob, ell):
-    """`shooting_matcher(prob, ell, return_paths=True)` from the docstring
-    ODE: a plain Frobenius recurrence launches each half 0.02 of the
-    interval inside its endpoint, and DOP853 at rtol 1e-13 carries it to
-    the midpoint."""
+    """The Wronskian mismatch and the zero count of the shooting module
+    from its docstring: a plain Frobenius recurrence launches each half
+    0.02 of the interval inside its endpoint, DOP853 at rtol 1e-13
+    carries it to the match point y*, and the zeros are the sign changes
+    of the launch series and of the dense output, 4000 points each."""
     gp = prob.gp
     rows = _docstring_rows(prob, ell)
     d0 = 0.02 * (gp.y_plus - gp.y_minus)
-    mid = 0.5 * (gp.y_minus + gp.y_plus)
-    nodes = np.linspace(0.0, mid - gp.y_minus - d0, 400)
-    ends, paths = [], []
-    for y_end, nu, sgn in ((gp.y_minus, prob.nu_minus, 1.0),
-                           (gp.y_plus, prob.nu_plus, -1.0)):
+    nu_lo, nu_hi = prob.nu_minus, prob.nu_plus
+    y_match = 0.5 * (gp.y_minus + gp.y_plus)
+    if nu_lo + nu_hi > 0.0:
+        margin = 0.1 * (gp.y_plus - gp.y_minus)
+        y_match = min(max((nu_lo * gp.y_plus + nu_hi * gp.y_minus)
+                          / (nu_lo + nu_hi), gp.y_minus + margin),
+                      gp.y_plus - margin)
+    ends, count = [], 0
+    for y_end, nu, sgn in ((gp.y_minus, nu_lo, 1.0),
+                           (gp.y_plus, nu_hi, -1.0)):
         # coefficients in z = sgn (y - y_end); d/dy = sgn d/dz
         z = Polynomial([y_end, sgn])
         pz, qz, rz = (np.pad(c(z).coef, (0, 80)) for c in
@@ -377,11 +408,13 @@ def _reference_matcher(prob, ell):
             lambda y, v: [v[1], -(npp.polyval(y, q_c) * v[1]
                                   + npp.polyval(y, r_c) * v[0])
                           / npp.polyval(y, p_c)],
-            (y_end + sgn * d0, mid), [u0, du0], method="DOP853",
+            (y_end + sgn * d0, y_match), [u0, du0], method="DOP853",
             rtol=1e-13, atol=1e-15, dense_output=True)
-        scale = np.hypot(*sol.y[:, -1])
-        ends.append(sol.y[:, -1] / scale)
-        ys = (y_end + sgn * d0) + sgn * nodes
-        paths.append((ys, sol.sol(ys)[0] / scale))
+        ends.append(sol.y[:, -1] / np.hypot(*sol.y[:, -1]))
+        # z^nu > 0: the launch series has the sign of its polynomial part
+        vals = np.concatenate([
+            npp.polyval(np.linspace(0.0, d0, 4000), coef),
+            sol.sol(np.linspace(y_end + sgn * d0, y_match, 4000))[0]])
+        count += int(np.sum(vals[1:] * vals[:-1] < 0.0))
     (ul, dul), (ur, dur) = ends
-    return ul * dur - dul * ur, paths
+    return ul * dur - dul * ur, count

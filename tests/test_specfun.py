@@ -12,7 +12,7 @@ from ypqwave.errors import DegreeOrderError
 from ypqwave.specfun import (assoc_legendre, envelope_jacobi_derivs,
                              gauss_jacobi, gegenbauer_scale, jacobi_deriv_all,
                              jacobi_norm_integral, jacobi_poly_all,
-                             legendre_scale, rule_on_01, rule_on_interval)
+                             legendre_scale, rule_on_interval)
 
 
 def jacobi_series(alpha, beta, j, x):
@@ -103,7 +103,7 @@ class TestNormIntegral:
                                                               rel=1e-14)
 
     def test_against_quadrature(self):
-        z, w = rule_on_01(2, 3, 12)
+        z, w = rule_on_interval(0.0, 1.0, 2, 3, 12)
         quad = float(np.dot(w, jacobi_poly_all(2, 3, 4, 1.0 - 2.0 * z)[4] ** 2))
         assert jacobi_norm_integral(2, 3, 4) == pytest.approx(quad, rel=1e-12)
 
