@@ -56,6 +56,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,11 +72,7 @@ __all__ = ["ModeIndex", "AdSRadialMode", "SpectralCoefficients", "Sector",
            "project_cauchy", "synthesize", "ModeTable"]
 
 
-@dataclass(frozen=True, order=True)
-class ModeIndex:
-    """Product-basis multi-index (s1, s2, s3, n, m, l, k, j) with the
-    harmonic chain s1 >= s2 >= |s3|."""
-
+class _Labels(NamedTuple):
     s1: int
     s2: int
     s3: int
@@ -85,25 +82,38 @@ class ModeIndex:
     k: int
     j: int
 
-    def __post_init__(self):
-        if self.s1 < 0 or self.s2 < 0 or self.k < 0 or self.j < 0:
+
+class ModeIndex(_Labels):
+    """Product-basis multi-index (s1, s2, s3, n, m, l, k, j) with the
+    harmonic chain s1 >= s2 >= |s3|: an immutable tuple of its eight
+    labels, validated on every construction (`_make` and `_replace`
+    included), that hashes, compares and sorts as that tuple, in C.  So
+    a plain 8-tuple equal to a valid beta is the same dict key."""
+
+    __slots__ = ()
+
+    def __new__(cls, s1, s2, s3, n, m, l, k, j):
+        if s1 < 0 or s2 < 0 or k < 0 or j < 0:
             raise IndexChainError("s1, s2, k, j must be nonnegative")
-        if not (self.s1 >= self.s2 >= abs(self.s3)):
+        if not (s1 >= s2 >= abs(s3)):
             raise IndexChainError(
-                f"need s1 >= s2 >= |s3|, got ({self.s1}, {self.s2}, {self.s3})")
+                f"need s1 >= s2 >= |s3|, got ({s1}, {s2}, {s3})")
+        return tuple.__new__(cls, (s1, s2, s3, n, m, l, k, j))
+
+    @classmethod
+    def _make(cls, iterable) -> "ModeIndex":
+        return cls(*iterable)
 
     @property
     def beta(self) -> tuple:
-        return (self.s1, self.s2, self.s3, self.n, self.m, self.l,
-                self.k, self.j)
+        return tuple(self)
 
     @property
     def sector(self) -> "Sector":
-        return Sector(self.s3, self.n, self.m, self.l)
+        return Sector._make(self[2:6])
 
 
-@dataclass(frozen=True, order=True)
-class Sector:
+class Sector(NamedTuple):
     """Phase labels shared by one separable data block."""
 
     s3: int
@@ -403,9 +413,9 @@ class ModeTable:
         Y^{p,q} mode (n, m, l, k, j) and (s1, c) in turn."""
         grid, memo = self.grid, self._factors
         s1, s2, s3 = beta.s1, beta.s2, beta.s3
-        y_key = (beta.n, beta.m, beta.l, beta.k, beta.j)
+        y_key = beta[3:]
         y_mode = self._y_modes[y_key]
-        c = c_beta(self.M, self.kappa, y_mode.lam)
+        c = self.c(beta)
         # keys of 3, 5 and 2 entries: the three kinds share one dict
         if (s1, s2, s3) not in memo:
             memo[s1, s2, s3] = (
@@ -430,24 +440,35 @@ class ModeTable:
         """The blocks of `betas` (distinct, all of one sector) stacked in
         the order of their index tuples, so that results do not depend on
         the order the betas come in; built on first use, cached."""
-        betas = tuple(sorted(betas, key=lambda beta: beta.beta))
+        betas = tuple(sorted(betas))
         if betas not in self._stacks:
             self._stacks[betas] = SectorStack(
-                betas, [self.block(beta) for beta in betas], self.grid)
+                betas, [self.block(beta) for beta in betas], self.grid,
+                [self.c(beta) for beta in betas])
         return self._stacks[betas]
+
+    def c(self, beta: ModeIndex) -> float:
+        """c of beta's x factor, from the Laplace eigenvalue of its
+        Y^{p,q} mode (n, m, l, k, j)."""
+        return c_beta(self.M, self.kappa, self._y_modes[beta[3:]].lam)
 
     def omega_table(self, betas) -> np.ndarray:
         """Omega_i = (2i + s1 + c + 2)^2 of every (beta, i), shaped
         (len(betas), i_max + 1) with rows in the order of `betas`: c is
         computed once per Y^{p,q} mode, the table in one broadcast
         expression."""
-        y_keys = [(b.n, b.m, b.l, b.k, b.j) for b in betas]
+        y_keys = [b[3:] for b in betas]
         c_of = {key: c_beta(self.M, self.kappa, self._y_modes[key].lam)
                 for key in dict.fromkeys(y_keys)}
         s1 = np.array([b.s1 for b in betas])[:, None]
         c = np.array([c_of[key] for key in y_keys])[:, None]
         i = np.arange(self.i_max + 1, dtype=float)
         return (2.0 * i + s1 + c + 2.0) ** 2
+
+
+# projection refuses an x-Gram whose condition number exceeds this: its
+# solve would lose more than half of the 16 digits of a double
+GRAM_COND_MAX = 1e8
 
 
 class SectorStack:
@@ -457,12 +478,15 @@ class SectorStack:
     * fmat (nb, i, x), t12 (nb, t1*t2) = t1 vec (x) t2 vec and
       ang (nb, theta*y) = theta vec (x) y vec for synthesis;
     * the same with the quadrature weights folded in (wfmat, wt12,
-      wang) and the discrete x-Grams (nb, i, i) for projection.
+      wang) and the discrete x-Grams (nb, i, i) for projection, with
+      the c of each beta to name an x-Gram that projection refuses.
     """
 
-    def __init__(self, betas: tuple, blocks: list, grid: SectorGrid):
+    def __init__(self, betas: tuple, blocks: list, grid: SectorGrid,
+                 cs: list):
         self.grid = grid
         self.betas = betas
+        self.cs = cs
         self.rows = {beta: r for r, beta in enumerate(betas)}
         vec1, vec2, vecth, vecy, fmat, gram = (
             np.stack(factor) for factor in zip(*blocks))
@@ -479,6 +503,11 @@ class SectorStack:
         self.wang = outer(vecth * grid.th_weights, vecy * grid.y_weights)
         self.gram = gram
 
+    @functools.cached_property
+    def cond(self) -> np.ndarray:
+        """Condition number of each beta's x-Gram."""
+        return np.linalg.cond(self.gram)
+
     def synthesize(self, amps: np.ndarray) -> np.ndarray:
         """Sector array of sum_b,i amps[b, i] f_i (x) t12_b (x) ang_b:
         the x profiles times t12 as an (nb, x*t1*t2) matrix, against
@@ -490,8 +519,16 @@ class SectorStack:
 
     def project(self, arr: np.ndarray) -> np.ndarray:
         """(nb, i) coefficients of a sector array: the transposed
-        contraction of `synthesize`, refined by the x-Gram solves."""
+        contraction of `synthesize`, refined by the x-Gram solves;
+        OutOfRange when an x-Gram's condition number exceeds
+        GRAM_COND_MAX (the x rule does not resolve that beta's modes)."""
         nx, n1, n2, nth, ny = self.grid.shape
+        worst = int(np.argmax(self.cond))
+        if self.cond[worst] > GRAM_COND_MAX:
+            raise OutOfRange(
+                f"grid_x = {nx} cannot resolve s1 = {self.betas[worst].s1}, "
+                f"c = {self.cs[worst]!r}: x-Gram condition number "
+                f"{self.cond[worst]:.3g} > {GRAM_COND_MAX:g}")
         red = arr.reshape(nx * n1 * n2, nth * ny) @ self.wang.T
         red = np.einsum("xab,ba->bx", red.reshape(nx, n1 * n2, -1), self.wt12)
         raw = np.einsum("bix,bx->bi", self.wfmat, red)
@@ -519,7 +556,8 @@ def project_cauchy(data: dict, modes: list[ModeIndex],
             raise GridMismatch(f"{sector}: data {arr.shape} != grid {shape}")
         if sector in by_sector:
             stack = table.stack(by_sector[sector])
-            coeffs[[row_of[beta] for beta in stack.betas]] = stack.project(arr)
+            rows = list(map(row_of.__getitem__, stack.betas))
+            coeffs[rows] = stack.project(arr)
         # reads what the projection has just pulled into cache
         norm_sq += table.grid.grid_norm_sq(arr)
     return coeffs, norm_sq
@@ -543,10 +581,10 @@ def synthesize(coeffs: SpectralCoefficients, table: ModeTable) -> dict:
                     f"synthesized field of {len(by_sector)} sectors")
     out: dict[Sector, np.ndarray] = {}
     for sector, entries in sorted(by_sector.items()):
-        stack = table.stack({beta for beta, _, _ in entries})
+        betas, cols, vals = zip(*entries)
+        stack = table.stack(set(betas))
         amps = np.zeros((len(stack.betas), table.i_max + 1), dtype=complex)
-        for beta, i, v in entries:
-            amps[stack.rows[beta], i] = v
+        amps[list(map(stack.rows.__getitem__, betas)), cols] = vals
         out[sector] = stack.synthesize(amps)
     return out
 

@@ -26,6 +26,11 @@ read once, through `project_cauchy`), into a `Projection`: one dense
 complex array per component over the keys (beta, i), rows in
 `enumerate_beta` order, which every evolution and diagnostic reads.
 SpectralCoefficients hold spectral data and FieldSample coefficients.
+
+Coefficient keys are (ModeIndex, i), and a ModeIndex is a validated
+tuple of its eight labels, so every key hashes and compares in C: one
+dict lookup per key takes spectral data onto the table, and one list of
+the keys in table order turns evolved arrays back into dicts.
 """
 
 from __future__ import annotations
@@ -166,19 +171,21 @@ class KGPropagator:
         self.table = ModeTable(gp, M, kappa, y_map, trunc.grid_shape,
                                trunc.i_max)
         self.betas = enumerate_beta(trunc)
-        self._rows = {beta: r for r, beta in enumerate(self.betas)}
+        # the keys (beta, i) in table order, and each one's flat position
+        self._keys = [(beta, i) for beta in self.betas
+                      for i in range(trunc.i_max + 1)]
+        self._flat = {key: k for k, key in enumerate(self._keys)}
         # Omega of key (betas[r], i) at [r, i]
         self._omega = self.table.omega_table(self.betas)
 
     def omega(self, key) -> float:
-        return float(self._omega[self._position(key)])
+        return float(self._omega.flat[self._position(key)])
 
-    def _position(self, key) -> tuple[int, int]:
-        beta, i = key
-        row = self._rows.get(beta)
-        if row is None or i not in range(self._omega.shape[1]):
+    def _position(self, key) -> int:
+        pos = self._flat.get(key)
+        if pos is None:
             raise GridMismatch(f"coefficient {key} outside the truncation")
-        return row, i
+        return pos
 
     def _gather(self, comp) -> tuple[np.ndarray, np.ndarray, float]:
         """(values, support, squared tail) of one data component on the
@@ -187,18 +194,23 @@ class KGPropagator:
             vals, norm_sq = project_cauchy(comp, self.betas, self.table)
             return (vals, vals != 0.0,
                     max(norm_sq - np.linalg.norm(vals) ** 2, 0.0))
-        vals = np.zeros(self._omega.shape, dtype=complex)
-        support = np.zeros(self._omega.shape, dtype=bool)
-        for key, v in comp.items():
-            pos = self._position(key)
-            vals[pos], support[pos] = v, True
-        return vals, support, 0.0
+        pos = list(map(self._flat.get, comp.entries))
+        if None in pos:     # GridMismatch naming the first bad key
+            pos = list(map(self._position, comp.entries))
+        pos = np.array(pos, dtype=np.intp)
+        vals = np.zeros(self._omega.size, dtype=complex)
+        vals[pos] = np.fromiter(comp.entries.values(), complex, len(pos))
+        support = np.zeros(self._omega.size, dtype=bool)
+        support[pos] = True
+        shape = self._omega.shape
+        return vals.reshape(shape), support.reshape(shape), 0.0
 
-    def _scatter(self, arr: np.ndarray, support: np.ndarray) -> dict:
-        """(beta, i) -> entry of `arr` over `support`, in table order."""
-        rows, cols = np.nonzero(support)
-        return {(self.betas[r], i): v for r, i, v in
-                zip(rows.tolist(), cols.tolist(), arr[rows, cols].tolist())}
+    def _scatter(self, support: np.ndarray, *arrays) -> list[dict]:
+        """(beta, i) -> entry of each array over `support`, in table
+        order; one key list serves all the arrays."""
+        flat = np.flatnonzero(support)
+        keys = list(map(self._keys.__getitem__, flat.tolist()))
+        return [dict(zip(keys, arr.take(flat).tolist())) for arr in arrays]
 
     def project(self, data: CauchyData) -> Projection:
         """The mode coefficients of Cauchy data, each component read
@@ -233,16 +245,17 @@ class KGPropagator:
     def _sample(self, proj: Projection, t: float, at, vt,
                 synthesize_values: bool | None) -> FieldSample:
         energy = _abs_sq(vt) + self._omega * _abs_sq(at)
-        coefficients = SpectralCoefficients(self._scatter(at, proj.support))
+        a_map, v_map, per_mode_energy = self._scatter(proj.support, at, vt,
+                                                      energy)
+        coefficients = SpectralCoefficients(a_map)
         if synthesize_values is None:
             synthesize_values = proj.gridded
         values = (synthesize(coefficients, self.table) if synthesize_values
                   else None)
         return FieldSample(
             t=t, values=values, coefficients=coefficients,
-            velocity=SpectralCoefficients(self._scatter(vt, proj.support)),
-            per_mode_energy=self._scatter(energy, proj.support),
-            tail_norm=proj.tail)
+            velocity=SpectralCoefficients(v_map),
+            per_mode_energy=per_mode_energy, tail_norm=proj.tail)
 
     def evolve(self, data: CauchyData | Projection, t: float,
                synthesize_values: bool | None = None) -> FieldSample:
@@ -278,7 +291,7 @@ class KGPropagator:
         """E_{beta,i} = |a1|^2 + Omega |a0|^2."""
         proj = self._projected(data)
         return self._scatter(
-            _abs_sq(proj.a1) + self._omega * _abs_sq(proj.a0), proj.support)
+            proj.support, _abs_sq(proj.a1) + self._omega * _abs_sq(proj.a0))[0]
 
     def check_reflection(self, data: CauchyData | Projection,
                          t: float) -> float:

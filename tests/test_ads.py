@@ -1,7 +1,10 @@
 """AdS-side machinery: 3-sphere harmonics, radial eigenfunctions under
 the cot^3 measure, and the grid projection."""
 
+import copy
 import math
+import pickle
+import random
 import re
 from fractions import Fraction
 
@@ -16,9 +19,18 @@ from ypqwave.ads import (ModeIndex, Sector, SpectralCoefficients,
 from ypqwave import ads
 from ypqwave.errors import (FieldTooLarge, GridMismatch, IndexChainError,
                             OutOfRange)
+from ypqwave.propagator import TruncationSpec, enumerate_beta
 from ypqwave.radial import RadialMode
 from ypqwave.specfun import assoc_legendre, gauss_jacobi
 from ypqwave.spectrum import TruncationPolicy, build_modes, enumerate_modes
+
+
+def _unpickled(labels):
+    """What unpickling (and copy) does to rebuild a ModeIndex: the
+    reconstructor of its reduction, called on `labels`."""
+    zero = ModeIndex(0, 0, 0, 0, 0, 0, 0, 0)
+    rebuild, args = zero.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[:2]
+    return rebuild(args[0], *labels)
 
 
 class TestModeIndex:
@@ -32,6 +44,58 @@ class TestModeIndex:
         beta = ModeIndex(3, 2, -1, 1, 0, -1, 2, 4)
         assert beta.beta == (3, 2, -1, 1, 0, -1, 2, 4)
         assert beta.sector == Sector(-1, 1, 0, -1)
+
+    def test_hash_and_order_of_the_label_tuple(self):
+        betas = enumerate_beta(TruncationSpec(
+            s1_max=2, n_max=1, m_max=1, l_max=0, k_max=1, j_max=0, i_max=0))
+        assert all(hash(b) == hash(b.beta) for b in betas)
+        shuffled = list(betas)
+        random.Random(3).shuffle(shuffled)
+        assert sorted(shuffled) == sorted(betas, key=lambda b: b.beta)
+        assert sorted(shuffled) == betas
+        assert repr(betas[0]) == ("ModeIndex(s1=0, s2=0, s3=0, n=-1, m=-1, "
+                                  "l=0, k=0, j=0)")
+
+    def test_immutable(self):
+        beta = ModeIndex(3, 2, -1, 1, 0, -1, 2, 4)
+        with pytest.raises(AttributeError):
+            beta.s1 = 4
+        with pytest.raises(AttributeError):
+            beta.extra = 0
+        with pytest.raises(AttributeError):
+            Sector(0, 0, 0, 0).n = 1
+
+    def test_pickle_and_copy(self):
+        beta = ModeIndex(3, 2, -1, 1, 0, -1, 2, 4)
+        for twin in (pickle.loads(pickle.dumps(beta)), copy.copy(beta),
+                     copy.deepcopy(beta)):
+            assert twin == beta and type(twin) is ModeIndex
+        sector = beta.sector
+        assert pickle.loads(pickle.dumps(sector)) == sector
+
+    @pytest.mark.parametrize("build", [
+        lambda labels: ModeIndex(*labels),
+        lambda labels: ModeIndex(**dict(zip(ModeIndex._fields, labels))),
+        ModeIndex._make,
+        lambda labels: ModeIndex(0, 0, 0, 0, 0, 0, 0, 0)._replace(
+            **dict(zip(ModeIndex._fields, labels))),
+        _unpickled,
+    ])
+    def test_chain_checked_on_every_path(self, build):
+        # positional, keyword, _make, _replace and unpickling (copy too)
+        # all go through __new__
+        for labels in [(1, 2, 0, 0, 0, 0, 0, 0), (2, 1, -2, 0, 0, 0, 0, 0),
+                       (1, 0, 0, 0, 0, 0, -1, 0)]:
+            with pytest.raises(IndexChainError):
+                build(labels)
+
+    def test_plain_tuple_is_the_same_key(self):
+        # the one widening of the tuple type: a plain 8-tuple equal to a
+        # valid beta finds its row (a dataclass never equalled a tuple)
+        beta = ModeIndex(1, 1, 0, 0, 0, 0, 0, 0)
+        rows = {beta: 7}
+        assert rows[(1, 1, 0, 0, 0, 0, 0, 0)] == 7
+        assert beta == beta.beta and Sector(0, 0, 0, 0) == (0, 0, 0, 0)
 
 
 class TestHarmonics:

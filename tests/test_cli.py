@@ -476,6 +476,28 @@ def test_propagate_fails_loudly(tmp_path, capsys, monkeypatch, line, cites):
         assert err.startswith(f"error: {key} {where!r}:")
 
 
+@pytest.mark.parametrize("preset", ["gaussian_x", "none"])
+def test_unresolved_x_gram(tmp_path, capsys, monkeypatch, preset):
+    # at M = 500, c is about 500 and the x-Gram on 16 x nodes has a
+    # condition number near 1e13: projecting gridded data refuses it,
+    # naming grid_x, s1 and c; spectral data is only synthesized, which
+    # needs no Gram, and makes no check
+    monkeypatch.delenv("YPQWAVE_CACHE_DIR", raising=False)
+    lines = [line for line in CONFIG_TEMPLATE.splitlines()
+             if preset == "none" or not line.startswith("phi0_coef")]
+    cfg = "\n".join(lines + ["M = 500.0", f"preset = {preset}",
+                             f"out_dir = {tmp_path / 'out'}", ""])
+    path = tmp_path / "run.cfg"
+    path.write_text(cfg.replace("M = 1.0\n", ""))
+    if preset == "none":
+        assert run(["propagate", "--config", str(path)]) == 0
+        return
+    assert run(["propagate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid_x = 16 cannot resolve s1 = 0, c = 500.")
+    assert "x-Gram condition number" in err
+
+
 def test_cache_env_dir_named(tmp_path, capsys, monkeypatch):
     # YPQWAVE_CACHE_DIR overrides cache_dir, and its error says so
     where = tmp_path / "file" / "cache"

@@ -386,10 +386,26 @@ class TestValidation:
             CauchyData(SpectralCoefficients(), {sector: grid.zeros()})
 
     def test_unknown_coefficient(self, prop):
-        a0 = SpectralCoefficients()
-        a0[(ModeIndex(7, 0, 0, 0, 0, 0, 0, 0), 0)] = 1.0
-        with pytest.raises(GridMismatch):
-            prop.evolve(CauchyData(a0, SpectralCoefficients()), 1.0)
+        # one good key, a beta outside the truncation and an i past
+        # i_max: the error names the first bad key in insertion order
+        keys = [(prop.betas[3], 1), (ModeIndex(7, 0, 0, 0, 0, 0, 0, 0), 0),
+                (prop.betas[0], prop.trunc.i_max + 1)]
+        for order in [(1,), (0, 1, 2), (0, 2, 1), (2, 0, 1)]:
+            a0 = SpectralCoefficients()
+            for k in order:
+                a0[keys[k]] = 1.0
+            bad = keys[next(k for k in order if k)]
+            with pytest.raises(GridMismatch, match=re.escape(
+                    f"coefficient {bad} outside the truncation")):
+                prop.evolve(CauchyData(a0, SpectralCoefficients()), 1.0)
+
+    def test_plain_tuple_key_finds_its_row(self, prop, random_data):
+        # a plain 8-tuple equal to a valid beta is that beta's key
+        plain = SpectralCoefficients({(tuple(beta), i): v for (beta, i), v
+                                      in random_data.phi0.items()})
+        want = prop.evolve(random_data, 0.7)
+        got = prop.evolve(CauchyData(plain, random_data.phi1), 0.7)
+        assert got.coefficients.entries == want.coefficients.entries
 
     def test_truncation_warning(self, prop):
         rng = np.random.default_rng(5)
