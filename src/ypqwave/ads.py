@@ -63,8 +63,8 @@ import numpy as np
 from .errors import FieldTooLarge, GridMismatch, IndexChainError, OutOfRange
 from .geometry import GeometryParams
 from .specfun import (assoc_legendre, envelope_jacobi_derivs, gauss_jacobi,
-                      gegenbauer_scale, jacobi_poly_all, legendre_scale,
-                      rule_on_interval)
+                      gegenbauer_scale, jacobi_log_norm, jacobi_poly_all,
+                      legendre_scale, rule_on_interval)
 
 __all__ = ["ModeIndex", "AdSRadialMode", "SpectralCoefficients", "Sector",
            "SectorGrid", "s3_harmonic", "s3_harmonic_norm", "c_beta",
@@ -232,21 +232,18 @@ class AdSRadialMode:
         return left - self.omega * f
 
 
-def _f_norm(beta1: int, c: float, i: int) -> float:
-    """Normalization N_i of f_i under d nu."""
-    # norm fixed by int_0^1 xi^{b1+1} (1-xi)^c P_i^2 dxi
-    #   = (i+b1+1)! G(i+c+1) / ((2i+b1+c+2) i! G(i+b1+c+2)),
-    # the standard Jacobi square norm; quadrature confirms unit d nu norm.
-    lg = (math.lgamma(i + 1) + math.lgamma(i + beta1 + c + 2.0)
-          - math.lgamma(i + beta1 + 2) - math.lgamma(i + c + 1.0))
-    return math.sqrt((2 * i + beta1 + c + 2.0) * math.exp(lg))
+def _f_norm(beta1: int, c: float, i):
+    """N_i of f_i, elementwise over i: unit d nu norm fixed by int_0^1
+    xi^{b1+1} (1-xi)^c P_i^(b1+1, c)(1-2xi)^2 dxi = h_i / 2^(b1+c+2)."""
+    return np.exp(0.5 * ((beta1 + c + 2.0) * math.log(2.0)
+                         - jacobi_log_norm(beta1 + 1.0, c, i)))
 
 
 def _f_table(beta1: int, c: float, i_max: int, x) -> np.ndarray:
     """f_0 .. f_{i_max} at x, shaped (i_max+1,) + np.shape(x), from one
     Jacobi sweep: f_i = N_i cos^{b1} x sin^{2+c} x P_i^(b1+1, c)(-cos 2x)."""
     xv = np.asarray(x, dtype=float)
-    norms = np.array([_f_norm(beta1, c, i) for i in range(i_max + 1)])
+    norms = _f_norm(beta1, c, np.arange(i_max + 1))
     return (norms.reshape((-1,) + (1,) * xv.ndim)
             * np.cos(xv) ** beta1 * np.sin(xv) ** (2.0 + c)
             * jacobi_poly_all(beta1 + 1.0, c, i_max, -np.cos(2.0 * xv)))
@@ -266,10 +263,8 @@ def ads_gram(beta1: int, c: float, i_max: int) -> np.ndarray:
     """Gram of {f_i}_{i<=i_max} under d nu via the exact rule in
     xi = cos^2 x (weight xi^{beta1+1} (1-xi)^c)."""
     xi, w = rule_on_interval(0.0, 1.0, beta1 + 1.0, c, i_max + 4)
-    norms = np.array([ads_radial_mode(beta1, c, i).norm_const
-                      for i in range(i_max + 1)])
-    basis = norms[:, None] * jacobi_poly_all(beta1 + 1.0, c, i_max,
-                                             1.0 - 2.0 * xi)
+    basis = (_f_norm(beta1, c, np.arange(i_max + 1))[:, None]
+             * jacobi_poly_all(beta1 + 1.0, c, i_max, 1.0 - 2.0 * xi))
     return (basis * w) @ basis.T
 
 
@@ -326,8 +321,8 @@ class SectorGrid:
 
 def check_grid_memory(shape: tuple) -> None:
     """FieldTooLarge unless one sector's field on a grid of this shape
-    (16 bytes a point) and the n x n eigenvector matrix behind the rule
-    of its longest axis (8 bytes an entry) each fit in physical memory."""
+    (16 bytes a point) and the n x n polynomial table behind the rule of
+    its longest axis (8 bytes an entry) each fit in physical memory."""
     n = max(shape)
     _require_memory(math.prod(shape) * 16, f"one sector on grid {shape}")
     _require_memory(n * n * 8, f"the {n}-node rule of grid {shape}")
@@ -408,11 +403,11 @@ class ModeTable:
 
     def block(self, beta: ModeIndex) -> tuple:
         """(t1 vec, t2 vec, theta vec, y vec, [f_i matrix], discrete
-        x-Gram) of one beta.  Each pair depends on part of beta only and
-        is built on the first request for its key: (s1, s2, s3), the
+        x-Gram) of one beta (a plain 8-tuple is validated).  Each pair is
+        built on the first request for its part of beta: (s1, s2, s3), the
         Y^{p,q} mode (n, m, l, k, j) and (s1, c) in turn."""
         grid, memo = self.grid, self._factors
-        s1, s2, s3 = beta.s1, beta.s2, beta.s3
+        s1, s2, s3 = ModeIndex._make(beta)[:3]
         y_key = beta[3:]
         y_mode = self._y_modes[y_key]
         c = self.c(beta)
@@ -460,7 +455,7 @@ class ModeTable:
         y_keys = [b[3:] for b in betas]
         c_of = {key: c_beta(self.M, self.kappa, self._y_modes[key].lam)
                 for key in dict.fromkeys(y_keys)}
-        s1 = np.array([b.s1 for b in betas])[:, None]
+        s1 = np.array([b[0] for b in betas])[:, None]
         c = np.array([c_of[key] for key in y_keys])[:, None]
         i = np.arange(self.i_max + 1, dtype=float)
         return (2.0 * i + s1 + c + 2.0) ** 2
@@ -526,7 +521,7 @@ class SectorStack:
         worst = int(np.argmax(self.cond))
         if self.cond[worst] > GRAM_COND_MAX:
             raise OutOfRange(
-                f"grid_x = {nx} cannot resolve s1 = {self.betas[worst].s1}, "
+                f"grid_x = {nx} cannot resolve s1 = {self.betas[worst][0]}, "
                 f"c = {self.cs[worst]!r}: x-Gram condition number "
                 f"{self.cond[worst]:.3g} > {GRAM_COND_MAX:g}")
         red = arr.reshape(nx * n1 * n2, nth * ny) @ self.wang.T
@@ -548,7 +543,7 @@ def project_cauchy(data: dict, modes: list[ModeIndex],
     row_of = {beta: r for r, beta in enumerate(modes)}
     by_sector: dict[Sector, list] = {}
     for beta in modes:
-        by_sector.setdefault(beta.sector, []).append(beta)
+        by_sector.setdefault(Sector._make(beta[2:6]), []).append(beta)
     coeffs = np.zeros((len(modes), table.i_max + 1), dtype=complex)
     norm_sq, shape = 0.0, table.grid.shape
     for sector, arr in data.items():
@@ -576,7 +571,7 @@ def synthesize(coeffs: SpectralCoefficients, table: ModeTable) -> dict:
         if i not in range(table.i_max + 1):
             raise GridMismatch(
                 f"coefficient {(beta, i)} outside i = 0..{table.i_max}")
-        by_sector.setdefault(beta.sector, []).append((beta, i, v))
+        by_sector.setdefault(Sector._make(beta[2:6]), []).append((beta, i, v))
     _require_memory(len(by_sector) * math.prod(table._grid_shape) * 16,
                     f"synthesized field of {len(by_sector)} sectors")
     out: dict[Sector, np.ndarray] = {}

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import envelope_jacobi_derivs, gauss_jacobi, jacobi_poly_all
+from .specfun import (envelope_jacobi_derivs, gauss_jacobi, jacobi_log_norm,
+                      jacobi_poly_all)
 
 __all__ = ["AngularMode", "angular_eigenvalue", "angular_mode", "angular_gram"]
 
@@ -48,10 +49,9 @@ def angular_eigenvalue(n: int, m: int, j: int) -> float:
     return float(d * (d + 1) - 4 * m * m)
 
 
-def _norm_const(a: int, b: int, j: int) -> float:
-    lg = (math.lgamma(j + 1) + math.lgamma(j + a + b + 1)
-          - math.lgamma(j + a + 1) - math.lgamma(j + b + 1))
-    return math.sqrt(0.5 * (2 * j + a + b + 1) * math.exp(lg))
+def _norm_const(a: int, b: int, j):
+    """C_{nmj} = sqrt(2^(a+b) / h_j), elementwise over j."""
+    return np.exp(0.5 * ((a + b) * math.log(2.0) - jacobi_log_norm(a, b, j)))
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ def angular_gram(n: int, m: int, j_max: int) -> np.ndarray:
     a = abs(n + 2 * m)
     b = abs(n - 2 * m)
     rule = gauss_jacobi(a, b, j_max + 4)
-    consts = np.array([_norm_const(a, b, j) for j in range(j_max + 1)])
+    consts = _norm_const(a, b, np.arange(j_max + 1))
     basis = jacobi_poly_all(a, b, j_max, rule.nodes)
     # int_0^pi v_j v_k sin dtheta = 2 C_j C_k 2^{-a-b-1} int (1-x)^a (1+x)^b P_j P_k dx
     scaled = basis * rule.weights

@@ -29,7 +29,7 @@ from .radial import RadialMode, RadialProblem
 __all__ = ["CacheKey", "cache_get_or_solve", "SOLVER_VERSION"]
 
 # bump on any change to the radial discretization
-SOLVER_VERSION = "galerkin-jacobi-1"
+SOLVER_VERSION = "galerkin-jacobi-2"
 
 
 @dataclass(frozen=True)

@@ -22,15 +22,15 @@ import numpy as np
 
 from . import selftest as _selftest
 from .angular import angular_mode
-from .ads import ModeIndex, Sector, SpectralCoefficients, ads_radial_mode
+from .ads import (ModeIndex, Sector, SpectralCoefficients, ads_gram,
+                  ads_radial_mode)
 from .cache import CacheKey, cache_get_or_solve
 from .config import load_config, time_tag
 from .errors import UnusablePath, YpqError
 from .geometry import solve_geometry
 from .propagator import CauchyData, KGPropagator, TruncationSpec
 from .radial import radial_problem, solve_radial
-from .shooting import shooting_oracle
-from .specfun import jacobi_poly_all, rule_on_interval
+from .shooting import oracle_bracket, shooting_oracle
 from .spectrum import TruncationPolicy, build_modes, enumerate_modes
 
 __all__ = ["run", "main"]
@@ -96,15 +96,6 @@ def _cmd_angular(args) -> int:
     return 0
 
 
-def _oracle_bracket(ells, i: int) -> tuple[float, float]:
-    """Bracket of the i-th of the ascending Galerkin eigenvalues `ells`,
-    reaching halfway to each neighbour; the lowest and the highest use
-    their one gap on both sides, and a lone eigenvalue a 3% pad."""
-    gaps = np.diff(ells) if len(ells) > 1 else [0.06 * max(1.0, abs(ells[0]))]
-    return (ells[i] - 0.5 * gaps[max(i - 1, 0)],
-            ells[i] + 0.5 * gaps[min(i, len(gaps) - 1)])
-
-
 def _cmd_radial(args) -> int:
     gp = solve_geometry(args.p, args.q)
     prob = radial_problem(gp, args.m, args.l, args.Lambda)
@@ -116,7 +107,7 @@ def _cmd_radial(args) -> int:
     for i, md in enumerate(modes):
         row = [md.k, md.ell, md.grid_norm_residual]
         if args.oracle:
-            row.append(shooting_oracle(prob, _oracle_bracket(ells, i), md.k))
+            row.append(shooting_oracle(prob, oracle_bracket(ells, i), md.k))
         rows.append(tuple(row))
     header = ("k", "ell", "norm_residual") + (("oracle_ell",) if args.oracle else ())
     _write_rows(rows, header, args.format)
@@ -137,16 +128,9 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_ads_modes(args) -> int:
-    xi, w = rule_on_interval(0.0, 1.0, args.beta1 + 1.0, args.c,
-                             args.imax + 6)
-    polys = jacobi_poly_all(args.beta1 + 1.0, args.c, args.imax,
-                            1.0 - 2.0 * xi)
-    rows = []
-    for i in range(args.imax + 1):
-        md = ads_radial_mode(args.beta1, args.c, i)
-        vals = md.norm_const * polys[i]
-        norm_resid = abs(float(np.dot(w, vals * vals)) - 1.0)
-        rows.append((i, md.omega, norm_resid))
+    norm_resid = np.abs(np.diag(ads_gram(args.beta1, args.c, args.imax)) - 1.0)
+    rows = [(i, ads_radial_mode(args.beta1, args.c, i).omega,
+             float(norm_resid[i])) for i in range(args.imax + 1)]
     _write_rows(rows, ("i", "omega", "norm_residual"), args.format)
     return 0
 

@@ -20,25 +20,30 @@ module docstring for the endpoint orientation, and note the potential
 carries 2m + h sigma l/tau, fixing the sign convention of the alpha
 frequency so the two formulas above hold verbatim.)
 
-Discretization: Galerkin in the endpoint-weighted Jacobi basis
+Discretization: Galerkin in the endpoint-weighted orthonormal basis
+phi_k(y) = (y - y_minus)^nu_minus (y_plus - y)^nu_plus pbar_k(t), where
+y = ybar + h t and pbar_k = sqrt(mu0/h_k) P_k^(2 nu_plus, 2 nu_minus) is
+orthonormal for the weight w(t) = (1-t)^(2 nu_plus) (1+t)^(2 nu_minus)
+over its zeroth moment mu0.  The weight bakes the endpoint decay into
+every trial function and leaves no room for log-singular solutions,
+which selects the Friedrichs extension when an exponent vanishes.  The
+factor h^(2 nu_minus + 2 nu_plus + 1) mu0 of every matrix entry, which
+underflows at large exponents, is dropped; `RadialMode` restores it in
+log space.  The Jacobi matrix J of w multiplies by t in the pbar_k and
+rho = (1 - ybar - h t)/18, so B = ((1 - ybar) I - h J)/18 exactly:
+cond(B) < (1 - y_minus)/(1 - y_plus) at any exponent and size.  The
+eigenvectors of the N-node J are V_ki = pbar_k(x_i) sqrt(lambda_i)
+(Gauss nodes x_i, Christoffel numbers lambda_i), so V[:n] diag(f)
+V[:n]^T is the Gauss rule of A's mass-type part (and of the norm check,
+at N+17 nodes) with no polynomial evaluated.  The derivative part uses
+the Gauss-Jacobi rule of exponents 2 nu - 1, where the 1/r potential
+singularity has cancelled against the basis weight.
 
-    phi_k(y) = (y - y_minus)^nu_minus (y_plus - y)^nu_plus
-               P_k^(2 nu_plus, 2 nu_minus)(t(y)),
-
-t affine onto [-1,1].  The weight bakes the endpoint decay into every
-trial function and leaves no room for log-singular solutions, which
-selects the Friedrichs extension when an exponent vanishes.  All matrix
-entries are Gauss-Jacobi integrals of (smooth analytic factor) x (exact
-Jacobi weight); the lone 1/r potential singularity cancels analytically
-against the basis weight before any node is evaluated.
-
-Problems and modes are immutable.  The quadrature rules and Jacobi
-tables of a solve depend only on (gp, nu_minus, nu_plus) and the sizes,
-which many (m, l, Lambda) problems share, so solves may share them
-through a `tables` dict keyed by those values (Galerkin rules and
-tables, and the finer rule of the norm check).  The dict is filled as
-solves go and is not locked: it belongs to one call (one build_modes,
-one CLI run), never to several threads, and nothing outlives the call.
+Problems and modes are immutable.  The rules and tables of a solve
+depend only on (gp, nu_minus, nu_plus) and the sizes, so solves may
+share them through a `tables` dict keyed by those values, filled as
+solves go and not locked: it belongs to one call (one build_modes, one
+CLI run), never to several threads, and nothing outlives the call.
 """
 
 from __future__ import annotations
@@ -46,13 +51,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh
+from scipy.linalg import LinAlgError, eigh, eigh_tridiagonal
 
-from .errors import (EigenFailure, NotConverged, OutOfRange,
-                     QuadratureUnderflow)
+from .errors import EigenFailure, NotConverged, OutOfRange
 from .geometry import GeometryParams
-from .specfun import (envelope_jacobi_derivs, jacobi_deriv_all,
-                      jacobi_poly_all, rule_on_interval)
+from .specfun import (envelope_jacobi_derivs, gauss_jacobi, jacobi_deriv_all,
+                      jacobi_log_norm, jacobi_matrix, jacobi_poly_all)
 
 __all__ = ["RadialProblem", "RadialMode", "char_exponents", "radial_problem",
            "assemble_galerkin", "solve_radial"]
@@ -122,44 +126,49 @@ def radial_problem(gp: GeometryParams, m: int, l: int,
 
 def _exponent_tables(gp: GeometryParams, nm: float, npl: float,
                      n_basis: int, n_nodes: int):
-    """Both quadrature rules and the basis tables on them: everything of
-    the Galerkin matrices that depends on the exponent pair and the sizes
-    alone, not on (m, l, Lambda)."""
-    ym, yp = gp.y_minus, gp.y_plus
-    delta = yp - ym
-
-    # mass-type rule: full basis weight (y-ym)^{2nm} (yp-y)^{2npl}
-    y_b, w_b = rule_on_interval(ym, yp, 2.0 * nm, 2.0 * npl, n_nodes)
-    if not np.all(np.isfinite(w_b)) or np.any(w_b <= 0.0):
-        raise QuadratureUnderflow(
-            f"degenerate weights for exponents ({2*nm}, {2*npl})")
+    """B, both rules and the tables on the second: all of the Galerkin
+    matrices that depends on the exponent pair and sizes alone."""
+    ybar, half = 0.5 * (gp.y_plus + gp.y_minus), 0.5 * (gp.y_plus - gp.y_minus)
+    diag, off = jacobi_matrix(2.0 * npl, 2.0 * nm, n_basis)
+    b_mat = (np.diag((1.0 - ybar) - half * diag)
+             - half * (np.diag(off, 1) + np.diag(off, -1))) / 18.0
 
     # derivative/centrifugal rule: exponent 2nu-1, lifted to 1 when nu = 0
-    d_lo = 1 if nm == 0.0 else 0
-    d_hi = 1 if npl == 0.0 else 0
-    c_lo = 2.0 * nm - 1.0 + 2.0 * d_lo
-    c_hi = 2.0 * npl - 1.0 + 2.0 * d_hi
-    y_d, w_d = rule_on_interval(ym, yp, c_lo, c_hi, n_nodes)
+    d_lo, d_hi = int(nm == 0.0), int(npl == 0.0)
+    rule = gauss_jacobi(2.0 * npl - 1.0 + 2.0 * d_hi,
+                        2.0 * nm - 1.0 + 2.0 * d_lo, n_nodes)
+    t_d = rule.nodes
+    # over mu0 of the basis weight (the dropped factor), on the pbar_k
+    log_h = jacobi_log_norm(2.0 * npl, 2.0 * nm, np.arange(n_basis))
+    w_d = rule.weights * np.exp(-log_h[0])
+    scale = np.exp(0.5 * (log_h[0] - log_h))[:, None]
+    p_d = scale * jacobi_poly_all(2.0 * npl, 2.0 * nm, n_basis - 1, t_d)
+    dp_d = scale * jacobi_deriv_all(2.0 * npl, 2.0 * nm, n_basis - 1, t_d)
 
-    t_b = (2.0 * y_b - yp - ym) / delta
-    t_d = (2.0 * y_d - yp - ym) / delta
-    jmax = n_basis - 1
-    p_b = jacobi_poly_all(2.0 * npl, 2.0 * nm, jmax, t_b)
-    p_d = jacobi_poly_all(2.0 * npl, 2.0 * nm, jmax, t_d)
-    dp_d = jacobi_deriv_all(2.0 * npl, 2.0 * nm, jmax, t_d)
+    # R_k = (nm (1-t) - npl (1+t)) pbar_k + (1-t^2) pbar_k', divided by
+    # the structural factors it always contains when nu = 0
+    div = (1.0 + t_d) ** d_lo * (1.0 - t_d) ** d_hi
+    r_mat = ((nm * (1.0 - t_d) - npl * (1.0 + t_d)) * p_d
+             + (1.0 - t_d * t_d) * dp_d) / div
+    # the centrifugal divisor also takes the h of the R it lacks
+    return (b_mat, *_mass_rule(gp, nm, npl, n_basis, n_nodes),
+            ybar + half * t_d, w_d, p_d, r_mat, div * half)
 
-    # R_k = (nm (yp-y) - npl (y-ym)) P_k + (y-ym)(yp-y) (2/delta) P_k',
-    # divided by the structural factors it always contains when nu = 0
-    pref = nm * (yp - y_d) - npl * (y_d - ym)
-    bil = (y_d - ym) * (yp - y_d) * (2.0 / delta)
-    r_mat = pref[None, :] * p_d + bil[None, :] * dp_d
-    div = np.ones_like(y_d)
-    if d_lo:
-        div = div * (y_d - ym)
-    if d_hi:
-        div = div * (yp - y_d)
-    r_mat = r_mat / div[None, :]
-    return y_b, w_b, p_b, y_d, w_d, p_d, r_mat, div
+
+def _mass_rule(gp: GeometryParams, nm: float, npl: float, n_basis: int,
+               n_nodes: int):
+    """(y nodes, V[:n_basis]) of the n_nodes-node Jacobi matrix of the
+    basis weight: V diag(f) V^T is the Gauss rule of the mass type."""
+    t, vecs = eigh_tridiagonal(*jacobi_matrix(2.0 * npl, 2.0 * nm, n_nodes))
+    return gp.y_minus + 0.5 * (gp.y_plus - gp.y_minus) * (1.0 + t), \
+        vecs[:n_basis]
+
+
+def _p_scale(gp: GeometryParams, nm: float, npl: float, n: int):
+    """(h h_k)^(-1/2), k < n, from log space: pbar_k coefficients to P_k
+    ones, times the dropped factor's inverse square root."""
+    return np.exp(-0.5 * (jacobi_log_norm(2.0 * npl, 2.0 * nm, np.arange(n))
+                          + np.log(0.5 * (gp.y_plus - gp.y_minus))))
 
 
 def _shared(tables: dict, key: tuple, build):
@@ -181,32 +190,25 @@ def assemble_galerkin(prob: RadialProblem, n_basis: int,
     if n_basis < 4:
         raise ValueError("n_basis must be at least 4")
     gp = prob.gp
-    y_b, w_b, p_b, y_d, w_d, p_d, r_mat, div = _shared(
+    b_mat, y_b, v_b, y_d, w_d, p_d, r_mat, div = _shared(
         {} if tables is None else tables,
         ("galerkin", gp, prob.nu_minus, prob.nu_plus, n_basis,
          n_basis + _QUAD_PAD), _exponent_tables)
-    a = gp.a
-    y3 = gp.y_third
-    mu = prob.alpha_freq
-
-    # smooth factors
-    rho_b = (1.0 - y_b) / 18.0
-    a2_b = a - y_b * y_b
-    f_mass = rho_b + (mu * mu) * (1.0 - y_b) ** 2 / (36.0 * a2_b) \
+    a, y3, mu = gp.a, gp.y_third, prob.alpha_freq
+    # smooth factors; the mass-type one without rho, which B carries
+    f_mass = (mu * mu) * (1.0 - y_b) ** 2 / (36.0 * (a - y_b * y_b)) \
         + prob.lambda_cap / 3.0
     # second rule: kinetic factor (2/9)(y3-y) and centrifugal
     a2_d = a - y_d * y_d
     rho_d = (1.0 - y_d) / 18.0
-    pol = 12.0 * prob.m * a2_d + mu * (a - 2.0 * y_d + y_d * y_d)
-    pol = pol / div
+    pol = (12.0 * prob.m * a2_d + mu * (a - 2.0 * y_d + y_d * y_d)) / div
     f_kin = (2.0 / 9.0) * (y3 - y_d)
     f_cent = rho_d * pol * pol / (8.0 * a2_d * (y3 - y_d))
 
-    b_mat = (p_b * (w_b * rho_b)) @ p_b.T
-    a_mat = (p_b * (w_b * (f_mass - rho_b))) @ p_b.T
+    a_mat = (v_b * f_mass) @ v_b.T
     a_mat += (r_mat * (w_d * f_kin)) @ r_mat.T
     a_mat += (p_d * (w_d * f_cent)) @ p_d.T
-    return a_mat, b_mat
+    return a_mat, b_mat.copy()
 
 
 @dataclass(frozen=True)
@@ -220,30 +222,32 @@ class RadialMode:
     grid_norm_residual: float
 
     def value(self, y):
-        dl, dr, t = self._local(y)
+        t, lo, hi, scale = self._local(y)
         nm, npl = self.problem.nu_minus, self.problem.nu_plus
-        out = dl ** nm * dr ** npl * (self.coeffs @ jacobi_poly_all(
-            2.0 * npl, 2.0 * nm, len(self.coeffs) - 1, t))
+        out = np.exp(nm * np.log(lo) + npl * np.log(hi)) * (
+            (scale * self.coeffs) @ jacobi_poly_all(
+                2.0 * npl, 2.0 * nm, len(self.coeffs) - 1, t))
         return out if np.ndim(y) else float(out[0])
 
     def value_and_derivs(self, y):
-        dl, dr, t = self._local(y)
-        gp = self.problem.gp
+        t, lo, hi, scale = self._local(y)
         nm, npl = self.problem.nu_minus, self.problem.nu_plus
+        dt = 2.0 / (self.problem.gp.y_plus - self.problem.gp.y_minus)
         return envelope_jacobi_derivs(
-            2.0 * npl, 2.0 * nm, self.coeffs, t,
-            2.0 / (gp.y_plus - gp.y_minus), 0.0,
-            [(nm, dl, 1.0, 0.0), (npl, dr, -1.0, 0.0)])
+            2.0 * npl, 2.0 * nm, scale * self.coeffs, t, dt, 0.0,
+            [(nm, lo, dt, 0.0), (npl, hi, -dt, 0.0)])
 
     def _local(self, y):
-        """(y - y_minus, y_plus - y, t(y)) at points of the open interval,
-        t affine onto [-1, 1]."""
+        """(t, 1 + t, 1 - t, _p_scale) at points y of the open interval:
+        the mode is (1+t)^nu_minus (1-t)^nu_plus sum_k scale_k c_k P_k(t)."""
         yv = np.atleast_1d(np.asarray(y, dtype=float))
-        gp = self.problem.gp
+        prob, gp = self.problem, self.problem.gp
         if np.any(yv <= gp.y_minus) or np.any(yv >= gp.y_plus):
             raise OutOfRange("y outside the open radial interval")
-        t = (2.0 * yv - gp.y_plus - gp.y_minus) / (gp.y_plus - gp.y_minus)
-        return yv - gp.y_minus, gp.y_plus - yv, t
+        half = 0.5 * (gp.y_plus - gp.y_minus)
+        return ((yv - gp.y_minus) / half - 1.0, (yv - gp.y_minus) / half,
+                (gp.y_plus - yv) / half,
+                _p_scale(gp, prob.nu_minus, prob.nu_plus, len(self.coeffs)))
 
     def operator_residual(self, y):
         """(-S - ell) applied to the eigenfunction at interior points,
@@ -263,11 +267,8 @@ def solve_radial(prob: RadialProblem, k_max: int, n_basis: int,
     than 1e-8 (relative, floored at 1); otherwise NotConverged.  Small
     negative eigenvalues within 1e-9 are clamped to zero.
 
-    `tables` holds the quadrature rules and Jacobi tables of each
-    (geometry, endpoint-exponent pair, basis size) met so far; solves
-    that share the dict build each of them once.  The caller owns it and
-    scopes it to one build (see the module docstring); None means a
-    fresh dict.  The results do not depend on it, bit for bit.
+    `tables`: the rules and tables shared by the caller's solves (module
+    docstring), None for a fresh dict; results do not depend on it.
     """
     if n_basis < k_max + 8:
         raise ValueError("n_basis must be at least k_max + 8")
@@ -275,6 +276,10 @@ def solve_radial(prob: RadialProblem, k_max: int, n_basis: int,
     ell_a, _ = _solve_once(prob, k_max, n_basis, tables)
     n_big = int(np.ceil(1.25 * n_basis))
     ell_b, vecs = _solve_once(prob, k_max, n_big, tables)
+    # fix sign for reproducibility: dominant coefficient of P_k positive
+    lead = np.argmax(np.abs(vecs) * _p_scale(
+        prob.gp, prob.nu_minus, prob.nu_plus, n_big)[:, None], axis=0)
+    vecs *= np.where(vecs[lead, np.arange(k_max + 1)] < 0.0, -1.0, 1.0)
     for k in (max(k_max - 1, 0), k_max):
         drift = abs(ell_a[k] - ell_b[k]) / max(1.0, abs(ell_b[k]))
         if drift > _CONV_REL:
@@ -301,33 +306,13 @@ def _solve_once(prob: RadialProblem, k_max: int, n_basis: int,
         labels = (prob.gp.p, prob.gp.q, prob.m, prob.l, prob.lambda_cap)
         raise EigenFailure(f"Galerkin eigensolve failed for (p, q, m, l, Lambda)"
                            f" = {labels}, n_basis = {n_basis}: {exc}") from exc
-    vals = vals[:k_max + 1]
-    vecs = vecs[:, :k_max + 1]
-    # fix sign for reproducibility: dominant coefficient positive
-    for k in range(vecs.shape[1]):
-        lead = np.argmax(np.abs(vecs[:, k]))
-        if vecs[lead, k] < 0.0:
-            vecs[:, k] = -vecs[:, k]
-    return vals, vecs
-
-
-def _norm_tables(gp: GeometryParams, nm: float, npl: float, n_basis: int):
-    """(basis table, weights times rho) of the finer rule of
-    _norm_residuals, which depend on the exponent pair and size alone."""
-    y, w = rule_on_interval(gp.y_minus, gp.y_plus, 2.0 * nm, 2.0 * npl,
-                            n_basis + _QUAD_PAD + 17)
-    t = (2.0 * y - gp.y_plus - gp.y_minus) / (gp.y_plus - gp.y_minus)
-    basis = jacobi_poly_all(2.0 * npl, 2.0 * nm, n_basis - 1, t)
-    rho = (1.0 - y) / 18.0
-    return basis, w * rho
+    return vals[:k_max + 1], vecs[:, :k_max + 1]
 
 
 def _norm_residuals(prob: RadialProblem, vecs: np.ndarray, n_basis: int,
                     tables: dict):
-    """|B-norm on an independent finer grid - 1| per column."""
-    basis, w_rho = _shared(
-        tables, ("norm", prob.gp, prob.nu_minus, prob.nu_plus, n_basis),
-        _norm_tables)
-    vals = vecs.T @ basis
-    norms = (vals * vals) @ w_rho
-    return np.abs(norms - 1.0)
+    """|B-norm by the finer (N+17)-node mass rule - 1| per column."""
+    y, rows = _shared(tables, ("norm", prob.gp, prob.nu_minus, prob.nu_plus,
+                               n_basis, n_basis + _QUAD_PAD + 17), _mass_rule)
+    vals = vecs.T @ rows
+    return np.abs((vals * vals) @ ((1.0 - y) / 18.0) - 1.0)

@@ -30,9 +30,9 @@ from .errors import ConfigError
 from .geometry import eval_profiles, profile_h, solve_geometry
 from .propagator import CauchyData, KGPropagator, SourceTerm, TruncationSpec
 from .radial import radial_problem, solve_radial
-from .shooting import shooting_oracle
-from .specfun import (gauss_jacobi, jacobi_norm_integral, jacobi_poly_all,
-                      rule_on_interval)
+from .shooting import oracle_bracket, shooting_oracle
+from .specfun import (gauss_jacobi, jacobi_log_norm, jacobi_norm_integral,
+                      jacobi_poly_all, rule_on_interval)
 from .spectrum import (TruncationPolicy, build_modes, enumerate_modes,
                        basis_gram, laplacian_residual, random_points)
 
@@ -80,16 +80,23 @@ def check_profiles():
 
 
 def check_quadrature():
-    rule = gauss_jacobi(1.0, 2.0, 8)
     worst = 0.0
-    for k in range(14):
-        quad = rule.integrate(rule.nodes ** k)
-        exact = float(_jacobi_moment(1, 2, k))
-        worst = max(worst, abs(quad - exact) / max(abs(exact), 1e-300))
+    # the second rule's outer weights are many orders below its peak
+    for a, b, n in ((1, 2, 8), (300, 21, 40)):
+        rule = gauss_jacobi(a, b, n)
+        for k in range(2 * n):
+            exact = float(_jacobi_moment(a, b, k))
+            worst = max(worst, abs(rule.integrate(rule.nodes ** k) - exact)
+                        / abs(exact))
+    # its orthonormal polynomials are largest where those weights are least
+    rows = (jacobi_poly_all(a, b, n - 1, rule.nodes)
+            * np.exp(-0.5 * jacobi_log_norm(a, b, np.arange(n)))[:, None])
+    worst = max(worst, np.abs((rows * rule.weights) @ rows.T
+                              - np.eye(n)).max())
     two = gauss_jacobi(0.0, 0.0, 2)
     worst = max(worst, abs(two.nodes[1] - 1.0 / math.sqrt(3.0)),
                 abs(two.weights[0] - 1.0))
-    return worst < 1e-12, f"max relative moment error {worst:.2e}"
+    return worst < 1e-12, f"max moment/Gram error {worst:.2e}"
 
 
 def _jacobi_moment(alpha: int, beta: int, k: int) -> Fraction:
@@ -148,13 +155,13 @@ def check_radial_oracle(labels, problems, k_max: int):
         gp = solve_geometry(p, q)
         for (m, l, lam) in problems:
             prob = radial_problem(gp, m, l, lam)
-            for md in solve_radial(prob, k_max, 28):
+            for md in (modes := solve_radial(prob, k_max, 28)):
                 if md.ell == 0.0:
                     ell = shooting_oracle(prob, (-1e-6, 1e-6), 0)
                     worst = max(worst, abs(ell))
                     continue
-                pad = 0.02 * max(1.0, md.ell)
-                ell = shooting_oracle(prob, (md.ell - pad, md.ell + pad), md.k)
+                ell = shooting_oracle(prob, oracle_bracket(
+                    [mode.ell for mode in modes], md.k), md.k)
                 worst = max(worst, abs(md.ell - ell) / abs(ell))
     return worst < 1e-6, f"max rel disagreement {worst:.2e}"
 

@@ -58,7 +58,8 @@ from scipy.optimize import brentq
 from .errors import BracketError, NotConverged, OutOfRange
 from .radial import RadialProblem
 
-__all__ = ["shooting_matcher", "shooting_oracle", "shooting_spectrum"]
+__all__ = ["oracle_bracket", "shooting_matcher", "shooting_oracle",
+           "shooting_spectrum"]
 
 # where the Frobenius series hands over to interior steps: the series
 # converges in few terms there, and its zeros are counted like a step's
@@ -282,6 +283,14 @@ def shooting_oracle(prob: RadialProblem, ell_guess_bracket: tuple[float, float],
         raise BracketError(
             f"bracket isolated excitation {count}, requested {k_target}")
     return float(ell)
+
+
+def oracle_bracket(ells, i: int) -> tuple[float, float]:
+    """Bracket of the i-th ascending estimate in `ells`, halfway to each
+    neighbour (the end ones use one gap twice, a lone one a 3% pad)."""
+    gaps = np.diff(ells) if len(ells) > 1 else [0.06 * max(1.0, abs(ells[0]))]
+    return (ells[i] - 0.5 * gaps[max(i - 1, 0)],
+            ells[i] + 0.5 * gaps[min(i, len(gaps) - 1)])
 
 
 def shooting_spectrum(prob: RadialProblem, k_max: int,

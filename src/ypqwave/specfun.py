@@ -5,9 +5,16 @@ One three-term recurrence (`jacobi_poly_all`) evaluates every polynomial:
 Gegenbauer polynomials and associated Legendre functions are rescaled
 Jacobi polynomials, and `envelope_jacobi_derivs` is the one chain rule
 for the closed-form factors (envelope times Jacobi series) built on it.
-Normalization constants are products of small factors, or assembled in
-log space (lgamma) and exponentiated last, so index ranges that would
-overflow a double factorial-wise remain usable.
+Normalization constants are products of small factors, or differences of
+one log-form square norm (`jacobi_log_norm`) exponentiated last, so
+index ranges that would overflow a double factorial-wise remain usable.
+
+Gauss rules: nodes are the eigenvalues of the Jacobi matrix J (the
+multiplication by t in the orthonormal pbar_k = P_k / sqrt(h_k)),
+weights the Christoffel numbers 1 / sum_k pbar_k(x_i)^2 (Golub & Welsch
+1969; Gautschi 2004), sums of positive terms accurate at every node.
+The eigenvector form mu0 v_0i^2 is accurate only relative to the largest
+weight: at exponents in the hundreds the outer weights lose every digit.
 
 All functions are pure; quadrature rules are immutable after construction
 and safe to share between threads.
@@ -20,21 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.special import gammaln
 
-from .errors import DegreeOrderError, EigenFailure
+from .errors import DegreeOrderError, EigenFailure, QuadratureUnderflow
 
-__all__ = [
-    "QuadratureRule",
-    "jacobi_poly_all",
-    "jacobi_deriv_all",
-    "jacobi_norm_integral",
-    "gegenbauer_scale",
-    "legendre_scale",
-    "assoc_legendre",
-    "envelope_jacobi_derivs",
-    "gauss_jacobi",
-    "rule_on_interval",
-]
+__all__ = ["QuadratureRule", "jacobi_poly_all", "jacobi_deriv_all",
+           "jacobi_log_norm", "jacobi_norm_integral", "gegenbauer_scale",
+           "legendre_scale", "assoc_legendre", "envelope_jacobi_derivs",
+           "jacobi_matrix", "gauss_jacobi", "rule_on_interval"]
 
 
 def jacobi_poly_all(alpha: float, beta: float, j_max: int, x) -> np.ndarray:
@@ -92,15 +92,23 @@ def gegenbauer_scale(order: float, degree: int) -> float:
     return g
 
 
-def jacobi_norm_integral(a_exp: int, b_exp: int, j: int) -> float:
-    """Closed form of the weighted square norm on the unit interval:
+def jacobi_log_norm(alpha: float, beta: float, k):
+    """log h_k, elementwise over k, of the square norm (h_0 = mu0, the
+    zeroth moment)  h_k = int_-1^1 (1-x)^alpha (1+x)^beta P_k^2 dx
+    = 2^(a+b+1) G(k+a+1) G(k+b+1) / ((2k+a+b+1) k! G(k+a+b+1))."""
+    ab = alpha + beta
+    # (2k+a+b+1) G(k+a+b+1) = G(k+a+b+2) (1 + k/(k+a+b+1)), the ratio 1
+    # at k = 0 also for a+b = -1
+    return ((ab + 1.0) * math.log(2.0) + gammaln(k + alpha + 1.0)
+            + gammaln(k + beta + 1.0) - gammaln(k + 1.0)
+            - gammaln(k + ab + 2.0) - np.log1p(k / (k + ab + 1.0 + (k == 0))))
 
-        int_0^1 z^a (1-z)^b P_j^(a,b)(1-2z)^2 dz
-            = (j+a)! (j+b)! / ((2j+a+b+1) j! (j+a+b)!)
-    """
-    lg = (math.lgamma(j + a_exp + 1) + math.lgamma(j + b_exp + 1)
-          - math.lgamma(j + 1) - math.lgamma(j + a_exp + b_exp + 1))
-    return math.exp(lg) / (2 * j + a_exp + b_exp + 1)
+
+def jacobi_norm_integral(a_exp: int, b_exp: int, j: int) -> float:
+    """int_0^1 z^a (1-z)^b P_j^(a,b)(1-2z)^2 dz = h_j / 2^(a+b+1)
+    = (j+a)! (j+b)! / ((2j+a+b+1) j! (j+a+b)!)."""
+    return math.exp(jacobi_log_norm(a_exp, b_exp, j)
+                    - (a_exp + b_exp + 1) * math.log(2.0))
 
 
 def legendre_scale(l: int, m: int) -> float:
@@ -174,18 +182,11 @@ class QuadratureRule:
         return float(np.dot(self.weights, values))
 
 
-def gauss_jacobi(alpha: float, beta: float, n: int) -> QuadratureRule:
-    """Golub-Welsch rule from the symmetric tridiagonal recurrence matrix.
-
-    alpha, beta > -1, n >= 1.  Nodes ascend; weights are positive and sum
-    to the zeroth moment 2^(a+b+1) B(a+1, b+1).
-    """
-    if n < 1:
-        raise ValueError("need at least one node")
+def jacobi_matrix(alpha: float, beta: float,
+                  n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(diag, off) of the n x n Jacobi matrix: t pbar_k = off[k-1] pbar_{k-1}
+    + diag[k] pbar_k + off[k] pbar_{k+1}, the leading block of J at any n."""
     ab = alpha + beta
-    mu0 = math.exp((ab + 1.0) * math.log(2.0)
-                   + math.lgamma(alpha + 1.0) + math.lgamma(beta + 1.0)
-                   - math.lgamma(ab + 2.0))
     diag = np.empty(n)
     diag[0] = (beta - alpha) / (ab + 2.0)
     k = np.arange(1, n, dtype=float)
@@ -200,12 +201,31 @@ def gauss_jacobi(alpha: float, beta: float, n: int) -> QuadratureRule:
             num = 4.0 * k * (k + alpha) * (k + beta) * (k + ab)
             den = (2.0 * k + ab) ** 2 * (2.0 * k + ab + 1.0) * (2.0 * k + ab - 1.0)
             off[1:] = np.sqrt(num / den)
+    return diag, off
+
+
+def gauss_jacobi(alpha: float, beta: float, n: int) -> QuadratureRule:
+    """n-node Gauss rule with Christoffel weights (module docstring).
+
+    alpha, beta > -1, n >= 1.  Nodes ascend; weights are positive and sum
+    to the zeroth moment 2^(a+b+1) B(a+1, b+1).
+    """
+    if n < 1:
+        raise ValueError("need at least one node")
     try:
-        vals, vecs = eigh_tridiagonal(diag, off)
+        nodes = eigh_tridiagonal(*jacobi_matrix(alpha, beta, n),
+                                 eigvals_only=True)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - signals a bug
         raise EigenFailure(str(exc)) from exc
-    weights = mu0 * vecs[0, :] ** 2
-    return QuadratureRule(nodes=vals, weights=weights)
+    log_h = jacobi_log_norm(alpha, beta, np.arange(n))
+    if not log_h[0] < np.log(np.finfo(float).max):
+        raise QuadratureUnderflow(f"degenerate weights for exponents ({alpha}"
+                                  f", {beta}): mu0 overflows a double")
+    # sqrt(mu0) pbar_k: orthonormal for the weight over mu0, row 0 is 1
+    rows = (jacobi_poly_all(alpha, beta, n - 1, nodes)
+            * np.exp(0.5 * (log_h[0] - log_h))[:, None])
+    weights = math.exp(log_h[0]) / np.einsum("ki,ki->i", rows, rows)
+    return QuadratureRule(nodes=nodes, weights=weights)
 
 
 def rule_on_interval(lo: float, hi: float, exp_lo: float, exp_hi: float,

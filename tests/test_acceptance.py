@@ -57,6 +57,10 @@ def test_criterion_3_radial_vs_oracle():
     _run_checks("criterion 3 (radial vs shooting)", 120.0,
                 (check_radial_oracle, {"labels": ((2, 3), (3, 4)),
                                        "problems": problems, "k_max": 4}),
+                # endpoint exponents 367.5 and 157.5
+                (check_radial_oracle, {"labels": ((5, 7),),
+                                       "problems": ((0, 1, 0.0), (0, -1, 0.0)),
+                                       "k_max": 2}),
                 (check_radial_kernel, {"n_basis": 12}),
                 (check_cache, {}))
 
@@ -76,7 +80,7 @@ def test_criterion_5_spectrum():
 
 def test_criterion_6_ads_modes():
     _run_checks("criterion 6 (ads modes)", 20.0,
-                (check_ads, {"beta1s": (0, 1, 3), "cs": (2.0, 2.7, 5.0),
+                (check_ads, {"beta1s": (0, 1, 3), "cs": (2.0, 2.7, 5.0, 100.0),
                              "i_max": 12, "s1_max": 4}))
 
 

@@ -200,6 +200,13 @@ class TestAdSRadial:
         gram = ads_gram(beta1, c, 12)
         assert np.abs(gram - np.eye(13)).max() < 1e-10
 
+    @pytest.mark.parametrize("beta1,c,i_max", [(4, 100.0, 20),
+                                               (10, 40.0, 30)])
+    def test_orthonormality_at_large_exponents(self, beta1, c, i_max):
+        # the outer weights of the xi rule are many orders below its peak
+        gram = ads_gram(beta1, c, i_max)
+        assert np.abs(gram - np.eye(i_max + 1)).max() < 1e-12
+
     def test_operator_residual(self):
         xs = np.linspace(0.12, 1.45, 30)
         for (beta1, c, i) in [(0, 2.0, 0), (1, 2.7, 3), (3, 5.0, 7)]:
@@ -411,6 +418,25 @@ class TestSectorTransforms:
         coeffs = SpectralCoefficients({(beta_set[0], i): 1.0})
         with pytest.raises(GridMismatch, match="outside i = 0..4"):
             synthesize(coeffs, small_table)
+
+    def test_plain_tuple_key(self, gp23, small_y_modes, beta_set):
+        # a plain 8-tuple, on a table of its own, synthesizes bitwise as
+        # the ModeIndex it equals
+        fields = [synthesize(SpectralCoefficients({(key, 1): 1.0}),
+                             _small_table(gp23, small_y_modes))
+                  for key in (tuple(beta_set[7]), beta_set[7])]
+        assert fields[0].keys() == fields[1].keys()
+        assert all(np.array_equal(fields[0][sector], fields[1][sector])
+                   for sector in fields[1])
+        zero = synthesize(SpectralCoefficients({((0,) * 8, 0): 1.0}),
+                          _small_table(gp23, small_y_modes))
+        assert list(zero) == [Sector(0, 0, 0, 0)]
+
+    def test_plain_tuple_breaking_chain(self, gp23, small_y_modes):
+        # s2 > s1 in a plain tuple: the chain error, not an AttributeError
+        bad = SpectralCoefficients({((0, 1, 0, 0, 0, 0, 0, 0), 0): 1.0})
+        with pytest.raises(IndexChainError):
+            synthesize(bad, _small_table(gp23, small_y_modes))
 
     def test_project_matches_reference(self, small_table, beta_set, sparse):
         data = synthesize(sparse, small_table)

@@ -84,6 +84,11 @@ class TestGram:
         g = angular_gram(n, m, jmax)
         assert np.abs(g - np.eye(jmax + 1)).max() < 1e-11
 
+    @pytest.mark.parametrize("n,m,jmax", [(0, 20, 30), (10, -30, 60)])
+    def test_identity_at_large_exponents(self, n, m, jmax):
+        g = angular_gram(n, m, jmax)
+        assert np.abs(g - np.eye(jmax + 1)).max() < 1e-11
+
     def test_single_mode(self):
         g = angular_gram(0, 0, 0)
         assert g.shape == (1, 1)

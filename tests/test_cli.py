@@ -102,6 +102,33 @@ class TestTableCommands:
         for row in rows:
             assert abs(float(row["oracle_ell"]) - float(row["ell"])) < 1e-6
 
+    @pytest.mark.parametrize("p,q,m,l,kmax,nbasis", [
+        # the mass matrix of the old quadrature was indefinite at 75
+        (3, 5, 0, 1, 1, 60),
+        (4, 7, 0, 1, 2, 60),
+        # endpoint exponents (367.5, 157.5) and (367.5, 262.5)
+        (5, 7, 0, 1, 2, 28), (6, 7, 0, -1, 2, 28)])
+    def test_radial_large_exponents(self, capsys, p, q, m, l, kmax, nbasis):
+        ells = {}
+        for n in (28, nbasis):
+            assert run(["radial", "--p", str(p), "--q", str(q), "--m", str(m),
+                        "--l", str(l), "--Lambda", "0", "--kmax", str(kmax),
+                        "--nbasis", str(n), "--format", "json"]) == 0
+            rows = json.loads(capsys.readouterr().out)
+            assert all(row["norm_residual"] < 1e-12 for row in rows)
+            ells[n] = [row["ell"] for row in rows]
+        for a, b in zip(ells[28], ells[nbasis]):
+            assert abs(a - b) <= 1e-12 * abs(b)
+
+    @pytest.mark.parametrize("argv", [
+        # exponents (2100, 0) and (2000, 1): mu0 of the rule overflows
+        "radial --p 5 --q 7 --m 315 --l 2 --Lambda 0 --kmax 1 --nbasis 28",
+        "ads-modes --beta1 0 --c 2000 --imax 3"])
+    def test_overflowing_rule_fails_loudly(self, capsys, argv):
+        assert run(argv.split()) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: degenerate weights for exponents (")
+
     def test_radial_json_parses(self, capsys):
         assert run(["radial", "--p", "2", "--q", "3", "--m", "1", "--l", "0",
                     "--Lambda", "6", "--kmax", "2", "--nbasis", "24",
@@ -124,6 +151,12 @@ class TestTableCommands:
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert [float(r["omega"]) for r in rows] == [16.0, 36.0, 64.0]
         assert all(float(r["norm_residual"]) < 1e-10 for r in rows)
+        # exponent c = 100: the norms of ads_gram, Christoffel-weighted
+        assert run(["ads-modes", "--beta1", "4", "--c", "100",
+                    "--imax", "20"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) == 21
+        assert all(float(r["norm_residual"]) < 1e-12 for r in rows)
 
     @pytest.mark.parametrize("argv", [
         "ads-modes --beta1 0 --c 1.5 --imax 2",
@@ -579,6 +612,29 @@ class TestCache:
                                        str(tmp_path), min_modes=2)
         for a, b in zip(fresh, again):
             assert a.ell == b.ell
+
+    def test_old_solver_version_is_a_plain_miss(self, tmp_path, gp23):
+        # an entry of the previous discretization (coefficients in another
+        # basis) is re-solved without a corruption warning, and kept
+        prob = radial_problem(gp23, 1, 0, 2.0)
+        old = CacheKey(p=2, q=3, m=1, l=0, lambda_cap=2.0, n_basis=16,
+                       solver_version="galerkin-jacobi-1")
+        cache_get_or_solve(old, lambda: solve_radial(prob, 1, 16),
+                           str(tmp_path), min_modes=2)
+        calls = {"n": 0}
+
+        def solve():
+            calls["n"] += 1
+            return solve_radial(prob, 1, 16)
+
+        key = CacheKey(p=2, q=3, m=1, l=0, lambda_cap=2.0, n_basis=16)
+        assert key.solver_version != old.solver_version
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cache_get_or_solve(key, solve, str(tmp_path), min_modes=2)
+        assert calls["n"] == 1
+        assert {path.name for path in tmp_path.iterdir()} == {
+            old.filename(), key.filename()}
 
     def test_canonical_lambda_digits(self):
         k1 = CacheKey(p=2, q=3, m=0, l=0,

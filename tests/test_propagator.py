@@ -432,7 +432,7 @@ class TestValidation:
         with pytest.warns(TruncationWarning):
             sample = prop.evolve(_build_data(cfg, prop), 1.0,
                                  synthesize_values=False)
-        assert sample.tail_norm == 0.17943351307206307
+        assert sample.tail_norm == 0.17943351307206648
 
 
 def test_enumerate_beta_counts():

@@ -11,7 +11,7 @@ import pytest
 from numpy.polynomial import Polynomial
 from numpy.polynomial import polynomial as npp
 from scipy.integrate import solve_ivp
-from scipy.linalg import LinAlgError
+from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from ypqwave import radial, shooting
 from ypqwave.angular import angular_eigenvalue
@@ -23,7 +23,7 @@ from ypqwave.radial import (assemble_galerkin, char_exponents, radial_problem,
                             solve_radial)
 from ypqwave.shooting import (shooting_matcher, shooting_oracle,
                               shooting_spectrum)
-from ypqwave.specfun import rule_on_interval
+from ypqwave.specfun import jacobi_matrix, rule_on_interval
 
 
 class TestCharExponents:
@@ -81,6 +81,29 @@ class TestAssembly:
         e0 = np.zeros(16)
         e0[0] = 1.0
         assert np.abs(a @ e0).max() < 1e-9
+
+
+    @pytest.mark.parametrize("m,l", [(1, 0), (0, 1), (-9, 2)])
+    def test_mass_matrix_is_the_jacobi_quadrature(self, gp23, m, l):
+        # B is the closed form ((1 - ybar) I - h J)/18, no quadrature; the
+        # eigenvector rule of the 40-node Jacobi matrix reproduces it
+        prob = radial_problem(gp23, m, l, 1.0)
+        _, b = assemble_galerkin(prob, 20)
+        t, vecs = eigh_tridiagonal(*jacobi_matrix(2.0 * prob.nu_plus,
+                                                  2.0 * prob.nu_minus, 40))
+        half = 0.5 * (gp23.y_plus - gp23.y_minus)
+        rho = (1.0 - (gp23.y_minus + half * (1.0 + t))) / 18.0
+        quad = (vecs[:20] * rho) @ vecs[:20].T
+        assert np.abs(quad - b).max() < 1e-14
+
+    @pytest.mark.parametrize("p,q", [(5, 7), (6, 7)])
+    def test_mass_matrix_conditioned_at_large_exponents(self, p, q):
+        # cond(B) < (1 - y_minus)/(1 - y_plus) at any exponent and size
+        gp = solve_geometry(p, q)
+        bound = (1.0 - gp.y_minus) / (1.0 - gp.y_plus)
+        for n in (28, 75):
+            _, b = assemble_galerkin(radial_problem(gp, 0, 1, 0.0), n)
+            assert np.linalg.cond(b) < min(bound, 10.0)
 
 
 class TestSolveRadial:
@@ -300,6 +323,20 @@ class TestShooting:
         md = solve_radial(prob, 2, 28)[k]
         ell = shooting_oracle(prob, (0.995 * md.ell, 1.005 * md.ell), k)
         assert ell == pytest.approx(md.ell, rel=1e-6)
+
+    @pytest.mark.parametrize("p,q,l", [(5, 7, 1), (5, 7, -1), (6, 7, 1),
+                                       (6, 7, -1)])
+    def test_largest_exponents_match_oracle(self, p, q, l):
+        # nu up to 367.5: solve_radial passes its 25% refinement check, and
+        # the shooting oracle agrees to 1e-12 for k <= 2
+        prob = radial_problem(solve_geometry(p, q), 0, l, 0.0)
+        modes = solve_radial(prob, 2, 28)
+        gap = min(b.ell - a.ell for a, b in zip(modes, modes[1:]))
+        for md in modes:
+            ell = shooting_oracle(prob, (md.ell - 0.3 * gap,
+                                         md.ell + 0.3 * gap), md.k)
+            assert abs(md.ell - ell) <= 1e-12 * ell
+            assert md.grid_norm_residual < 1e-12
 
     def test_oracle_imports_no_galerkin_code(self):
         tree = ast.parse(Path(shooting.__file__).read_text())

@@ -327,6 +327,14 @@ class TestGaussJacobi:
                 else:
                     assert abs(gram[j, k]) < 1e-11 * max(1.0, gram[j, j])
 
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_chebyshev_first_kind(self, n):
+        # alpha + beta = -1: the norm's k = 0 limit; weights are pi/n
+        rule = gauss_jacobi(-0.5, -0.5, n)
+        assert np.allclose(rule.weights, math.pi / n, rtol=1e-14, atol=0.0)
+        assert np.allclose(rule.nodes, np.cos(
+            np.pi * (2 * np.arange(n, 0, -1) - 1) / (2 * n)), atol=1e-15)
+
     def test_interval_rule_scaling(self):
         y, w = rule_on_interval(1.0, 3.0, 1.0, 2.0, 10)
         # int_1^3 (y-1)(3-y)^2 dy = 4/3 via direct polynomial integration

@@ -8,6 +8,7 @@ import pytest
 
 from ypqwave import radial
 from ypqwave.errors import OutOfRange
+from ypqwave.geometry import solve_geometry
 from ypqwave.radial import char_exponents, radial_problem, solve_radial
 from ypqwave.shooting import shooting_oracle
 from ypqwave.spectrum import (TruncationPolicy, YModeIndex, YPoint,
@@ -63,6 +64,15 @@ class TestBuild:
         assert lam_j[0] < lam_j[1] < lam_j[2]
 
 
+def test_sector_gram_at_large_exponents():
+    # Y^{5,7}, (n, m, l) = (0, 0, 1): endpoint exponents 367.5 and 157.5,
+    # the modes evaluated with their envelope in log space
+    gp = solve_geometry(5, 7)
+    modes = [build_eigenmode(gp, YModeIndex(0, 0, 1, k, j), 28)
+             for k in range(3) for j in range(2)]
+    assert np.abs(sector_gram(modes) - np.eye(len(modes))).max() < 1e-9
+
+
 # the Y^{p,q} part of the duhamel_source benchmark truncation: 24 radial
 # problems over 5 endpoint-exponent pairs at (2, 3)
 DUHAMEL_POLICY = TruncationPolicy(2, 1, 1, 1, 1)
@@ -86,13 +96,15 @@ def test_rules_built_once_per_exponent_pair_and_build(gp23, monkeypatch):
     # 5 rules per exponent pair: two per Galerkin size (n_basis and the
     # 25% refinement) and the norm check's; none kept between builds
     calls = []
-    rule = radial.rule_on_interval
 
-    def counted(*args):
-        calls.append(args)
-        return rule(*args)
+    def counted(build):
+        def wrapper(*args):
+            calls.append(args)
+            return build(*args)
+        return wrapper
 
-    monkeypatch.setattr(radial, "rule_on_interval", counted)
+    for name in ("_mass_rule", "gauss_jacobi"):
+        monkeypatch.setattr(radial, name, counted(getattr(radial, name)))
     idxs = enumerate_modes(gp23, DUHAMEL_POLICY)
     pairs = {char_exponents(gp23, idx.m, idx.l) for idx in idxs}
     assert len(pairs) == 5
