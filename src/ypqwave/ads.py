@@ -405,10 +405,11 @@ class ModeTable:
         """(t1 vec, t2 vec, theta vec, y vec, [f_i matrix], discrete
         x-Gram) of one beta (a plain 8-tuple is validated).  Each pair is
         built on the first request for its part of beta: (s1, s2, s3), the
-        Y^{p,q} mode (n, m, l, k, j) and (s1, c) in turn."""
+        Y^{p,q} mode (n, m, l, k, j) up to its overall sign and (s1, c) in
+        turn."""
         grid, memo = self.grid, self._factors
         s1, s2, s3 = ModeIndex._make(beta)[:3]
-        y_key = beta[3:]
+        n, m, l, k, j = y_key = beta[3:]
         y_mode = self._y_modes[y_key]
         c = self.c(beta)
         # keys of 3, 5 and 2 entries: the three kinds share one dict
@@ -417,6 +418,8 @@ class ModeTable:
                 s3_harmonic_norm(s1, s2, s3) * math.sqrt(2.0 * math.pi)
                 * _t1_factor(s1, s2, grid.t1_nodes),
                 assoc_legendre(s2, s3, np.cos(grid.t2_nodes)))
+        # (n, m, l, k, j) and (-n, -m, -l, k, j) have bitwise equal factors
+        y_key = max(y_key, (-n, -m, -l, k, j))
         if y_key not in memo:
             memo[y_key] = (y_mode.angular.value(grid.th_nodes),
                            y_mode.radial.value(grid.y_nodes))

@@ -1,11 +1,13 @@
 """Persistent radial-eigenmode cache.
 
 Entries are JSON files keyed by a canonical serialization of the solve
-parameters; the payload carries its own checksum.  Writes go to a
-temporary name followed by an atomic rename, so concurrent processes
-sharing a cache directory get last-writer-wins without torn reads.  A
-checksum mismatch is treated as a miss: the entry is re-solved and
-overwritten, with a warning.
+parameters; the payload carries its own checksum.  `build_modes` asks
+for the larger member of each (m, l), (-m, -l) sign pair only, so a run
+writes one entry per pair and Lambda, and an entry under the other sign
+is never read.  Writes go to a temporary name followed by an atomic
+rename, so concurrent processes sharing a cache directory get
+last-writer-wins without torn reads.  A checksum mismatch is treated as
+a miss: the entry is re-solved and overwritten, with a warning.
 
 Numbers are serialized as shortest round-trip decimal strings (json's
 float repr), so a cache hit reproduces the in-memory eigenpairs bitwise.

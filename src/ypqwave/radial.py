@@ -39,6 +39,11 @@ at N+17 nodes) with no polynomial evaluated.  The derivative part uses
 the Gauss-Jacobi rule of exponents 2 nu - 1, where the 1/r potential
 singularity has cancelled against the basis weight.
 
+A solve assembles once, at 25% more basis functions than asked for.
+Its refinement check solves the leading n_basis block of that system
+too: the same basis rows, so B's block is the smaller B exactly (J's
+leading block) and A's is the smaller A under the larger rules.
+
 Problems and modes are immutable.  The rules and tables of a solve
 depend only on (gp, nu_minus, nu_plus) and the sizes, so solves may
 share them through a `tables` dict keyed by those values, filled as
@@ -262,9 +267,10 @@ def solve_radial(prob: RadialProblem, k_max: int, n_basis: int,
                  tables: dict | None = None) -> list[RadialMode]:
     """First k_max+1 eigenpairs of A c = ell B c, ascending.
 
-    n_basis >= k_max + 8.  An internal re-solve with 25% more basis
-    functions must move the two largest requested eigenvalues by less
-    than 1e-8 (relative, floored at 1); otherwise NotConverged.  Small
+    n_basis >= k_max + 8.  The system is assembled once, with 25% more
+    basis functions, and the modes come from it; its leading n_basis
+    block must give the two largest requested eigenvalues within 1e-8
+    of them (relative, floored at 1), otherwise NotConverged.  Small
     negative eigenvalues within 1e-9 are clamped to zero.
 
     `tables`: the rules and tables shared by the caller's solves (module
@@ -273,9 +279,11 @@ def solve_radial(prob: RadialProblem, k_max: int, n_basis: int,
     if n_basis < k_max + 8:
         raise ValueError("n_basis must be at least k_max + 8")
     tables = {} if tables is None else tables
-    ell_a, _ = _solve_once(prob, k_max, n_basis, tables)
     n_big = int(np.ceil(1.25 * n_basis))
-    ell_b, vecs = _solve_once(prob, k_max, n_big, tables)
+    a_mat, b_mat = assemble_galerkin(prob, n_big, tables)
+    ell_a, _ = _solve_once(prob, k_max, a_mat[:n_basis, :n_basis],
+                           b_mat[:n_basis, :n_basis])
+    ell_b, vecs = _solve_once(prob, k_max, a_mat, b_mat)
     # fix sign for reproducibility: dominant coefficient of P_k positive
     lead = np.argmax(np.abs(vecs) * _p_scale(
         prob.gp, prob.nu_minus, prob.nu_plus, n_big)[:, None], axis=0)
@@ -297,15 +305,14 @@ def solve_radial(prob: RadialProblem, k_max: int, n_basis: int,
     return modes
 
 
-def _solve_once(prob: RadialProblem, k_max: int, n_basis: int,
-                tables: dict):
-    a_mat, b_mat = assemble_galerkin(prob, n_basis, tables)
+def _solve_once(prob: RadialProblem, k_max: int, a_mat: np.ndarray,
+                b_mat: np.ndarray):
     try:
         vals, vecs = eigh(a_mat, b_mat)
     except LinAlgError as exc:
         labels = (prob.gp.p, prob.gp.q, prob.m, prob.l, prob.lambda_cap)
         raise EigenFailure(f"Galerkin eigensolve failed for (p, q, m, l, Lambda)"
-                           f" = {labels}, n_basis = {n_basis}: {exc}") from exc
+                           f" = {labels}, n_basis = {len(a_mat)}: {exc}") from exc
     return vals[:k_max + 1], vecs[:, :k_max + 1]
 
 

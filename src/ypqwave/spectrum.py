@@ -13,7 +13,7 @@ are ever integrated numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import numpy as np
 
 from .angular import AngularMode, angular_eigenvalue, angular_mode
@@ -121,6 +121,11 @@ def build_modes(gp: GeometryParams, indices: list[YModeIndex],
                 radial_solver=None) -> list[YEigenmode]:
     """Batch build sharing radial solves across (m, l, Lambda, k) groups.
 
+    The radial problem sees (m, l) only through quantities even under
+    (m, l) -> (-m, -l), which has bitwise the same eigenpairs: a sign
+    pair shares one solve of its larger member, and each index's modes
+    carry a problem with its own (m, l).
+
     radial_solver(problem, k_max, n_basis) may be injected (the CLI wires
     the on-disk cache through here).  By default each group is one
     solve_radial call, and the calls of this build share one `tables`
@@ -137,15 +142,20 @@ def build_modes(gp: GeometryParams, indices: list[YModeIndex],
     by_sector: dict[tuple, list[YModeIndex]] = {}
     for idx in indices:
         lam_cap = angular_eigenvalue(idx.n, idx.m, idx.j)
-        by_sector.setdefault((idx.m, idx.l, lam_cap), []).append(idx)
+        pair = max((idx.m, idx.l), (-idx.m, -idx.l))
+        by_sector.setdefault((pair, lam_cap), []).append(idx)
     modes = []
-    for (m, l, lam_cap), group in by_sector.items():
+    for ((m, l), lam_cap), group in by_sector.items():
         prob = radial_problem(gp, m, l, lam_cap)
         k_top = max(idx.k for idx in group)
-        rads = solver(prob, k_top, max(n_basis, k_top + 8))
+        rads = {(m, l): solver(prob, k_top, max(n_basis, k_top + 8))}
         for idx in group:
+            if (idx.m, idx.l) not in rads:
+                own = replace(prob, m=idx.m, l=idx.l)
+                rads[idx.m, idx.l] = [replace(rad, problem=own)
+                                      for rad in rads[m, l]]
             ang = angular_mode(idx.n, idx.m, idx.j)
-            rad = rads[idx.k]
+            rad = rads[idx.m, idx.l][idx.k]
             modes.append(YEigenmode(index=idx, lam=rad.ell,
                                     angular=ang, radial=rad))
     modes.sort(key=lambda md: (md.lam, md.index))

@@ -15,6 +15,7 @@ import pytest
 import ypqwave
 from ypqwave import ads
 from ypqwave.ads import sector_grid
+from ypqwave.angular import angular_eigenvalue
 from ypqwave.cache import CacheKey, cache_get_or_solve
 from ypqwave.cli import run
 from ypqwave.config import RunConfig, parse_config
@@ -22,6 +23,7 @@ from ypqwave.errors import ConfigError
 from ypqwave.geometry import profile_h, solve_geometry
 from ypqwave.propagator import TruncationWarning
 from ypqwave.radial import radial_problem, solve_radial
+from ypqwave.spectrum import TruncationPolicy, enumerate_modes
 
 
 class TestGeometryCommand:
@@ -635,6 +637,42 @@ class TestCache:
         assert calls["n"] == 1
         assert {path.name for path in tmp_path.iterdir()} == {
             old.filename(), key.filename()}
+
+    def test_propagate_keys_one_sign_per_pair(self, tmp_path, capsys):
+        # a run writes one entry per (m, l, Lambda) with (m, l) the larger
+        # of its sign pair; an entry under the other sign is never read
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        planted = cache_dir / CacheKey(
+            p=2, q=3, m=-1, l=0, lambda_cap=angular_eigenvalue(0, -1, 0),
+            n_basis=16).filename()
+        planted.write_text("not an entry")
+        outs = []
+        for tag in ("cold", "warm"):
+            out_dir = tmp_path / tag
+            path = tmp_path / f"{tag}.cfg"
+            path.write_text(CONFIG_TEMPLATE + "m_max = 1\nl_max = 1\n"
+                            + f"out_dir = {out_dir}\ncache_dir = {cache_dir}\n")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert run(["propagate", "--config", str(path)]) == 0
+            capsys.readouterr()
+            assert caught == []
+            outs.append({name: (out_dir / name).read_bytes()
+                         for name in os.listdir(out_dir)})
+        assert outs[0] == outs[1]
+        assert planted.read_text() == "not an entry"
+        keys = set()
+        for entry in cache_dir.iterdir():
+            if entry != planted:
+                key = json.loads(json.loads(entry.read_text())["key"])
+                keys.add((key["m"], key["l"], key["lambda_cap"]))
+        gp = solve_geometry(2, 3)
+        want = {(*max((i.m, i.l), (-i.m, -i.l)),
+                 f"{angular_eigenvalue(i.n, i.m, i.j):.15g}")
+                for i in enumerate_modes(gp, TruncationPolicy(1, 1, 1, 0, 0))}
+        assert keys == want
+        assert len(os.listdir(cache_dir)) == len(want) + 1
 
     def test_canonical_lambda_digits(self):
         k1 = CacheKey(p=2, q=3, m=0, l=0,

@@ -138,11 +138,20 @@ class TestSolveRadial:
                 e1 = solve_radial(radial_problem(gp23, 1, 0, lam1), k, 20)[k].ell
                 assert e1 >= e0 - 1e-10
 
-    def test_conjugate_sector_identity(self, gp23):
-        a = solve_radial(radial_problem(gp23, 2, -1, 3.0), 2, 24)
-        b = solve_radial(radial_problem(gp23, -2, 1, 3.0), 2, 24)
-        for ma, mb in zip(a, b):
-            assert abs(ma.ell - mb.ell) < 1e-9 * max(1.0, ma.ell)
+    def test_conjugate_sector_identity(self):
+        # (m, l) and (-m, -l) give bitwise the same eigenpairs: the problem
+        # sees them only through quantities even under the sign swap, on
+        # which build_modes relies to solve each sign pair once
+        for pq in ((2, 3), (3, 4), (4, 7)):
+            gp = solve_geometry(*pq)
+            for m, l, lam in ((2, -1, 3.0), (1, 1, 0.0), (0, 1, 6.0),
+                              (1, 0, 2.0)):
+                a = solve_radial(radial_problem(gp, m, l, lam), 2, 24)
+                b = solve_radial(radial_problem(gp, -m, -l, lam), 2, 24)
+                for ma, mb in zip(a, b):
+                    assert ma.ell == mb.ell
+                    assert np.array_equal(ma.coeffs, mb.coeffs)
+                    assert ma.grid_norm_residual == mb.grid_norm_residual
 
     def test_strictly_increasing_simple(self, gp23):
         modes = solve_radial(radial_problem(gp23, 1, 1, 4.0), 4, 28)
@@ -175,6 +184,26 @@ class TestSolveRadial:
                 assert a.ell == b.ell
                 assert np.array_equal(a.coeffs, b.coeffs)
                 assert a.grid_norm_residual == b.grid_norm_residual
+
+    def test_refinement_check(self, gp23, monkeypatch):
+        # one assembly per solve: the check's n_basis system is the leading
+        # block of the 25% larger one.  At Lambda = 1000 the top eigenvalues
+        # are unresolved with 12 basis functions and resolved with 24
+        calls = []
+        assemble = radial.assemble_galerkin
+
+        def counted(prob, n_basis, tables=None):
+            calls.append(n_basis)
+            return assemble(prob, n_basis, tables)
+
+        monkeypatch.setattr(radial, "assemble_galerkin", counted)
+        prob = radial_problem(gp23, 0, 0, 1000.0)
+        with pytest.raises(NotConverged,
+                           match="moved by .* under basis refinement"):
+            solve_radial(prob, 4, 12)
+        assert calls == [15]
+        assert len(solve_radial(prob, 4, 24)) == 5
+        assert calls == [15, 30]
 
     def test_nbasis_guard(self, gp23):
         with pytest.raises(ValueError):

@@ -73,8 +73,9 @@ def test_sector_gram_at_large_exponents():
     assert np.abs(sector_gram(modes) - np.eye(len(modes))).max() < 1e-9
 
 
-# the Y^{p,q} part of the duhamel_source benchmark truncation: 24 radial
-# problems over 5 endpoint-exponent pairs at (2, 3)
+# the Y^{p,q} part of the duhamel_source benchmark truncation: 14 radial
+# problems, one per (m, l) sign pair and Lambda, over 5 endpoint-exponent
+# pairs at (2, 3)
 DUHAMEL_POLICY = TruncationPolicy(2, 1, 1, 1, 1)
 
 
@@ -92,8 +93,33 @@ def test_shared_tables_match_independent_solves(request, pq):
         assert a.radial.grid_norm_residual == b.radial.grid_norm_residual
 
 
+def test_sign_pairs_share_one_solve(gp23):
+    # one solve per (m, l), (-m, -l) pair and Lambda, of the larger sign;
+    # each mode's problem still carries its own (m, l)
+    solved = []
+
+    def solver(prob, k_max, n_basis):
+        solved.append((prob.m, prob.l, prob.lambda_cap))
+        return solve_radial(prob, k_max, n_basis)
+
+    modes = build_modes(gp23, enumerate_modes(gp23, DUHAMEL_POLICY), 20,
+                        radial_solver=solver)
+    assert len(solved) == len(set(solved)) == 14
+    assert all((m, l) >= (-m, -l) for m, l, _ in solved)
+    for md in modes:
+        assert (md.radial.problem.m, md.radial.problem.l) == (md.index.m,
+                                                              md.index.l)
+    pts = random_points(gp23, 6)
+    y = np.array([pt.y for pt in pts])
+    for idx in (YModeIndex(-1, -1, 1, 1, 0), YModeIndex(0, -1, -1, 1, 1)):
+        md = next(md for md in modes if md.index == idx)
+        assert (-idx.m, -idx.l, md.radial.problem.lambda_cap) in solved
+        assert np.abs(md.radial.operator_residual(y)).max() < 1e-6
+        assert laplacian_residual(md, pts).max() < 1e-6
+
+
 def test_rules_built_once_per_exponent_pair_and_build(gp23, monkeypatch):
-    # 5 rules per exponent pair: two per Galerkin size (n_basis and the
+    # 3 rules per exponent pair: two for the one Galerkin assembly (at the
     # 25% refinement) and the norm check's; none kept between builds
     calls = []
 
@@ -111,7 +137,7 @@ def test_rules_built_once_per_exponent_pair_and_build(gp23, monkeypatch):
     for _ in range(2):
         calls.clear()
         build_modes(gp23, idxs, 20)
-        assert len(calls) == 5 * len(pairs) == 25
+        assert len(calls) == 3 * len(pairs) == 15
 
 
 class TestEval:
