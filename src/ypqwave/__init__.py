@@ -8,8 +8,8 @@ from .ads import (AdSRadialMode, ModeIndex, Sector, SpectralCoefficients,
                   s3_harmonic, synthesize)
 from .cache import SOLVER_VERSION, CacheKey, cache_get_or_solve
 from .config import RunConfig, load_config, parse_config
-from .geometry import (GeometryParams, ProfileValues, cubic_roots,
-                       eval_profiles, solve_geometry)
+from .geometry import (GeometryParams, ProfileValues, eval_profiles,
+                       solve_geometry)
 from .propagator import (CauchyData, FieldSample, KGPropagator, Projection,
                          SourceTerm, TruncationSpec, TruncationWarning)
 from .radial import (RadialMode, RadialProblem, assemble_galerkin,

@@ -254,7 +254,12 @@ def ads_radial_mode(beta1: int, c: float, i: int) -> AdSRadialMode:
         raise ValueError("beta1 and i must be nonnegative")
     if c < 2.0:
         raise ValueError("c must be at least 2")
-    omega = (2.0 * i + beta1 + c + 2.0) ** 2
+    try:
+        omega = (2.0 * i + beta1 + c + 2.0) ** 2
+    except OverflowError:
+        omega = math.inf
+    if not math.isfinite(omega):
+        raise OutOfRange(f"Omega of beta1={beta1}, c={c!r}, i={i} is not finite")
     return AdSRadialMode(beta1=beta1, c=c, i=i, omega=omega,
                          norm_const=_f_norm(beta1, c, i))
 
@@ -410,7 +415,7 @@ class ModeTable:
         grid, memo = self.grid, self._factors
         s1, s2, s3 = ModeIndex._make(beta)[:3]
         n, m, l, k, j = y_key = beta[3:]
-        y_mode = self._y_modes[y_key]
+        y_mode = self._y_mode(beta)
         c = self.c(beta)
         # keys of 3, 5 and 2 entries: the three kinds share one dict
         if (s1, s2, s3) not in memo:
@@ -445,10 +450,17 @@ class ModeTable:
                 [self.c(beta) for beta in betas])
         return self._stacks[betas]
 
+    def _y_mode(self, beta: ModeIndex):
+        """beta's Y^{p,q} mode; GridMismatch when the table lacks it."""
+        if (mode := self._y_modes.get(beta[3:])) is None:
+            raise GridMismatch(f"mode {tuple(beta)}: Y^{{p,q}} mode "
+                               f"{tuple(beta[3:])} is not in the table")
+        return mode
+
     def c(self, beta: ModeIndex) -> float:
         """c of beta's x factor, from the Laplace eigenvalue of its
         Y^{p,q} mode (n, m, l, k, j)."""
-        return c_beta(self.M, self.kappa, self._y_modes[beta[3:]].lam)
+        return c_beta(self.M, self.kappa, self._y_mode(beta).lam)
 
     def omega_table(self, betas) -> np.ndarray:
         """Omega_i = (2i + s1 + c + 2)^2 of every (beta, i), shaped
@@ -456,8 +468,8 @@ class ModeTable:
         computed once per Y^{p,q} mode, the table in one broadcast
         expression."""
         y_keys = [b[3:] for b in betas]
-        c_of = {key: c_beta(self.M, self.kappa, self._y_modes[key].lam)
-                for key in dict.fromkeys(y_keys)}
+        c_of = {key: self.c(beta)
+                for key, beta in dict(zip(y_keys, betas)).items()}
         s1 = np.array([b[0] for b in betas])[:, None]
         c = np.array([c_of[key] for key in y_keys])[:, None]
         i = np.arange(self.i_max + 1, dtype=float)

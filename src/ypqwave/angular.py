@@ -27,10 +27,12 @@ which turns the integrand into polynomial times the exact Jacobi weight.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import OutOfRange
 from .specfun import (envelope_jacobi_derivs, gauss_jacobi, jacobi_log_norm,
                       jacobi_poly_all)
 
@@ -49,9 +51,9 @@ def angular_eigenvalue(n: int, m: int, j: int) -> float:
     return float(d * (d + 1) - 4 * m * m)
 
 
-def _norm_const(a: int, b: int, j):
-    """C_{nmj} = sqrt(2^(a+b) / h_j), elementwise over j."""
-    return np.exp(0.5 * ((a + b) * math.log(2.0) - jacobi_log_norm(a, b, j)))
+def _log_norm_const(a: int, b: int, j):
+    """log C_{nmj} = log sqrt(2^(a+b) / h_j), elementwise over j."""
+    return 0.5 * ((a + b) * math.log(2.0) - jacobi_log_norm(a, b, j))
 
 
 @dataclass(frozen=True)
@@ -105,9 +107,12 @@ class AngularMode:
 def angular_mode(n: int, m: int, j: int) -> AngularMode:
     a = abs(n + 2 * m)
     b = abs(n - 2 * m)
+    log_c = _log_norm_const(a, b, j)
+    if not log_c < math.log(sys.float_info.max):
+        raise OutOfRange(f"angular norm constant of {(n, m, j)} overflows")
     return AngularMode(n=n, m=m, j=j,
                        lambda_cap=angular_eigenvalue(n, m, j),
-                       norm_const=_norm_const(a, b, j))
+                       norm_const=np.exp(log_c))
 
 
 def angular_gram(n: int, m: int, j_max: int) -> np.ndarray:
@@ -121,7 +126,7 @@ def angular_gram(n: int, m: int, j_max: int) -> np.ndarray:
     a = abs(n + 2 * m)
     b = abs(n - 2 * m)
     rule = gauss_jacobi(a, b, j_max + 4)
-    consts = _norm_const(a, b, np.arange(j_max + 1))
+    consts = np.exp(_log_norm_const(a, b, np.arange(j_max + 1)))
     basis = jacobi_poly_all(a, b, j_max, rule.nodes)
     # int_0^pi v_j v_k sin dtheta = 2 C_j C_k 2^{-a-b-1} int (1-x)^a (1+x)^b P_j P_k dx
     scaled = basis * rule.weights

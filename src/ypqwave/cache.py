@@ -30,8 +30,8 @@ from .radial import RadialMode, RadialProblem
 
 __all__ = ["CacheKey", "cache_get_or_solve", "SOLVER_VERSION"]
 
-# bump on any change to the radial discretization
-SOLVER_VERSION = "galerkin-jacobi-2"
+# bump on any change to the radial discretization or the stored geometry
+SOLVER_VERSION = "galerkin-jacobi-3"
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,6 @@ class InvalidLabel(YpqError):
     """Label pair (p, q) violates p >= 2, p < q < 2p, gcd(p, q) = 1."""
 
 
-class NoRoot(YpqError):
-    """Bisection bracket carries no sign change (internal bug)."""
-
-
 class OutOfRange(YpqError):
     """Evaluation point outside the coordinate chart."""
 

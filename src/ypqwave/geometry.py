@@ -11,6 +11,18 @@ live on the interval [y_minus, y_plus] between the negative root and the
 smallest positive root, where w > 0 and r >= 0 with simple zeros of r at
 the endpoints.
 
+Closed forms.  Gauntlett, Martelli, Sparks and Waldram (Adv. Theor.
+Math. Phys. 8 (2004) 711) solve the quantization condition below.  With
+P = p, Q = q - p (so 0 < Q < P), s = sqrt(4P^2 - 3Q^2) and d = 2P - s,
+
+    y_minus = (d - 3Q)/(4P),  y_plus = (d + 3Q)/(4P),
+    a = y_plus^2 (3 - 2 y_plus),  tau = (y_minus - 1)/(3 q y_minus).
+
+No step cancels: d is formed as 3Q^2/(2P + s), a is the cubic at y_plus
+and tau uses h = (y - 1)/(6y) at a root.  The printed forms of a and y
+lose about 7 digits at (10^5, 10^5 + 1).  A label whose a is not a
+normal double (p from about 10^154) is refused with OutOfRange.
+
 Root-label orientation.  With y_minus < 0 < y_plus one has
 h(y_minus) > 0 > h(y_plus) and |h(y_minus)| > |h(y_plus)| for every
 a in (0, 1) (Vieta: y_minus + y_plus = 3/2 - y_3 > 0).  The quantization
@@ -38,20 +50,12 @@ All functions are pure and safe for concurrent use.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from .errors import InvalidLabel, NoRoot, OutOfRange
+from .errors import InvalidLabel, OutOfRange
 
-__all__ = [
-    "GeometryParams",
-    "ProfileValues",
-    "solve_geometry",
-    "eval_profiles",
-    "cubic_roots",
-    "quantization_ratio",
-]
-
-_RATIO_TOL = 1e-14
+__all__ = ["GeometryParams", "ProfileValues", "solve_geometry", "eval_profiles"]
 
 
 @dataclass(frozen=True)
@@ -90,75 +94,32 @@ class ProfileValues:
     rho_B: float
 
 
-def cubic_roots(a: float) -> tuple[float, float, float]:
-    """Real roots of a - 3y^2 + 2y^3, sorted ascending.
-
-    For a in (0, 1) there are always three: one negative, one in (0, 1)
-    and one in (1, 3/2).  Closed trigonometric form plus one Newton polish
-    per root.
-    """
-    if not 0.0 < a < 1.0:
-        raise ValueError(f"a={a} outside (0, 1)")
-    phi = math.acos(1.0 - 2.0 * a)
-    ys = sorted(0.5 + math.cos((phi - 2.0 * math.pi * k) / 3.0) for k in range(3))
-    polished = []
-    for y in ys:
-        f = a - 3.0 * y * y + 2.0 * y ** 3
-        df = -6.0 * y + 6.0 * y * y
-        if df != 0.0:
-            y -= f / df
-        polished.append(y)
-    return tuple(polished)
-
-
 def profile_h(y: float, a: float) -> float:
     return (a - 2.0 * y + y * y) / (6.0 * (a - y * y))
-
-
-def quantization_ratio(a: float) -> float:
-    """(h(y_minus) - h(y_plus)) / (2 h(y_minus)), a strictly
-    monotone-looking map of (0,1) onto (1/2, 1); only the sign change is
-    relied upon."""
-    y_minus, y_plus, _ = cubic_roots(a)
-    hm = profile_h(y_minus, a)
-    hp = profile_h(y_plus, a)
-    return (hm - hp) / (2.0 * hm)
 
 
 def solve_geometry(p: int, q: int) -> GeometryParams:
     """Geometry constants for the label pair (p, q).
 
     Requires p >= 2, p < q < 2p and gcd(p, q) = 1; raises InvalidLabel
-    otherwise.  The constant a is located by bisection on the quantization
-    ratio (sign change guaranteed: the ratio tends to 1 at a -> 0 and to
-    1/2 at a -> 1, and p/q lies strictly between).
+    otherwise.  The closed forms are those of the module docstring.
     """
     if not (isinstance(p, int) and isinstance(q, int)):
         raise InvalidLabel("labels must be integers")
     if p < 2 or not (p < q < 2 * p) or math.gcd(p, q) != 1:
         raise InvalidLabel(f"(p, q)=({p}, {q}) must satisfy p>=2, p<q<2p, gcd=1")
-
-    target = p / q
-    lo, hi = 1e-12, 1.0 - 1e-12
-    flo = quantization_ratio(lo) - target
-    fhi = quantization_ratio(hi) - target
-    if flo * fhi > 0.0:
-        raise NoRoot(f"bisection bracket carries no sign change for (p, q)=({p}, {q})")
-    a = 0.5 * (lo + hi)
-    for _ in range(220):
-        a = 0.5 * (lo + hi)
-        fa = quantization_ratio(a) - target
-        if abs(fa) < _RATIO_TOL or hi - lo < 1e-17:
-            break
-        if flo * fa <= 0.0:
-            hi = a
-        else:
-            lo, flo = a, fa
-
-    y_minus, y_plus, _ = cubic_roots(a)
-    tau = 2.0 * profile_h(y_minus, a) / q
+    P, Q = p, q - p
+    try:
+        d = 3 * Q * Q / (2 * P + math.sqrt(4 * P * P - 3 * Q * Q))
+        y_minus, y_plus = (d - 3 * Q) / (4 * P), (d + 3 * Q) / (4 * P)
+    except OverflowError:  # 4P^2 beyond the double range: refused below
+        y_minus = y_plus = 0.0
+    a = y_plus * y_plus * (3.0 - 2.0 * y_plus)
+    if not a >= sys.float_info.min:
+        raise OutOfRange(f"Y^{{{p},{q}}}: a is not a normal double")
     return GeometryParams(p=p, q=q, a=a, y_minus=y_minus, y_plus=y_plus,
-                          tau=tau, sigma=math.lcm(2, p, q, 2 * p - q))
+                          tau=(y_minus - 1.0) / (3.0 * q * y_minus),
+                          sigma=math.lcm(2, p, q, 2 * p - q))
 
 
 def eval_profiles(gp: GeometryParams, y: float) -> ProfileValues:

@@ -212,15 +212,16 @@ def gauss_jacobi(alpha: float, beta: float, n: int) -> QuadratureRule:
     """
     if n < 1:
         raise ValueError("need at least one node")
+    # tested first: exponents this large also overflow the Jacobi matrix
+    log_h = jacobi_log_norm(alpha, beta, np.arange(n))
+    if not log_h[0] < np.log(np.finfo(float).max):
+        raise QuadratureUnderflow(f"degenerate weights for exponents ({alpha}"
+                                  f", {beta}): mu0 overflows a double")
     try:
         nodes = eigh_tridiagonal(*jacobi_matrix(alpha, beta, n),
                                  eigvals_only=True)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - signals a bug
         raise EigenFailure(str(exc)) from exc
-    log_h = jacobi_log_norm(alpha, beta, np.arange(n))
-    if not log_h[0] < np.log(np.finfo(float).max):
-        raise QuadratureUnderflow(f"degenerate weights for exponents ({alpha}"
-                                  f", {beta}): mu0 overflows a double")
     # sqrt(mu0) pbar_k: orthonormal for the weight over mu0, row 0 is 1
     rows = (jacobi_poly_all(alpha, beta, n - 1, nodes)
             * np.exp(0.5 * (log_h[0] - log_h))[:, None])

@@ -226,6 +226,11 @@ class TestAdSRadial:
     def test_omega_positive(self):
         assert ads_radial_mode(0, 2.0, 0).omega >= 16.0
 
+    @pytest.mark.parametrize("c", [1e160, math.inf, math.nan])
+    def test_omega_not_finite(self, c):
+        with pytest.raises(OutOfRange, match="is not finite"):
+            ads_radial_mode(0, c, 1)
+
 
 @pytest.fixture(scope="module")
 def small_y_modes(gp23):
@@ -418,6 +423,16 @@ class TestSectorTransforms:
         coeffs = SpectralCoefficients({(beta_set[0], i): 1.0})
         with pytest.raises(GridMismatch, match="outside i = 0..4"):
             synthesize(coeffs, small_table)
+
+    def test_y_mode_outside_table(self, small_table):
+        # n = 2 on an n_max = 1 table: named, not a bare KeyError
+        beta = ModeIndex(0, 0, 0, 2, 0, 0, 0, 0)
+        match = re.escape(f"mode {tuple(beta)}: Y^{{p,q}} mode (2, 0, 0, 0, 0)")
+        with pytest.raises(GridMismatch, match=match):
+            synthesize(SpectralCoefficients({(beta, 0): 1.0}), small_table)
+        for method in (small_table.block, small_table.c):
+            with pytest.raises(GridMismatch, match=match):
+                method(beta)
 
     def test_plain_tuple_key(self, gp23, small_y_modes, beta_set):
         # a plain 8-tuple, on a table of its own, synthesizes bitwise as

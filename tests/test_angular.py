@@ -8,6 +8,7 @@ import pytest
 from scipy.special import eval_legendre
 
 from ypqwave.angular import (angular_eigenvalue, angular_gram, angular_mode)
+from ypqwave.errors import OutOfRange
 from ypqwave.specfun import jacobi_norm_integral
 
 CHEB40 = np.pi * (1.0 + np.cos(np.pi * (2 * np.arange(40) + 1) / 80.0)) / 2.0
@@ -97,3 +98,12 @@ class TestGram:
     def test_jmax_cap(self):
         with pytest.raises(ValueError):
             angular_gram(0, 0, 101)
+
+
+def test_norm_const_beyond_double_range():
+    # n = 1020: C = 4.77e307 still works; n = 1030 overflows to inf
+    md = angular_mode(1020, 0, 0)
+    assert md.norm_const == pytest.approx(4.770215063435096e307, rel=1e-12)
+    assert np.isfinite(md.value([0.5, 3.1])).all()
+    with pytest.raises(OutOfRange, match=r"\(1030, 0, 0\) overflows"):
+        angular_mode(1030, 0, 0)

@@ -49,6 +49,17 @@ class TestGeometryCommand:
         assert run(["geometry", "--p", "2", "--q", "5"]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_large_label(self, capsys):
+        assert run(["geometry", "--p", "2000000", "--q", "2000001"]) == 0
+        assert "sigma = 7999999999998000000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("digits", [200, 400])
+    def test_label_beyond_double_range_exit_1(self, capsys, digits):
+        p = 10 ** digits
+        assert run(["geometry", "--p", str(p), "--q", str(p + 1)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Y^{") and "internal" not in err
+
     def test_unknown_flag_exit_2(self, capsys):
         assert run(["geometry", "--p", "2", "--q", "3", "--bogus"]) == 2
 
@@ -125,11 +136,18 @@ class TestTableCommands:
     @pytest.mark.parametrize("argv", [
         # exponents (2100, 0) and (2000, 1): mu0 of the rule overflows
         "radial --p 5 --q 7 --m 315 --l 2 --Lambda 0 --kmax 1 --nbasis 28",
-        "ads-modes --beta1 0 --c 2000 --imax 3"])
+        "ads-modes --beta1 0 --c 2000 --imax 3",
+        # c = 1e160 would also overflow the Jacobi matrix and Omega
+        "ads-modes --beta1 0 --c 1e160 --imax 1"])
     def test_overflowing_rule_fails_loudly(self, capsys, argv):
         assert run(argv.split()) == 1
         assert capsys.readouterr().err.startswith(
             "error: degenerate weights for exponents (")
+
+    def test_angular_norm_beyond_double_range(self, capsys):
+        assert run("angular --n 1030 --m 0 --jmax 2".split()) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: angular norm constant of (1030, 0, 0) overflows")
 
     def test_radial_json_parses(self, capsys):
         assert run(["radial", "--p", "2", "--q", "3", "--m", "1", "--l", "0",
@@ -615,12 +633,16 @@ class TestCache:
         for a, b in zip(fresh, again):
             assert a.ell == b.ell
 
-    def test_old_solver_version_is_a_plain_miss(self, tmp_path, gp23):
-        # an entry of the previous discretization (coefficients in another
-        # basis) is re-solved without a corruption warning, and kept
+    @pytest.mark.parametrize("version", ["galerkin-jacobi-1",
+                                         "galerkin-jacobi-2"])
+    def test_old_solver_version_is_a_plain_miss(self, tmp_path, gp23,
+                                                version):
+        # an entry of an earlier discretization (coefficients in another
+        # basis) or geometry (bisection constants) is re-solved without a
+        # corruption warning, and kept
         prob = radial_problem(gp23, 1, 0, 2.0)
         old = CacheKey(p=2, q=3, m=1, l=0, lambda_cap=2.0, n_basis=16,
-                       solver_version="galerkin-jacobi-1")
+                       solver_version=version)
         cache_get_or_solve(old, lambda: solve_radial(prob, 1, 16),
                            str(tmp_path), min_modes=2)
         calls = {"n": 0}

@@ -2,14 +2,15 @@
 profile identities."""
 
 import math
+import re
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 from conftest import label_lattice
 from ypqwave.errors import InvalidLabel, OutOfRange
-from ypqwave.geometry import (cubic_roots, eval_profiles, profile_h,
-                              quantization_ratio, solve_geometry)
+from ypqwave.geometry import eval_profiles, profile_h, solve_geometry
 
 
 def closed_form_a(p: int, q: int) -> float:
@@ -20,9 +21,37 @@ def closed_form_a(p: int, q: int) -> float:
     return 0.5 - (P * P - 3 * Q * Q) * math.sqrt(4 * P * P - 3 * Q * Q) / (4 * P ** 3)
 
 
+def reference_constants(p: int, q: int) -> dict:
+    """a, y_minus, y_plus and tau from the printed closed forms in 60-digit
+    decimal arithmetic, each checked against the cubic and the
+    quantization ratio p/q to 1e-50."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        P, Q = Decimal(p), Decimal(q - p)
+        s = (4 * P * P - 3 * Q * Q).sqrt()
+        a = Decimal(1) / 2 - (P * P - 3 * Q * Q) * s / (4 * P ** 3)
+        ym, yp = (2 * P - 3 * Q - s) / (4 * P), (2 * P + 3 * Q - s) / (4 * P)
+
+        def h(y):
+            return (a - 2 * y + y * y) / (6 * (a - y * y))
+
+        for y in (ym, yp):
+            assert abs(a - 3 * y * y + 2 * y ** 3) < Decimal("1e-50")
+        assert abs((h(ym) - h(yp)) / (2 * h(ym)) - Decimal(p) / q) < Decimal("1e-50")
+        return {"a": a, "y_minus": ym, "y_plus": yp, "tau": 2 * h(ym) / q}
+
+
+REFERENCE_LABELS = (
+    [(p, q) for p in range(2, 40) for q in range(p + 1, 2 * p)
+     if math.gcd(p, q) == 1]
+    + [(p, q) for p in (1000, 10 ** 5, 10 ** 6, 2 * 10 ** 6, 10 ** 7)
+       for q in (p + 1, 2 * p - 1)])
+
+
 class TestSolveGeometry:
     def test_23_residuals(self, gp23):
-        assert abs(quantization_ratio(gp23.a) - 2.0 / 3.0) < 1e-12
+        hm, hp = profile_h(gp23.y_minus, gp23.a), profile_h(gp23.y_plus, gp23.a)
+        assert abs((hm - hp) / (2.0 * hm) - 2.0 / 3.0) < 1e-12
         for y in (gp23.y_minus, gp23.y_plus):
             assert abs(gp23.a - 3 * y * y + 2 * y ** 3) < 1e-12
 
@@ -61,9 +90,19 @@ class TestSolveGeometry:
             assert gp.tau == pytest.approx(2 * hm / q, rel=1e-13)
             assert gp.tau == pytest.approx(-2 * hp / (2 * p - q), rel=1e-12)
 
-    def test_cubic_roots_ordering(self):
-        ym, yp, y3 = cubic_roots(0.44)
-        assert ym < 0.0 < yp < 1.0 < y3 < 1.5
+    def test_matches_reference(self):
+        for (p, q) in REFERENCE_LABELS:
+            gp = solve_geometry(p, q)
+            for name, ref in reference_constants(p, q).items():
+                value = getattr(gp, name)
+                assert abs(Decimal(value) - ref) <= Decimal("1e-15") * abs(ref), (
+                    p, q, name, value, ref)
+
+    @pytest.mark.parametrize("digits", [200, 400])
+    def test_subnormal_a_refused(self, digits):
+        p = 10 ** digits
+        with pytest.raises(OutOfRange, match=re.escape(f"Y^{{{p},{p + 1}}}")):
+            solve_geometry(p, p + 1)
 
 
 class TestProfiles:

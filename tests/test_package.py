@@ -1,12 +1,15 @@
-"""Package-wide consistency: every dataclass annotation resolves and every
-name a module exports exists."""
+"""Package-wide consistency: every dataclass annotation resolves, every
+name a module exports exists and every error type is raised somewhere."""
 
+import ast
 import dataclasses
 import importlib
 import pkgutil
 import typing
+from pathlib import Path
 
 import ypqwave
+from ypqwave import errors
 
 
 def test_annotations_and_exports_resolve():
@@ -18,3 +21,17 @@ def test_annotations_and_exports_resolve():
             if (dataclasses.is_dataclass(obj) and isinstance(obj, type)
                     and obj.__module__ == module.__name__):
                 typing.get_type_hints(obj)
+
+
+def test_every_error_type_is_raised():
+    raised = set()
+    for path in Path(ypqwave.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.attr if isinstance(exc, ast.Attribute)
+                           else getattr(exc, "id", None))
+    declared = {name for name, obj in vars(errors).items()
+                if isinstance(obj, type) and issubclass(obj, errors.YpqError)
+                and obj is not errors.YpqError}
+    assert declared - raised == set()
