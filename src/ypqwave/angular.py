@@ -126,10 +126,10 @@ def angular_gram(n: int, m: int, j_max: int) -> np.ndarray:
     a = abs(n + 2 * m)
     b = abs(n - 2 * m)
     rule = gauss_jacobi(a, b, j_max + 4)
-    consts = np.exp(_log_norm_const(a, b, np.arange(j_max + 1)))
+    log_c = _log_norm_const(a, b, np.arange(j_max + 1))
     basis = jacobi_poly_all(a, b, j_max, rule.nodes)
-    # int_0^pi v_j v_k sin dtheta = 2 C_j C_k 2^{-a-b-1} int (1-x)^a (1+x)^b P_j P_k dx
-    scaled = basis * rule.weights
-    gram = (scaled @ basis.T) * 2.0 ** (-a - b)
-    return consts[:, None] * gram * consts[None, :]
+    # int_0^pi v_j v_k sin dtheta = 2 C_j C_k 2^{-a-b-1} int (1-x)^a (1+x)^b P_j P_k dx;
+    # C_j C_k 2^{-a-b} in log space: C_j overflows and 2^{-a-b} underflows
+    scale = np.exp(log_c[:, None] + log_c[None, :] - (a + b) * math.log(2.0))
+    return ((basis * rule.weights) @ basis.T) * scale
 

@@ -30,8 +30,9 @@ from .radial import RadialMode, RadialProblem
 
 __all__ = ["CacheKey", "cache_get_or_solve", "SOLVER_VERSION"]
 
-# bump on any change to the radial discretization or the stored geometry
-SOLVER_VERSION = "galerkin-jacobi-3"
+# bump on any change to the radial discretization, its norm check or the
+# stored geometry
+SOLVER_VERSION = "galerkin-jacobi-4"
 
 
 @dataclass(frozen=True)

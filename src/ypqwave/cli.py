@@ -249,7 +249,7 @@ def _write_sample(cfg, prop: KGPropagator, sample) -> None:
 
 
 def _cmd_selftest(args) -> int:
-    return _selftest.run_selftest(fast=args.fast)
+    return _selftest.run_selftest()
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -309,7 +309,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pr.set_defaults(func=_cmd_propagate)
 
     st = sub.add_parser("selftest", help="run the invariant suite")
-    st.add_argument("--fast", action="store_true")
     st.set_defaults(func=_cmd_selftest)
     return parser
 

@@ -34,10 +34,10 @@ rho = (1 - ybar - h t)/18, so B = ((1 - ybar) I - h J)/18 exactly:
 cond(B) < (1 - y_minus)/(1 - y_plus) at any exponent and size.  The
 eigenvectors of the N-node J are V_ki = pbar_k(x_i) sqrt(lambda_i)
 (Gauss nodes x_i, Christoffel numbers lambda_i), so V[:n] diag(f)
-V[:n]^T is the Gauss rule of A's mass-type part (and of the norm check,
-at N+17 nodes) with no polynomial evaluated.  The derivative part uses
-the Gauss-Jacobi rule of exponents 2 nu - 1, where the 1/r potential
-singularity has cancelled against the basis weight.
+V[:n]^T is the Gauss rule of A's mass-type part (and of the norm check)
+with no polynomial evaluated.  The derivative part uses the Gauss-Jacobi
+rule of exponents 2 nu - 1, where the 1/r potential singularity has
+cancelled against the basis weight.
 
 A solve assembles once, at 25% more basis functions than asked for.
 Its refinement check solves the leading n_basis block of that system
@@ -176,10 +176,12 @@ def _p_scale(gp: GeometryParams, nm: float, npl: float, n: int):
                           + np.log(0.5 * (gp.y_plus - gp.y_minus))))
 
 
-def _shared(tables: dict, key: tuple, build):
-    """tables[key], built as build(*key[1:]) on the first request."""
+def _galerkin_tables(prob: RadialProblem, n_basis: int, tables: dict):
+    """_exponent_tables of prob's exponent pair at n_basis, built on the
+    first request and kept in `tables`."""
+    key = (prob.gp, prob.nu_minus, prob.nu_plus, n_basis, n_basis + _QUAD_PAD)
     if key not in tables:
-        tables[key] = build(*key[1:])
+        tables[key] = _exponent_tables(*key)
     return tables[key]
 
 
@@ -195,10 +197,8 @@ def assemble_galerkin(prob: RadialProblem, n_basis: int,
     if n_basis < 4:
         raise ValueError("n_basis must be at least 4")
     gp = prob.gp
-    b_mat, y_b, v_b, y_d, w_d, p_d, r_mat, div = _shared(
-        {} if tables is None else tables,
-        ("galerkin", gp, prob.nu_minus, prob.nu_plus, n_basis,
-         n_basis + _QUAD_PAD), _exponent_tables)
+    b_mat, y_b, v_b, y_d, w_d, p_d, r_mat, div = _galerkin_tables(
+        prob, n_basis, {} if tables is None else tables)
     a, y3, mu = gp.a, gp.y_third, prob.alpha_freq
     # smooth factors; the mass-type one without rho, which B carries
     f_mass = (mu * mu) * (1.0 - y_b) ** 2 / (36.0 * (a - y_b * y_b)) \
@@ -318,8 +318,8 @@ def _solve_once(prob: RadialProblem, k_max: int, a_mat: np.ndarray,
 
 def _norm_residuals(prob: RadialProblem, vecs: np.ndarray, n_basis: int,
                     tables: dict):
-    """|B-norm by the finer (N+17)-node mass rule - 1| per column."""
-    y, rows = _shared(tables, ("norm", prob.gp, prob.nu_minus, prob.nu_plus,
-                               n_basis, n_basis + _QUAD_PAD + 17), _mass_rule)
+    """|B-norm by the Galerkin mass rule - 1| per column: the rule
+    integrates u_k^2 rho exactly, so this measures the eigensolve alone."""
+    _, y, rows, *_ = _galerkin_tables(prob, n_basis, tables)
     vals = vecs.T @ rows
     return np.abs((vals * vals) @ ((1.0 - y) / 18.0) - 1.0)

@@ -3,10 +3,11 @@ tests.
 
 Each check re-derives its expected values from an independent route
 (closed forms, exact moments, shooting, trig identities) and returns
-(ok, detail).  Checks take their problem sizes as arguments: CHECKS
-holds the sizes `selftest` runs them at, and the acceptance suite calls
-the same checks at larger sizes.  `selftest` prints one pass/fail line
-per check; exit status 0 only if everything passes.
+(ok, detail).  Each check has one set of problem sizes, written in the
+check itself; CHECKS assigns every check to one acceptance criterion,
+and the acceptance suite runs each criterion's rows exactly as
+`selftest` does.  `selftest` prints one pass/fail line per check; exit
+status 0 only if everything passes.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .angular import angular_gram, angular_mode
+from .angular import angular_eigenvalue, angular_gram, angular_mode
 from .ads import (SpectralCoefficients, ads_gram, ads_radial_mode,
                   s3_laplace_residual)
 from .cache import CacheKey, cache_get_or_solve
@@ -39,15 +40,11 @@ from .spectrum import (TruncationPolicy, build_modes, enumerate_modes,
 __all__ = ["CHECKS", "run_selftest"]
 
 
-def _label_lattice(p_top: int = 6):
-    return [(p, q) for p in range(2, p_top + 1) for q in range(p + 1, 2 * p)
-            if math.gcd(p, q) == 1]
-
-
-def check_geometry(p_top: int):
+def check_geometry():
     """Quantization, cubic-root and h-identity residuals, root ordering
-    and the tau/sigma invariants over the label lattice p <= p_top."""
-    labels = _label_lattice(p_top)
+    and the tau/sigma invariants over the label lattice 2 <= p <= 6."""
+    labels = [(p, q) for p in range(2, 7) for q in range(p + 1, 2 * p)
+              if math.gcd(p, q) == 1]
     worst = 0.0
     for (p, q) in labels:
         gp = solve_geometry(p, q)
@@ -122,13 +119,14 @@ def check_jacobi_norms():
     return worst < 1e-12, f"max relative norm error {worst:.2e}"
 
 
-def check_angular(pairs, j_max: int):
-    """Gram of v_{nm0..j_max} and the ODE residual of every one of them,
-    for each (n, m) in pairs."""
+def check_angular():
+    """Gram of v_{nm0..10} and the ODE residual of every one of them,
+    for each |n|, |m| <= 3."""
     th = np.pi * (1.0 + np.cos(np.pi * (2 * np.arange(40) + 1) / 80.0)) / 2.0
+    j_max = 10
     worst_gram = 0.0
     worst_res = 0.0
-    for (n, m) in pairs:
+    for (n, m) in [(n, m) for n in range(-3, 4) for m in range(-3, 4)]:
         g = angular_gram(n, m, j_max)
         worst_gram = max(worst_gram, np.abs(g - np.eye(j_max + 1)).max())
         for j in range(j_max + 1):
@@ -138,39 +136,50 @@ def check_angular(pairs, j_max: int):
     return ok, f"gram dev {worst_gram:.2e}, ODE residual {worst_res:.2e}"
 
 
-def check_radial_kernel(n_basis: int):
+def check_radial_kernel():
+    """The constant mode of Y^{2,3} at (m, l, Lambda) = 0, at two sizes."""
     gp = solve_geometry(2, 3)
-    md = solve_radial(radial_problem(gp, 0, 0, 0.0), 0, n_basis)[0]
-    coeff_tail = np.abs(md.coeffs[1:]).max()
-    ok = md.ell < 1e-9 and coeff_tail < 1e-9
-    return ok, f"kernel ell {md.ell:.1e}, nonconstant part {coeff_tail:.1e}"
+    ell = tail = 0.0
+    for n_basis in (12, 16):
+        md = solve_radial(radial_problem(gp, 0, 0, 0.0), 0, n_basis)[0]
+        ell, tail = max(ell, md.ell), max(tail, np.abs(md.coeffs[1:]).max())
+    ok = ell < 1e-9 and tail < 1e-9
+    return ok, f"kernel ell {ell:.1e}, nonconstant part {tail:.1e}"
 
 
-def check_radial_oracle(labels, problems, k_max: int):
-    """Galerkin eigenvalues 0..k_max against the shooting oracle for each
-    label pair and each (m, l, Lambda) problem; a zero eigenvalue is
-    checked absolutely, the others relative to the oracle's value."""
+def check_radial_oracle():
+    """Galerkin eigenvalues 0..k_max against the shooting oracle on a
+    (p, q) x (m, l) x Lambda matrix and at the endpoint exponents 367.5
+    and 157.5 of Y^{5,7}; a zero eigenvalue is checked absolutely, the
+    others relative to the oracle's value."""
+    cases = [(p, q, m, l, lam, 4) for (p, q) in ((2, 3), (3, 4))
+             for (m, l) in ((0, 0), (1, 0), (0, 1), (2, -1))
+             for lam in (0.0, angular_eigenvalue(1, 0, 1))]
+    cases += [(5, 7, 0, l, 0.0, 2) for l in (1, -1)]
     worst = 0.0
-    for (p, q) in labels:
-        gp = solve_geometry(p, q)
-        for (m, l, lam) in problems:
-            prob = radial_problem(gp, m, l, lam)
-            for md in (modes := solve_radial(prob, k_max, 28)):
-                if md.ell == 0.0:
-                    ell = shooting_oracle(prob, (-1e-6, 1e-6), 0)
-                    worst = max(worst, abs(ell))
-                    continue
-                ell = shooting_oracle(prob, oracle_bracket(
-                    [mode.ell for mode in modes], md.k), md.k)
-                worst = max(worst, abs(md.ell - ell) / abs(ell))
-    return worst < 1e-6, f"max rel disagreement {worst:.2e}"
+    for (p, q, m, l, lam, k_max) in cases:
+        prob = radial_problem(solve_geometry(p, q), m, l, lam)
+        for md in (modes := solve_radial(prob, k_max, 28)):
+            if md.ell == 0.0:
+                ell = shooting_oracle(prob, (-1e-6, 1e-6), 0)
+                worst = max(worst, abs(ell))
+                continue
+            ell = shooting_oracle(prob, oracle_bracket(
+                [mode.ell for mode in modes], md.k), md.k)
+            worst = max(worst, abs(md.ell - ell) / abs(ell))
+    return worst < 1e-6, (f"max rel disagreement {worst:.2e} "
+                          f"over {len(cases)} problems")
 
 
-def check_radial_slopes(cases, n_basis: int):
+def check_radial_slopes():
     """Fitted log-log slopes of g_k at both endpoints against the
-    characteristic exponents, for each (p, q, m, l, k) in cases."""
+    characteristic exponents, for each (p, q, m, l, k, n_basis) case."""
+    cases = [(2, 3, 0, 1, 0, 24)] + [
+        (*case, 26) for case in ((2, 3, 0, 1, 0), (2, 3, 1, 0, 1),
+                                 (2, 3, 2, -1, 0), (2, 3, 1, 1, 2),
+                                 (3, 4, 0, 1, 0), (3, 4, 2, -1, 1))]
     worst = 0.0
-    for (p, q, m, l, k) in cases:
+    for (p, q, m, l, k, n_basis) in cases:
         gp = solve_geometry(p, q)
         prob = radial_problem(gp, m, l, 0.0)
         md = solve_radial(prob, k, n_basis)[k]
@@ -183,26 +192,29 @@ def check_radial_slopes(cases, n_basis: int):
                           f"over {2 * len(cases)} fits")
 
 
-def check_spectrum(bounds, n_basis: int, n_modes: int, n_points: int):
-    """Gram of the n_modes lowest modes inside bounds (n, m, l, k, j
-    maxima) and the Laplacian residual of each at n_points random
-    points."""
+def check_spectrum():
+    """Gram of the n_modes lowest modes of Y^{2,3} with every (n, m, l,
+    k, j) label at most 1, and the Laplacian residual of each at n_points
+    random points, for each (n_basis, n_modes, n_points)."""
     gp = solve_geometry(2, 3)
-    modes = build_modes(gp, enumerate_modes(gp, TruncationPolicy(*bounds)),
-                        n_basis)[:n_modes]
-    dev = np.abs(basis_gram(modes) - np.eye(len(modes))).max()
-    rng = np.random.default_rng(12)
-    res = max(laplacian_residual(md, random_points(gp, n_points, rng)).max()
-              for md in modes)
+    indices = enumerate_modes(gp, TruncationPolicy(1, 1, 1, 1, 1))
+    dev = res = 0.0
+    for n_basis, n_modes, n_points in ((28, 12, 12), (36, 20, 20)):
+        modes = build_modes(gp, indices, n_basis)[:n_modes]
+        dev = max(dev, np.abs(basis_gram(modes) - np.eye(len(modes))).max())
+        rng = np.random.default_rng(12)
+        res = max(res, *(laplacian_residual(
+            md, random_points(gp, n_points, rng)).max() for md in modes))
     ok = dev < 1e-9 and res < 1e-6
-    return ok, (f"{len(modes)}-mode gram dev {dev:.2e}, "
-                f"laplacian residual {res:.2e}")
+    return ok, f"gram dev {dev:.2e}, laplacian residual {res:.2e}"
 
 
-def check_ads(beta1s, cs, i_max: int, s1_max: int):
+def check_ads():
     """AdS radial Gram, operator residual (absolute) and exact eigenvalue
-    spacing for every beta1 in beta1s, c in cs and i <= i_max, and the
-    S^3 Laplace residual of every harmonic with s1 <= s1_max."""
+    spacing for beta1 <= 3, six values of c and i <= 12, and the S^3
+    Laplace residual of every harmonic with s1 <= 4."""
+    beta1s, cs = (0, 1, 2, 3), (2.0, 2.5, 2.7, 3.4, 5.0, 100.0)
+    i_max, s1_max = 12, 4
     worst_gram = 0.0
     worst_res = 0.0
     xs = np.linspace(0.1, 1.47, 40)
@@ -230,10 +242,10 @@ def check_ads(beta1s, cs, i_max: int, s1_max: int):
                 f"S3 residual {s3res:.2e}, spacing exact {ok_sp}")
 
 
-def check_propagator(beta_step: int):
+def check_propagator():
     """Energy conservation, time reflection, composition, a zero source
     and a constant-source Duhamel closed form, with random coefficients
-    on every beta_step-th mode."""
+    on every fourth mode."""
     gp = solve_geometry(2, 3)
     # spectral data only: the quadrature grid is never built
     trunc = TruncationSpec(s1_max=1, n_max=1, m_max=0, l_max=0, k_max=1,
@@ -241,7 +253,7 @@ def check_propagator(beta_step: int):
     prop = KGPropagator(gp, M=1.0, kappa=1.0, trunc=trunc)
     rng = np.random.default_rng(17)
     a0, a1 = SpectralCoefficients(), SpectralCoefficients()
-    for beta in prop.betas[::beta_step]:
+    for beta in prop.betas[::4]:
         for i in (0, 1, 3):
             a0[(beta, i)] = complex(rng.normal(), rng.normal())
             a1[(beta, i)] = complex(rng.normal(), rng.normal())
@@ -343,42 +355,32 @@ def check_serialization():
     return True, "17-digit decimal round trip exact"
 
 
-# (name, check, sizes, fast-mode overrides of those sizes); the acceptance
-# suite calls every check here at its own, larger sizes
+# (acceptance criterion, name, check)
 CHECKS = [
-    ("geometry lattice", check_geometry, {"p_top": 6}, {"p_top": 4}),
-    ("profile functions", check_profiles, {}, {}),
-    ("gauss-jacobi exactness", check_quadrature, {}, {}),
-    ("jacobi norm integrals", check_jacobi_norms, {}, {}),
-    ("angular basis", check_angular,
-     {"pairs": ((0, 0), (1, -2), (2, 1), (1, -1)), "j_max": 6}, {}),
-    ("radial kernel", check_radial_kernel, {"n_basis": 16}, {}),
-    ("radial vs shooting", check_radial_oracle,
-     {"labels": ((2, 3),), "problems": ((1, 0, 6.0),), "k_max": 3},
-     {"k_max": 1}),
-    ("radial endpoint slopes", check_radial_slopes,
-     {"cases": ((2, 3, 0, 1, 0),), "n_basis": 24}, {}),
-    ("spectrum assembly", check_spectrum,
-     {"bounds": (1, 1, 1, 1, 1), "n_basis": 28, "n_modes": 12,
-      "n_points": 12},
-     {"bounds": (1, 1, 0, 1, 1), "n_points": 5}),
-    ("ads modes", check_ads,
-     {"beta1s": (0, 1, 2), "cs": (2.0, 2.5, 3.4), "i_max": 8, "s1_max": 3},
-     {}),
-    ("propagator diagnostics", check_propagator, {"beta_step": 8}, {}),
-    ("eigenmode cache", check_cache, {}, {}),
-    ("run config", check_config, {}, {}),
-    ("serialization", check_serialization, {}, {}),
+    (1, "geometry lattice", check_geometry),
+    (1, "profile functions", check_profiles),
+    (2, "gauss-jacobi exactness", check_quadrature),
+    (2, "jacobi norm integrals", check_jacobi_norms),
+    (2, "angular basis", check_angular),
+    (3, "radial kernel", check_radial_kernel),
+    (3, "radial vs shooting", check_radial_oracle),
+    (4, "radial endpoint slopes", check_radial_slopes),
+    (5, "spectrum assembly", check_spectrum),
+    (6, "ads modes", check_ads),
+    (7, "propagator diagnostics", check_propagator),
+    (3, "eigenmode cache", check_cache),
+    (7, "run config", check_config),
+    (1, "serialization", check_serialization),
 ]
 
 
-def run_selftest(fast: bool = False) -> int:
+def run_selftest() -> int:
     failures = 0
     t_start = time.time()
-    for name, check, sizes, fast_sizes in CHECKS:
+    for _, name, check in CHECKS:
         t0 = time.time()
         try:
-            ok, detail = check(**(sizes | fast_sizes if fast else sizes))
+            ok, detail = check()
         except Exception as exc:
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         status = "PASS" if ok else "FAIL"

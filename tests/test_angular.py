@@ -85,7 +85,10 @@ class TestGram:
         g = angular_gram(n, m, jmax)
         assert np.abs(g - np.eye(jmax + 1)).max() < 1e-11
 
-    @pytest.mark.parametrize("n,m,jmax", [(0, 20, 30), (10, -30, 60)])
+    # from n = 540 the norm constants overflow and 2^-(a+b) underflows
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n,m,jmax", [(0, 20, 30), (10, -30, 60),
+                                          (540, 0, 2), (1030, 0, 2)])
     def test_identity_at_large_exponents(self, n, m, jmax):
         g = angular_gram(n, m, jmax)
         assert np.abs(g - np.eye(jmax + 1)).max() < 1e-11

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import ypqwave
-from ypqwave import ads
+from ypqwave import ads, selftest
 from ypqwave.ads import sector_grid
 from ypqwave.angular import angular_eigenvalue
 from ypqwave.cache import CacheKey, cache_get_or_solve
@@ -60,8 +60,11 @@ class TestGeometryCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: Y^{") and "internal" not in err
 
-    def test_unknown_flag_exit_2(self, capsys):
-        assert run(["geometry", "--p", "2", "--q", "3", "--bogus"]) == 2
+    @pytest.mark.parametrize("argv", ["geometry --p 2 --q 3 --bogus",
+                                      "selftest --fast"])
+    def test_unknown_flag_exit_2(self, capsys, argv):
+        assert run(argv.split()) == 2
+        assert capsys.readouterr().err.startswith("usage:")
 
     def test_unknown_command_exit_2(self, capsys):
         assert run(["frobnicate"]) == 2
@@ -634,12 +637,13 @@ class TestCache:
             assert a.ell == b.ell
 
     @pytest.mark.parametrize("version", ["galerkin-jacobi-1",
-                                         "galerkin-jacobi-2"])
+                                         "galerkin-jacobi-2",
+                                         "galerkin-jacobi-3"])
     def test_old_solver_version_is_a_plain_miss(self, tmp_path, gp23,
                                                 version):
         # an entry of an earlier discretization (coefficients in another
-        # basis) or geometry (bisection constants) is re-solved without a
-        # corruption warning, and kept
+        # basis), geometry (bisection constants) or norm check (a finer
+        # rule) is re-solved without a corruption warning, and kept
         prob = radial_problem(gp23, 1, 0, 2.0)
         old = CacheKey(p=2, q=3, m=1, l=0, lambda_cap=2.0, n_basis=16,
                        solver_version=version)
@@ -704,7 +708,13 @@ class TestCache:
         assert k1.canonical() == k2.canonical()
 
 
-def test_selftest_fast_exit_zero(capsys):
-    assert run(["selftest", "--fast"]) == 0
+@pytest.mark.parametrize("check", [lambda: (False, "planted failure"),
+                                   lambda: 1 / 0], ids=["fails", "raises"])
+def test_selftest_failing_check_exit_1(monkeypatch, capsys, check):
+    # a check that fails or raises is a FAIL line, and selftest exits 1
+    monkeypatch.setattr(selftest, "CHECKS",
+                        [(1, "planted", check), selftest.CHECKS[-1]])
+    assert run(["selftest"]) == 1
     out = capsys.readouterr().out
-    assert "OK" in out and "FAIL " not in out
+    assert out.count("FAIL  planted") == 1 and "PASS  serialization" in out
+    assert "FAILED: 1/2 checks passed" in out

@@ -1,15 +1,17 @@
 """Package-wide consistency: every dataclass annotation resolves, every
-name a module exports exists and every error type is raised somewhere."""
+name a module exports exists, every error type is raised somewhere and
+every selftest check has one size and one acceptance criterion."""
 
 import ast
 import dataclasses
 import importlib
+import inspect
 import pkgutil
 import typing
 from pathlib import Path
 
 import ypqwave
-from ypqwave import errors
+from ypqwave import errors, selftest
 
 
 def test_annotations_and_exports_resolve():
@@ -35,3 +37,15 @@ def test_every_error_type_is_raised():
                 if isinstance(obj, type) and issubclass(obj, errors.YpqError)
                 and obj is not errors.YpqError}
     assert declared - raised == set()
+
+
+def test_selftest_checks_have_one_size_and_one_criterion():
+    checks = {name: obj for name, obj in vars(selftest).items()
+              if name.startswith("check_") and callable(obj)}
+    assert [name for name, fn in checks.items()
+            if inspect.signature(fn).parameters] == []
+    # each check in one CHECKS row, each row in one criterion 1-7, and
+    # each criterion with a row
+    rows = selftest.CHECKS
+    assert sorted(fn.__name__ for _, _, fn in rows) == sorted(checks)
+    assert {criterion for criterion, _, _ in rows} == set(range(1, 8))

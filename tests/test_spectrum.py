@@ -119,8 +119,8 @@ def test_sign_pairs_share_one_solve(gp23):
 
 
 def test_rules_built_once_per_exponent_pair_and_build(gp23, monkeypatch):
-    # 3 rules per exponent pair: two for the one Galerkin assembly (at the
-    # 25% refinement) and the norm check's; none kept between builds
+    # 2 rules per exponent pair, both for the one Galerkin assembly (at the
+    # 25% refinement), which the norm check reuses; none kept between builds
     calls = []
 
     def counted(build):
@@ -137,7 +137,7 @@ def test_rules_built_once_per_exponent_pair_and_build(gp23, monkeypatch):
     for _ in range(2):
         calls.clear()
         build_modes(gp23, idxs, 20)
-        assert len(calls) == 3 * len(pairs) == 15
+        assert len(calls) == 2 * len(pairs) == 10
 
 
 class TestEval:
