@@ -15,6 +15,7 @@ import dataclasses
 import itertools
 import json
 import math
+import operator
 import os
 import sys
 
@@ -166,10 +167,12 @@ def _cmd_propagate(args) -> int:
     energy_rows = []
     for t in cfg.times:
         sample = prop.evolve(proj, t, synthesize_values=True)
-        _write_sample(cfg, prop, sample)
+        name = f"field_{time_tag(t)}.{cfg.out_format}"
+        rows = _write_sample(cfg, prop, sample, name)
         for (beta, i), e in sorted(sample.per_mode_energy.items()):
             energy_rows.append(beta.beta + (i, t, e))
-        print(f"t={t:g}: wrote field sample, tail norm {sample.tail_norm:.3e}")
+        print(f"t={t:g}: wrote {rows} rows to {name}, "
+              f"tail norm {sample.tail_norm:.3e}")
     path = os.path.join(cfg.out_dir, "energy_trace.csv")
     with _path_errors("out_dir", cfg.out_dir), open(
             path, "w", encoding="utf-8", newline="") as fh:
@@ -211,25 +214,31 @@ def _build_data(cfg, prop: KGPropagator) -> CauchyData:
     return CauchyData({sector: arr}, zeros)
 
 
-def _write_sample(cfg, prop: KGPropagator, sample) -> None:
-    """Write field_<tag>.json or .csv: CSV rows in C order of the grid,
-    floats as repr, one write per x slab (at most one slab as text)."""
+def _write_sample(cfg, prop: KGPropagator, sample, name: str) -> int:
+    """Write file `name` (.json or .csv) in out_dir and return its row
+    count, one per sector and grid point: CSV rows in C order of the
+    grid, floats as repr (once per distinct value of an x slab), one
+    write per x slab (at most one slab as text)."""
     grid = prop.table.grid
     axes = dict(zip(("x", "theta1", "theta2", "theta", "y"), (
         a.tolist() for a in (grid.x_nodes, grid.t1_nodes, grid.t2_nodes,
                              grid.th_nodes, grid.y_nodes))))
     is_json = cfg.out_format == "json"
     sectors = []
-    path = os.path.join(cfg.out_dir,
-                        f"field_{time_tag(sample.t)}.{cfg.out_format}")
+    rows = 0
+    path = os.path.join(cfg.out_dir, name)
     with _path_errors("out_dir", cfg.out_dir), open(
             path, "w", encoding="utf-8", newline="") as fh:
         if not is_json:
             fh.write(",".join(("s3", "n", "m", "l", *axes, "re", "im")) + "\n")
             x_text, *rest = ([repr(v) for v in axis] for axis in axes.values())
-            # (theta1, theta2, theta, y) of each row of a slab, ravel order
-            tail = [",".join(pt) for pt in itertools.product(*rest)]
+            # the text of a slab, six parts a row: lead (s3..x), point
+            # (theta1, theta2, theta, y in ravel order), re, ",", im, "\n"
+            points = [",".join(pt) + "," for pt in itertools.product(*rest)]
+            parts = [None, None, None, ",", None, "\n"] * len(points)
+            parts[1::6] = points
         for sector, arr in (sample.values or {}).items():
+            rows += arr.size
             if is_json:
                 sectors.append({
                     "s3": sector.s3, "n": sector.n, "m": sector.m,
@@ -237,15 +246,31 @@ def _write_sample(cfg, prop: KGPropagator, sample) -> None:
                     "re": arr.real.ravel().tolist(),
                     "im": arr.imag.ravel().tolist()})
                 continue
-            for xv, slab in zip(x_text, arr):
-                lead = f"{sector.s3},{sector.n},{sector.m},{sector.l},{xv},"
-                fh.write("".join(
-                    f"{lead}{pt},{re!r},{im!r}\n" for pt, re, im in zip(
-                        tail, slab.real.ravel().tolist(),
-                        slab.imag.ravel().tolist())))
+            # re and im interleaved as int64 bit patterns: a slab's values
+            # repeat, and keying by bits keeps 0.0 and -0.0 apart
+            bits = np.ascontiguousarray(arr, dtype=complex).view(np.int64)
+            for xv, slab in zip(x_text, bits):
+                flat = slab.ravel()
+                keys, inverse = np.unique(flat, return_inverse=True)
+                # format each distinct value once, at one of its positions
+                # and in row order, so that the gather reads texts in order
+                pos = np.empty(keys.size, np.intp)
+                pos[inverse] = np.arange(flat.size)
+                picked = np.zeros(flat.size, bool)
+                picked[pos] = True
+                texts = list(map(repr, flat[picked].view(float).tolist()))
+                slot = (np.cumsum(picked) - 1)[pos]  # text index of each key
+                # re and im make at least two indices, so a tuple comes back
+                values = operator.itemgetter(*slot[inverse].tolist())(texts)
+                parts[0::6] = [f"{sector.s3},{sector.n},{sector.m},"
+                               f"{sector.l},{xv},"] * len(points)
+                parts[2::6] = values[0::2]
+                parts[4::6] = values[1::2]
+                fh.write("".join(parts))
         if is_json:
             json.dump({"t": sample.t, "tail_norm": sample.tail_norm,
                        "sectors": sectors}, fh)
+    return rows
 
 
 def _cmd_selftest(args) -> int:

@@ -79,8 +79,9 @@ class RunConfig:
 
 
 def time_tag(t: float) -> str:
-    """File-name tag of output time t, e.g. 0.5 -> 't0p5', -2 -> 'tm2'."""
-    return f"t{t:g}".replace(".", "p").replace("-", "m")
+    """File-name tag of output time t, e.g. 0.5 -> 't0p5', -2 -> 'tm2';
+    -0.0 is 0.0 (adding 0.0 clears the sign of a zero), so 't0'."""
+    return f"t{t + 0.0:g}".replace(".", "p").replace("-", "m")
 
 
 def _float(token: str) -> float:

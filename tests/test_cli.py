@@ -4,21 +4,23 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import ypqwave
-from ypqwave import ads, selftest
-from ypqwave.ads import sector_grid
+from ypqwave import ads, cli, selftest
+from ypqwave.ads import Sector, sector_grid
 from ypqwave.angular import angular_eigenvalue
 from ypqwave.cache import CacheKey, cache_get_or_solve
 from ypqwave.cli import run
-from ypqwave.config import RunConfig, parse_config
+from ypqwave.config import RunConfig, parse_config, time_tag
 from ypqwave.errors import ConfigError
 from ypqwave.geometry import profile_h, solve_geometry
 from ypqwave.propagator import TruncationWarning
@@ -224,6 +226,41 @@ out_format = csv
 """
 
 
+# data in five sectors (s3, n, m, l), s3 and n each in -1, 0, 1; with
+# s1 = 1 in four of them, most field values differ
+SECTORS_SHAPE = (4, 5, 6, 4, 7)
+SECTORS_CONFIG = "\n".join(
+    ["schema_version = 1", "p = 2", "q = 3", "s1_max = 1", "n_max = 1",
+     "i_max = 1", "n_basis = 12", "times = 0.0, 1.0"]
+    + [f"{key} = {n}" for key, n in zip(
+        ("grid_x", "grid_t1", "grid_t2", "grid_theta", "grid_y"),
+        SECTORS_SHAPE)]
+    + [f"phi0_coef = {c} : 1.0 : 0.5" for c in (
+        "1 1 1 0 0 0 0 0 0", "0 0 0 1 0 0 0 0 1", "1 1 -1 -1 0 0 0 0 0",
+        "0 0 0 0 0 0 0 0 0", "1 1 0 -1 0 0 0 0 1", "1 0 0 1 0 0 0 0 0")]) + "\n"
+
+# the gaussian_x preset on a small grid, out to m_max = l_max = 1
+GAUSSIAN_CONFIG = """
+schema_version = 1
+p = 2
+q = 3
+preset = gaussian_x
+s1_max = 1
+n_max = 1
+m_max = 1
+l_max = 1
+k_max = 1
+i_max = 2
+n_basis = 16
+grid_x = 12
+grid_t1 = 5
+grid_t2 = 5
+grid_theta = 6
+grid_y = 8
+times = 0.0, 0.5, 1.0
+"""
+
+
 def _with_line(line: str):
     """CONFIG_TEMPLATE with `line` appended in place of any line that sets
     the same key (coefficient lines add up), and the number of that line."""
@@ -381,23 +418,43 @@ class TestPropagate:
         assert capsys.readouterr().err.startswith(f"error: line {lineno}:")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_negative_zero_time_shares_tag(self, tmp_path, capsys, fmt):
+        # -0.0 is the instant 0.0: tagged t0, so 0.0 and -0.0 are refused
+        # as two times of one file
+        assert time_tag(-0.0) == time_tag(0.0) == "t0"
+        assert time_tag(-0.5) == "tm0p5"
+        times = "times = 0.0, -0.0"
+        out_dir = tmp_path / "out"
+        text = (CONFIG_TEMPLATE.replace("times = 0.0, 1.0", times)
+                .replace("out_format = csv", f"out_format = {fmt}")
+                + f"out_dir = {out_dir}\n")
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        lineno = text.splitlines().index(times) + 1
+        assert run(["propagate", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: line {lineno}: two times share an output file tag")
+        assert not out_dir.exists()
+
+    def test_stdout_names_file_and_rows(self, tmp_path, capsys):
+        # one line per time: the file written and its rows, 2 sectors of
+        # 16 * 6 * 6 * 8 * 16 points
+        path = tmp_path / "run.cfg"
+        path.write_text(CONFIG_TEMPLATE.replace("times = 0.0, 1.0",
+                                                "times = 0.0, 0.6")
+                        + f"out_dir = {tmp_path / 'out'}\n")
+        assert run(["propagate", "--config", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == [
+            "t=0: wrote 147456 rows to field_t0.csv, tail norm 0.000e+00",
+            "t=0.6: wrote 147456 rows to field_t0p6.csv, tail norm 0.000e+00"]
+
     def test_field_sectors_sorted(self, tmp_path, capsys):
-        # data in five sectors (s3, n, m, l), s3 and n each in -1, 0, 1
-        coefs = ("1 1 1 0 0 0 0 0 0", "0 0 0 1 0 0 0 0 1",
-                 "1 1 -1 -1 0 0 0 0 0", "0 0 0 0 0 0 0 0 0",
-                 "1 1 0 -1 0 0 0 0 1", "1 0 0 1 0 0 0 0 0")
-        shape = (4, 5, 6, 4, 7)
+        shape = SECTORS_SHAPE
         for fmt in ("csv", "json"):
-            text = "\n".join(
-                ["schema_version = 1", "p = 2", "q = 3", "s1_max = 1",
-                 "n_max = 1", "i_max = 1", "n_basis = 12", "times = 0.0, 1.0",
-                 f"out_format = {fmt}", f"out_dir = {tmp_path / fmt}"]
-                + [f"{key} = {n}" for key, n in zip(
-                    ("grid_x", "grid_t1", "grid_t2", "grid_theta", "grid_y"),
-                    shape)]
-                + [f"phi0_coef = {c} : 1.0 : 0.5" for c in coefs]) + "\n"
             path = tmp_path / f"run_{fmt}.cfg"
-            path.write_text(text)
+            path.write_text(SECTORS_CONFIG
+                            + f"out_format = {fmt}\nout_dir = {tmp_path / fmt}\n")
             assert run(["propagate", "--config", str(path)]) == 0
             capsys.readouterr()
         # the field-file layout: per sector, one row per grid point in C
@@ -462,6 +519,127 @@ class TestPropagate:
             assert run(["propagate", "--config", str(path)]) == 0
         capsys.readouterr()
         assert (tmp_path / "out" / "energy_trace.csv").exists()
+
+
+def _reference_write(cfg, prop, sample, path) -> None:
+    """The field-sample writer as a per-row f-string loop, every value
+    formatted by repr: the output the slab writer must reproduce."""
+    grid = prop.table.grid
+    axes = dict(zip(("x", "theta1", "theta2", "theta", "y"), (
+        a.tolist() for a in (grid.x_nodes, grid.t1_nodes, grid.t2_nodes,
+                             grid.th_nodes, grid.y_nodes))))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if cfg.out_format == "json":
+            json.dump({"t": sample.t, "tail_norm": sample.tail_norm,
+                       "sectors": [{
+                           "s3": sector.s3, "n": sector.n, "m": sector.m,
+                           "l": sector.l, "shape": list(arr.shape), **axes,
+                           "re": arr.real.ravel().tolist(),
+                           "im": arr.imag.ravel().tolist()}
+                           for sector, arr in sample.values.items()]}, fh)
+            return
+        fh.write(",".join(("s3", "n", "m", "l", *axes, "re", "im")) + "\n")
+        x_text, *rest = ([repr(v) for v in axis] for axis in axes.values())
+        tail = [",".join(pt) for pt in itertools.product(*rest)]
+        for sector, arr in sample.values.items():
+            for xv, slab in zip(x_text, arr):
+                lead = f"{sector.s3},{sector.n},{sector.m},{sector.l},{xv},"
+                fh.write("".join(
+                    f"{lead}{pt},{re!r},{im!r}\n" for pt, re, im in zip(
+                        tail, slab.real.ravel().tolist(),
+                        slab.imag.ravel().tolist())))
+
+
+class _CountingFile:
+    """A file whose writes are counted in counts[name]."""
+
+    def __init__(self, fh, counts, name):
+        self.fh, self.counts, self.name = fh, counts, name
+        counts[name] = 0
+
+    def write(self, text):
+        self.counts[self.name] += 1
+        return self.fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
+
+
+class TestFieldWriter:
+    @pytest.mark.parametrize("config", ["template", "sectors", "gaussian_x"])
+    def test_matches_reference_writer(self, tmp_path, capsys, monkeypatch,
+                                      config):
+        # every field file bitwise the per-row writer's, in one write per
+        # sector and x slab plus the header (CSV)
+        text = {"template": CONFIG_TEMPLATE.replace("out_format = csv\n", ""),
+                "sectors": SECTORS_CONFIG, "gaussian_x": GAUSSIAN_CONFIG}[config]
+        write_sample = cli._write_sample
+        writes = {}
+
+        def checked(cfg, prop, sample, name):
+            rows = write_sample(cfg, prop, sample, name)
+            _reference_write(cfg, prop, sample, tmp_path / f"ref_{name}")
+            assert rows == sum(arr.size for arr in sample.values.values())
+            return rows
+
+        def counting_open(path, *args, **kwargs):
+            return _CountingFile(open(path, *args, **kwargs), writes,
+                                 os.path.basename(path))
+
+        monkeypatch.setattr(cli, "_write_sample", checked)
+        monkeypatch.setattr(cli, "open", counting_open, raising=False)
+        cfg = parse_config(text)
+        slab = np.prod(cfg.grid_shape[1:])
+        for fmt in ("csv", "json"):
+            out_dir = tmp_path / fmt
+            path = tmp_path / f"run_{fmt}.cfg"
+            path.write_text(text + f"out_format = {fmt}\nout_dir = {out_dir}\n")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", TruncationWarning)
+                assert run(["propagate", "--config", str(path)]) == 0
+            capsys.readouterr()
+            names = sorted(n for n in os.listdir(out_dir)
+                           if n.startswith("field_"))
+            assert len(names) == len(cfg.times)
+            for name in names:
+                assert ((out_dir / name).read_bytes()
+                        == (tmp_path / f"ref_{name}").read_bytes())
+                if fmt == "csv":
+                    with open(out_dir / name, encoding="utf-8") as fh:
+                        rows = sum(1 for _ in fh) - 1
+                    assert rows % slab == 0
+                    assert writes[name] == 1 + rows // slab
+
+    def test_edge_values_are_repr(self, tmp_path):
+        # 0.0 and -0.0, nan, the infinities, the least subnormal and the
+        # pairs where repr changes notation, all in one x slab and in
+        # both columns: the text of each value is its own repr
+        edge = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05, 1.0]
+        re = np.array(edge)
+        im = np.array(edge[::-1])
+        arr = np.empty((1, 1, 1, 3, 4), dtype=complex)
+        arr.real = re.reshape(arr.shape)
+        arr.imag = im.reshape(arr.shape)
+        nodes = [np.array([0.5]), np.array([0.25]), np.array([-0.0]),
+                 np.array([1.0, 2.0, 3.0]), np.linspace(-1.0, 1.0, 4)]
+        grid = SimpleNamespace(**dict(zip(
+            ("x_nodes", "t1_nodes", "t2_nodes", "th_nodes", "y_nodes"),
+            nodes)))
+        prop = SimpleNamespace(table=SimpleNamespace(grid=grid))
+        sample = SimpleNamespace(t=0.0, tail_norm=0.0,
+                                 values={Sector(0, 0, 0, 0): arr})
+        cfg = SimpleNamespace(out_format="csv", out_dir=str(tmp_path))
+        assert cli._write_sample(cfg, prop, sample, "field.csv") == re.size
+        _reference_write(cfg, prop, sample, tmp_path / "ref.csv")
+        text = (tmp_path / "field.csv").read_text()
+        assert text == (tmp_path / "ref.csv").read_text()
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert [row[-2] for row in rows] == [repr(v) for v in edge]
+        assert [row[-1] for row in rows] == [repr(v) for v in edge[::-1]]
 
 
 def test_propagate_projects_once(tmp_path, capsys, monkeypatch):
