@@ -1,13 +1,16 @@
 """Persistent radial-eigenmode cache.
 
 Entries are JSON files keyed by a canonical serialization of the solve
-parameters; the payload carries its own checksum.  `build_modes` asks
-for the larger member of each (m, l), (-m, -l) sign pair only, so a run
-writes one entry per pair and Lambda, and an entry under the other sign
-is never read.  Writes go to a temporary name followed by an atomic
-rename, so concurrent processes sharing a cache directory get
-last-writer-wins without torn reads.  A checksum mismatch is treated as
-a miss: the entry is re-solved and overwritten, with a warning.
+parameters, each holding that key, a checksum and a payload of the
+key's eigenpairs only, {"modes": [{k, ell, coeffs, grid_norm_residual},
+...]}: a hit rebuilds the radial problem from the key's labels.
+`build_modes` asks for the larger member of each (m, l), (-m, -l) sign
+pair only, so a run writes one entry per pair and Lambda, and an entry
+under the other sign is never read.  Writes go to a temporary name
+followed by an atomic rename, so concurrent processes sharing a cache
+directory get last-writer-wins without torn reads.  An unreadable entry
+or a key or checksum mismatch is treated as a miss: the entry is
+re-solved and overwritten, with a warning.
 
 Numbers are serialized as shortest round-trip decimal strings (json's
 float repr), so a cache hit reproduces the in-memory eigenpairs bitwise.
@@ -24,15 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CacheCorrupt
-from .geometry import GeometryParams
-from .radial import RadialMode, RadialProblem
+from .geometry import solve_geometry
+from .radial import RadialMode, radial_problem
 
 __all__ = ["CacheKey", "cache_get_or_solve", "SOLVER_VERSION"]
 
-# bump on any change to the radial discretization, its norm check or the
-# stored geometry
-SOLVER_VERSION = "galerkin-jacobi-4"
+# bump on any change to the radial discretization, its norm check, the
+# geometry constants or the entry format
+SOLVER_VERSION = "galerkin-jacobi-5"
 
 
 @dataclass(frozen=True)
@@ -60,25 +62,16 @@ class CacheKey:
 
 
 def _encode_modes(modes: list[RadialMode]) -> dict:
-    prob = modes[0].problem
-    return {
-        "geometry": prob.gp.as_dict(),
-        "m": prob.m, "l": prob.l, "lambda_cap": prob.lambda_cap,
-        "nu_minus": prob.nu_minus, "nu_plus": prob.nu_plus,
-        "modes": [{
-            "k": md.k, "ell": md.ell,
-            "coeffs": list(md.coeffs),
-            "grid_norm_residual": md.grid_norm_residual,
-        } for md in modes],
-    }
+    return {"modes": [{
+        "k": md.k, "ell": md.ell,
+        "coeffs": list(md.coeffs),
+        "grid_norm_residual": md.grid_norm_residual,
+    } for md in modes]}
 
 
-def _decode_modes(payload: dict) -> list[RadialMode]:
-    gp = GeometryParams(**payload["geometry"])
-    prob = RadialProblem(gp=gp, m=payload["m"], l=payload["l"],
-                         lambda_cap=payload["lambda_cap"],
-                         nu_minus=payload["nu_minus"],
-                         nu_plus=payload["nu_plus"])
+def _decode_modes(payload: dict, key: CacheKey) -> list[RadialMode]:
+    prob = radial_problem(solve_geometry(key.p, key.q), key.m, key.l,
+                          key.lambda_cap)
     return [RadialMode(problem=prob, k=md["k"], ell=md["ell"],
                        coeffs=np.array(md["coeffs"]),
                        grid_norm_residual=md["grid_norm_residual"])
@@ -106,14 +99,13 @@ def cache_get_or_solve(key: CacheKey, solve, cache_dir: str,
             with open(path, "r", encoding="utf-8") as fh:
                 entry = json.load(fh)
             if entry.get("key") != key.canonical():
-                raise CacheCorrupt("key mismatch")
+                raise ValueError("key mismatch")
             if entry.get("checksum") != _payload_checksum(entry["payload"]):
-                raise CacheCorrupt("checksum mismatch")
-            modes = _decode_modes(entry["payload"])
+                raise ValueError("checksum mismatch")
+            modes = _decode_modes(entry["payload"], key)
             if len(modes) >= min_modes:
                 return modes
-        except (CacheCorrupt, KeyError, TypeError, ValueError,
-                json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             warnings.warn(f"cache entry {path} unusable ({exc}); re-solving",
                           stacklevel=2)
     modes = solve()

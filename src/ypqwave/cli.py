@@ -151,16 +151,12 @@ def _cmd_propagate(args) -> int:
     cache_dir, source = ((env_dir, "YPQWAVE_CACHE_DIR") if env_dir
                          else (cfg.cache_dir, "cache_dir"))
     if cache_dir:
-        # rules and Jacobi tables shared by the misses of this run
-        tables: dict = {}
-
-        def solver(prob, k_max, n_basis):
+        def solver(prob, k_max, n_basis, solve):
             key = CacheKey(p=cfg.p, q=cfg.q, m=prob.m, l=prob.l,
                            lambda_cap=prob.lambda_cap, n_basis=n_basis)
             with _path_errors(source, cache_dir):
-                return cache_get_or_solve(
-                    key, lambda: solve_radial(prob, k_max, n_basis, tables),
-                    cache_dir, min_modes=k_max + 1)
+                return cache_get_or_solve(key, solve, cache_dir,
+                                          min_modes=k_max + 1)
 
     prop = KGPropagator(gp, cfg.M, cfg.kappa, trunc, radial_solver=solver)
     proj = prop.project(_build_data(cfg, prop))

@@ -93,7 +93,8 @@ def _float(token: str) -> float:
 
 
 def _times(value: str) -> list[float]:
-    return [_float(tok) for tok in value.split(",") if tok.strip()]
+    """Output times, -0.0 read as 0.0 (adding 0.0 clears a zero's sign)."""
+    return [_float(tok) + 0.0 for tok in value.split(",") if tok.strip()]
 
 
 # each RunConfig field with its default is a key, parsed by its type

@@ -50,10 +50,6 @@ class SourceCoverage(YpqError):
     """Source samples do not cover the requested time window."""
 
 
-class CacheCorrupt(YpqError):
-    """Cache entry failed its checksum (recovered by re-solving)."""
-
-
 class UnusablePath(YpqError):
     """A configured directory or file cannot be created, read or written."""
 

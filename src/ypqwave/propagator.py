@@ -41,7 +41,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .ads import (ModeIndex, ModeTable, SpectralCoefficients, project_cauchy,
                   synthesize)
@@ -152,7 +151,11 @@ class FieldSample:
 
 
 class KGPropagator:
-    """Evolution operator for fixed geometry, constants and truncation."""
+    """Evolution operator for fixed geometry, constants and truncation.
+
+    radial_solver(problem, k_max, n_basis, solve) is the hook of
+    `build_modes` (the CLI wires the on-disk cache through it).
+    """
 
     def __init__(self, gp: GeometryParams, M: float, kappa: float,
                  trunc: TruncationSpec, radial_solver=None):
@@ -318,6 +321,8 @@ def _duhamel(times: np.ndarray, S: np.ndarray, ro: np.ndarray, t: float):
     if len(times) == 1:
         x, c = np.repeat(times, 2), S[None]
     else:
+        # scipy.interpolate loads scipy.optimize: only a source pays for it
+        from scipy.interpolate import CubicSpline
         spline = CubicSpline(times, S, axis=0)
         x, c = spline.x, spline.c
     lo, hi = min(0.0, t), max(0.0, t)

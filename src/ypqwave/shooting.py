@@ -53,7 +53,6 @@ from functools import lru_cache, reduce
 import numpy as np
 from numpy.polynomial import polynomial as npp
 from scipy.linalg.lapack import dtbtrs
-from scipy.optimize import brentq
 
 from .errors import BracketError, NotConverged, OutOfRange
 from .radial import RadialProblem
@@ -271,6 +270,8 @@ def shooting_oracle(prob: RadialProblem, ell_guess_bracket: tuple[float, float],
                     k_target: int) -> float:
     """Eigenvalue inside the bracket, located by bisection on the
     Wronskian mismatch; the oscillation count must equal k_target."""
+    # scipy.optimize is imported by the commands that shoot only
+    from scipy.optimize import brentq
     lo, hi = ell_guess_bracket
     flo = shooting_matcher(prob, lo)
     fhi = shooting_matcher(prob, hi)
@@ -298,6 +299,7 @@ def shooting_spectrum(prob: RadialProblem, k_max: int,
     """First k_max+1 eigenvalues by scanning the matcher, with no input
     from the Galerkin side.  Expands and densifies the scan until the
     oscillation counts come out as 0, 1, ..., k_max."""
+    from scipy.optimize import brentq
     if k_max < 0:
         raise OutOfRange(f"k_max must be non-negative, got {k_max}")
     if not (math.isfinite(ell_hi) and ell_hi > 0.0):

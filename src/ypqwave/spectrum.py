@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
+
 import numpy as np
 
 from .angular import AngularMode, angular_eigenvalue, angular_mode
@@ -126,19 +128,15 @@ def build_modes(gp: GeometryParams, indices: list[YModeIndex],
     pair shares one solve of its larger member, and each index's modes
     carry a problem with its own (m, l).
 
-    radial_solver(problem, k_max, n_basis) may be injected (the CLI wires
-    the on-disk cache through here).  By default each group is one
-    solve_radial call, and the calls of this build share one `tables`
-    dict, so each endpoint-exponent pair's rules and Jacobi tables are
-    built once per build; the dict is dropped when the build returns.
+    Each group is one solve_radial call, and the calls of this build
+    share one `tables` dict, so each endpoint-exponent pair's rules and
+    Jacobi tables are built once per build; the dict is dropped when the
+    build returns.  radial_solver(problem, k_max, n_basis, solve) may be
+    injected (the CLI wires the on-disk cache through here): `solve()`
+    is that table-sharing call for the group, and the hook returns the
+    group's modes, from `solve()` or from elsewhere.
     """
-    solver = radial_solver
-    if solver is None:
-        tables: dict = {}
-
-        def solver(prob, k_max, n_basis):
-            return solve_radial(prob, k_max, n_basis, tables)
-
+    tables: dict = {}
     by_sector: dict[tuple, list[YModeIndex]] = {}
     for idx in indices:
         lam_cap = angular_eigenvalue(idx.n, idx.m, idx.j)
@@ -148,7 +146,10 @@ def build_modes(gp: GeometryParams, indices: list[YModeIndex],
     for ((m, l), lam_cap), group in by_sector.items():
         prob = radial_problem(gp, m, l, lam_cap)
         k_top = max(idx.k for idx in group)
-        rads = {(m, l): solver(prob, k_top, max(n_basis, k_top + 8))}
+        n_top = max(n_basis, k_top + 8)
+        solve = partial(solve_radial, prob, k_top, n_top, tables)
+        rads = {(m, l): solve() if radial_solver is None
+                else radial_solver(prob, k_top, n_top, solve)}
         for idx in group:
             if (idx.m, idx.l) not in rads:
                 own = replace(prob, m=idx.m, l=idx.l)

@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 
 import ypqwave
-from ypqwave import ads, cli, selftest
+from ypqwave import ads, cache, cli, selftest
 from ypqwave.ads import Sector, sector_grid
 from ypqwave.angular import angular_eigenvalue
 from ypqwave.cache import CacheKey, cache_get_or_solve
 from ypqwave.cli import run
-from ypqwave.config import RunConfig, parse_config, time_tag
+from ypqwave.config import RunConfig, load_config, parse_config, time_tag
 from ypqwave.errors import ConfigError
 from ypqwave.geometry import profile_h, solve_geometry
 from ypqwave.propagator import TruncationWarning
@@ -437,6 +437,30 @@ class TestPropagate:
             f"error: line {lineno}: two times share an output file tag")
         assert not out_dir.exists()
 
+    def test_negative_zero_time_is_zero(self, tmp_path, capsys):
+        # times = -0.0 reads as 0.0: the printed time, the energy trace's
+        # t column and every file are those of times = 0.0
+        outs, stdout = [], []
+        for tag, times in (("neg", "-0.0"), ("pos", "0.0")):
+            out_dir = tmp_path / tag
+            path = tmp_path / f"{tag}.cfg"
+            path.write_text(CONFIG_TEMPLATE.replace("times = 0.0, 1.0",
+                                                    f"times = {times}")
+                            + f"out_dir = {out_dir}\n")
+            assert math.copysign(1.0, load_config(str(path)).times[0]) == 1.0
+            assert run(["propagate", "--config", str(path)]) == 0
+            stdout.append(capsys.readouterr().out)
+            outs.append({name: (out_dir / name).read_bytes()
+                         for name in os.listdir(out_dir)})
+        assert stdout[0].startswith("t=0: wrote ")
+        assert stdout[0].replace(str(tmp_path / "neg"), "") == \
+            stdout[1].replace(str(tmp_path / "pos"), "")
+        assert sorted(outs[0]) == ["energy_trace.csv", "field_t0.csv"]
+        assert outs[0] == outs[1]
+        trace = list(csv.DictReader(io.StringIO(
+            outs[0]["energy_trace.csv"].decode())))
+        assert trace and {row["t"] for row in trace} == {"0.0"}
+
     def test_stdout_names_file_and_rows(self, tmp_path, capsys):
         # one line per time: the file written and its rows, 2 sectors of
         # 16 * 6 * 6 * 8 * 16 points
@@ -613,10 +637,12 @@ class TestFieldWriter:
                     assert rows % slab == 0
                     assert writes[name] == 1 + rows // slab
 
-    def test_edge_values_are_repr(self, tmp_path):
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_edge_values_are_repr(self, tmp_path, fmt):
         # 0.0 and -0.0, nan, the infinities, the least subnormal and the
         # pairs where repr changes notation, all in one x slab and in
-        # both columns: the text of each value is its own repr
+        # both columns: the text of each value is its own repr, except
+        # that JSON spells nan and the infinities NaN, Infinity, -Infinity
         edge = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
                 1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05, 1.0]
         re = np.array(edge)
@@ -632,11 +658,18 @@ class TestFieldWriter:
         prop = SimpleNamespace(table=SimpleNamespace(grid=grid))
         sample = SimpleNamespace(t=0.0, tail_norm=0.0,
                                  values={Sector(0, 0, 0, 0): arr})
-        cfg = SimpleNamespace(out_format="csv", out_dir=str(tmp_path))
-        assert cli._write_sample(cfg, prop, sample, "field.csv") == re.size
-        _reference_write(cfg, prop, sample, tmp_path / "ref.csv")
-        text = (tmp_path / "field.csv").read_text()
-        assert text == (tmp_path / "ref.csv").read_text()
+        cfg = SimpleNamespace(out_format=fmt, out_dir=str(tmp_path))
+        name = f"field.{fmt}"
+        assert cli._write_sample(cfg, prop, sample, name) == re.size
+        _reference_write(cfg, prop, sample, tmp_path / f"ref.{fmt}")
+        text = (tmp_path / name).read_text()
+        assert text == (tmp_path / f"ref.{fmt}").read_text()
+        if fmt == "json":
+            spell = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+            for part, vals in (("re", edge), ("im", edge[::-1])):
+                texts = [spell.get(repr(v), repr(v)) for v in vals]
+                assert f'"{part}": [{", ".join(texts)}]' in text
+            return
         rows = [line.split(",") for line in text.splitlines()[1:]]
         assert [row[-2] for row in rows] == [repr(v) for v in edge]
         assert [row[-1] for row in rows] == [repr(v) for v in edge[::-1]]
@@ -814,14 +847,75 @@ class TestCache:
         for a, b in zip(fresh, again):
             assert a.ell == b.ell
 
+    @pytest.mark.parametrize("bad", ["truncated", "no modes", "key"])
+    def test_unreadable_entry_is_resolved(self, tmp_path, gp23, bad):
+        # a file cut short, a payload without its modes (checksummed
+        # afresh) and an entry of another key: each warns, is re-solved
+        # and is overwritten by a good entry
+        prob = radial_problem(gp23, 1, 0, 2.0)
+        key = CacheKey(p=2, q=3, m=1, l=0, lambda_cap=2.0, n_basis=16)
+        fresh = cache_get_or_solve(key, lambda: solve_radial(prob, 1, 16),
+                                   str(tmp_path), min_modes=2)
+        path = tmp_path / key.filename()
+        entry = json.loads(path.read_text())
+        if bad == "no modes":
+            entry["payload"] = {"geometry": {}}
+            entry["checksum"] = cache._payload_checksum(entry["payload"])
+        elif bad == "key":
+            entry["key"] = entry["key"].replace('"m": 1', '"m": 2')
+        text = json.dumps(entry)
+        path.write_text(text[:-40] if bad == "truncated" else text)
+        with pytest.warns(UserWarning, match="unusable .*re-solving"):
+            again = cache_get_or_solve(key, lambda: solve_radial(prob, 1, 16),
+                                       str(tmp_path), min_modes=2)
+        assert [md.ell for md in again] == [md.ell for md in fresh]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cache_get_or_solve(key, pytest.fail, str(tmp_path), min_modes=2)
+
+    def test_entry_holds_only_eigenpairs(self, tmp_path, gp23):
+        # no geometry and no problem: the key names them
+        prob = radial_problem(gp23, 1, 0, 2.0)
+        key = CacheKey(p=2, q=3, m=1, l=0, lambda_cap=2.0, n_basis=16)
+        cache_get_or_solve(key, lambda: solve_radial(prob, 2, 16),
+                           str(tmp_path), min_modes=3)
+        entry = json.loads((tmp_path / key.filename()).read_text())
+        assert set(entry) == {"key", "checksum", "payload"}
+        assert set(entry["payload"]) == {"modes"}
+        assert [set(md) for md in entry["payload"]["modes"]] == [
+            {"k", "ell", "coeffs", "grid_norm_residual"}] * 3
+        assert [md["k"] for md in entry["payload"]["modes"]] == [0, 1, 2]
+
+    @pytest.mark.parametrize("pq, m, l, lam", [((2, 3), 1, 0, 2.0),
+                                               ((3, 4), 1, -1, 8.0)])
+    def test_hit_rebuilds_problem_from_key(self, tmp_path, pq, m, l, lam):
+        # a hit's problem is the one the key's labels name, and its
+        # eigenpairs are bitwise a fresh solve's
+        prob = radial_problem(solve_geometry(*pq), m, l, lam)
+        key = CacheKey(p=pq[0], q=pq[1], m=m, l=l, lambda_cap=lam,
+                       n_basis=20)
+        cache_get_or_solve(key, lambda: solve_radial(prob, 2, 20),
+                           str(tmp_path), min_modes=3)
+        hit = cache_get_or_solve(key, pytest.fail, str(tmp_path),
+                                 min_modes=3)
+        fresh = solve_radial(prob, 2, 20)
+        assert len(hit) == len(fresh) == 3
+        for a, b in zip(hit, fresh):
+            assert a.problem == prob
+            assert (a.k, a.ell, a.grid_norm_residual) == (
+                b.k, b.ell, b.grid_norm_residual)
+            assert a.coeffs.tobytes() == b.coeffs.tobytes()
+
     @pytest.mark.parametrize("version", ["galerkin-jacobi-1",
                                          "galerkin-jacobi-2",
-                                         "galerkin-jacobi-3"])
+                                         "galerkin-jacobi-3",
+                                         "galerkin-jacobi-4"])
     def test_old_solver_version_is_a_plain_miss(self, tmp_path, gp23,
                                                 version):
         # an entry of an earlier discretization (coefficients in another
-        # basis), geometry (bisection constants) or norm check (a finer
-        # rule) is re-solved without a corruption warning, and kept
+        # basis), geometry (bisection constants), norm check (a finer
+        # rule) or entry format (geometry and problem stored with the
+        # eigenpairs) is re-solved without a corruption warning, and kept
         prob = radial_problem(gp23, 1, 0, 2.0)
         old = CacheKey(p=2, q=3, m=1, l=0, lambda_cap=2.0, n_basis=16,
                        solver_version=version)

@@ -1,12 +1,17 @@
 """Package-wide consistency: every dataclass annotation resolves, every
-name a module exports exists, every error type is raised somewhere and
-every selftest check has one size and one acceptance criterion."""
+name a module exports exists, every error type is raised somewhere,
+every selftest check has one size and one acceptance criterion, and
+importing the command line loads no scipy module that only some
+commands use."""
 
 import ast
 import dataclasses
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 import typing
 from pathlib import Path
 
@@ -49,3 +54,18 @@ def test_selftest_checks_have_one_size_and_one_criterion():
     rows = selftest.CHECKS
     assert sorted(fn.__name__ for _, _, fn in rows) == sorted(checks)
     assert {criterion for criterion, _, _ in rows} == set(range(1, 8))
+
+
+def test_cli_import_leaves_out_optimize_and_interpolate():
+    # brentq (the shooting oracle) and CubicSpline (a Duhamel source) are
+    # imported by the functions that call them
+    src = str(Path(ypqwave.__file__).parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, ypqwave.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'optimize'], "
+            "['scipy', 'interpolate'])))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

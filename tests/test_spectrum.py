@@ -85,7 +85,8 @@ def test_shared_tables_match_independent_solves(request, pq):
     gp = request.getfixturevalue(f"gp{pq[0]}{pq[1]}")
     idxs = enumerate_modes(gp, DUHAMEL_POLICY)
     shared = build_modes(gp, idxs, 20)
-    alone = build_modes(gp, idxs, 20, radial_solver=solve_radial)
+    alone = build_modes(gp, idxs, 20, radial_solver=lambda prob, k_max,
+                        n_basis, solve: solve_radial(prob, k_max, n_basis))
     assert [md.index for md in shared] == [md.index for md in alone]
     for a, b in zip(shared, alone):
         assert a.lam == b.lam and a.radial.ell == b.radial.ell
@@ -98,9 +99,9 @@ def test_sign_pairs_share_one_solve(gp23):
     # each mode's problem still carries its own (m, l)
     solved = []
 
-    def solver(prob, k_max, n_basis):
+    def solver(prob, k_max, n_basis, solve):
         solved.append((prob.m, prob.l, prob.lambda_cap))
-        return solve_radial(prob, k_max, n_basis)
+        return solve()
 
     modes = build_modes(gp23, enumerate_modes(gp23, DUHAMEL_POLICY), 20,
                         radial_solver=solver)
