@@ -54,13 +54,12 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FieldTooLarge, GridMismatch, IndexChainError, OutOfRange
+from .errors import GridMismatch, IndexChainError, OutOfRange, require_memory
 from .geometry import GeometryParams
 from .specfun import (assoc_legendre, envelope_jacobi_derivs, gauss_jacobi,
                       gegenbauer_scale, jacobi_log_norm, jacobi_poly_all,
@@ -266,8 +265,13 @@ def ads_radial_mode(beta1: int, c: float, i: int) -> AdSRadialMode:
 
 def ads_gram(beta1: int, c: float, i_max: int) -> np.ndarray:
     """Gram of {f_i}_{i<=i_max} under d nu via the exact rule in
-    xi = cos^2 x (weight xi^{beta1+1} (1-xi)^c)."""
-    xi, w = rule_on_interval(0.0, 1.0, beta1 + 1.0, c, i_max + 4)
+    xi = cos^2 x (weight xi^{beta1+1} (1-xi)^c).  FieldTooLarge, before
+    anything is built, unless the n x n polynomial table behind the
+    n = i_max + 4 node rule (8 bytes an entry) fits in physical memory."""
+    n = i_max + 4
+    require_memory(n * n * 8, f"the {n}-node rule of the Gram of "
+                              f"i_max = {i_max}")
+    xi, w = rule_on_interval(0.0, 1.0, beta1 + 1.0, c, n)
     basis = (_f_norm(beta1, c, np.arange(i_max + 1))[:, None]
              * jacobi_poly_all(beta1 + 1.0, c, i_max, 1.0 - 2.0 * xi))
     return (basis * w) @ basis.T
@@ -329,8 +333,8 @@ def check_grid_memory(shape: tuple) -> None:
     (16 bytes a point) and the n x n polynomial table behind the rule of
     its longest axis (8 bytes an entry) each fit in physical memory."""
     n = max(shape)
-    _require_memory(math.prod(shape) * 16, f"one sector on grid {shape}")
-    _require_memory(n * n * 8, f"the {n}-node rule of grid {shape}")
+    require_memory(math.prod(shape) * 16, f"one sector on grid {shape}")
+    require_memory(n * n * 8, f"the {n}-node rule of grid {shape}")
 
 
 def sector_grid(gp: GeometryParams,
@@ -587,8 +591,8 @@ def synthesize(coeffs: SpectralCoefficients, table: ModeTable) -> dict:
             raise GridMismatch(
                 f"coefficient {(beta, i)} outside i = 0..{table.i_max}")
         by_sector.setdefault(Sector._make(beta[2:6]), []).append((beta, i, v))
-    _require_memory(len(by_sector) * math.prod(table._grid_shape) * 16,
-                    f"synthesized field of {len(by_sector)} sectors")
+    require_memory(len(by_sector) * math.prod(table._grid_shape) * 16,
+                   f"synthesized field of {len(by_sector)} sectors")
     out: dict[Sector, np.ndarray] = {}
     for sector, entries in sorted(by_sector.items()):
         betas, cols, vals = zip(*entries)
@@ -597,16 +601,3 @@ def synthesize(coeffs: SpectralCoefficients, table: ModeTable) -> dict:
         amps[list(map(stack.rows.__getitem__, betas)), cols] = vals
         out[sector] = stack.synthesize(amps)
     return out
-
-
-def _physical_memory() -> int:
-    """Bytes of physical memory of this machine."""
-    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-
-
-def _require_memory(need: int, what: str) -> None:
-    """FieldTooLarge when `need` bytes exceed physical memory."""
-    have = _physical_memory()
-    if need > have:
-        raise FieldTooLarge(f"{what} needs {need} bytes, more than the "
-                            f"{have} bytes of physical memory")

@@ -2,8 +2,8 @@
 
 Subcommands: geometry, angular, radial, spectrum, ads-modes, propagate,
 selftest.  Exit codes: 0 success, 1 numerical failure (stderr lines are
-prefixed `error:`), 2 usage error.  CSV output has a header row (only
-tables and the energy trace go through `csv`); JSON keeps field order.
+prefixed `error:`), 2 usage error.  CSV output has a header row and
+JSON keeps field order; field files of either go one x slab per write.
 """
 
 from __future__ import annotations
@@ -55,18 +55,6 @@ def _at_least(convert, low):
 _nonnegative_int = _at_least(int, 0)
 
 
-def _fmt17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _geometry_json(gp) -> str:
-    items = [f'"p": {gp.p}', f'"q": {gp.q}']
-    for name in ("a", "y_minus", "y_plus", "tau"):
-        items.append(f'"{name}": {_fmt17(getattr(gp, name))}')
-    items.append(f'"sigma": {gp.sigma}')
-    return "{" + ", ".join(items) + "}"
-
-
 def _write_rows(rows, header, fmt: str, out=None) -> None:
     out = out or sys.stdout
     if fmt == "json":
@@ -80,19 +68,16 @@ def _write_rows(rows, header, fmt: str, out=None) -> None:
 
 def _cmd_geometry(args) -> int:
     gp = solve_geometry(args.p, args.q)
-    if args.json:
-        print(_geometry_json(gp))
-    else:
-        for key, val in gp.as_dict().items():
-            print(f"{key} = {_fmt17(val) if isinstance(val, float) else val}")
+    texts = [(f'"{key}": ' if args.json else f"{key} = ")
+             + (format(val, ".17g") if isinstance(val, float) else str(val))
+             for key, val in gp.as_dict().items()]
+    print("{" + ", ".join(texts) + "}" if args.json else "\n".join(texts))
     return 0
 
 
 def _cmd_angular(args) -> int:
-    rows = []
-    for j in range(args.jmax + 1):
-        md = angular_mode(args.n, args.m, j)
-        rows.append((j, md.lambda_cap, md.norm_const))
+    rows = [(md.j, md.lambda_cap, md.norm_const) for md in (
+        angular_mode(args.n, args.m, j) for j in range(args.jmax + 1))]
     _write_rows(rows, ("j", "lambda", "norm_const"), args.format)
     return 0
 
@@ -193,8 +178,7 @@ def _build_data(cfg, prop: KGPropagator) -> CauchyData:
         a0, a1 = SpectralCoefficients(), SpectralCoefficients()
         for target, coefs in ((a0, cfg.phi0_coefs), (a1, cfg.phi1_coefs)):
             for idx, val in coefs:
-                beta = ModeIndex(*idx[:8])
-                target[(beta, idx[8])] = val
+                target[(ModeIndex(*idx[:8]), idx[8])] = val
         return CauchyData(a0, a1)
     # gaussian_x: a bump in the AdS radial coordinate on the constant
     # angular sector, sampled on the grid (the caller projects it)
@@ -212,20 +196,23 @@ def _build_data(cfg, prop: KGPropagator) -> CauchyData:
 
 def _write_sample(cfg, prop: KGPropagator, sample, name: str) -> int:
     """Write file `name` (.json or .csv) in out_dir and return its row
-    count, one per sector and grid point: CSV rows in C order of the
-    grid, floats as repr (once per distinct value of an x slab), one
-    write per x slab (at most one slab as text)."""
+    count, one per sector and grid point.  Each write holds one x slab of
+    values as text: CSV rows in C order of the grid, floats as repr; JSON
+    as json.dump writes it, a sector's re slabs, then its im slabs."""
     grid = prop.table.grid
     axes = dict(zip(("x", "theta1", "theta2", "theta", "y"), (
         a.tolist() for a in (grid.x_nodes, grid.t1_nodes, grid.t2_nodes,
                              grid.th_nodes, grid.y_nodes))))
-    is_json = cfg.out_format == "json"
-    sectors = []
-    rows = 0
     path = os.path.join(cfg.out_dir, name)
     with _path_errors("out_dir", cfg.out_dir), open(
             path, "w", encoding="utf-8", newline="") as fh:
-        if not is_json:
+        if cfg.out_format == "json":
+            # json.dumps writes the text around each list of values: [null]
+            head, tail = json.dumps({
+                "t": sample.t, "tail_norm": sample.tail_norm,
+                "sectors": [None]}).split("null")
+            fh.write(head)
+        else:
             fh.write(",".join(("s3", "n", "m", "l", *axes, "re", "im")) + "\n")
             x_text, *rest = ([repr(v) for v in axis] for axis in axes.values())
             # the text of a slab, six parts a row: lead (s3..x), point
@@ -233,40 +220,53 @@ def _write_sample(cfg, prop: KGPropagator, sample, name: str) -> int:
             points = [",".join(pt) + "," for pt in itertools.product(*rest)]
             parts = [None, None, None, ",", None, "\n"] * len(points)
             parts[1::6] = points
-        for sector, arr in (sample.values or {}).items():
-            rows += arr.size
-            if is_json:
-                sectors.append({
-                    "s3": sector.s3, "n": sector.n, "m": sector.m,
-                    "l": sector.l, "shape": list(arr.shape), **axes,
-                    "re": arr.real.ravel().tolist(),
-                    "im": arr.imag.ravel().tolist()})
-                continue
+        for k, (sector, arr) in enumerate((sample.values or {}).items()):
             # re and im interleaved as int64 bit patterns: a slab's values
             # repeat, and keying by bits keeps 0.0 and -0.0 apart
             bits = np.ascontiguousarray(arr, dtype=complex).view(np.int64)
+            if cfg.out_format == "json":
+                pre, mid, post = json.dumps({
+                    **sector._asdict(), "shape": list(arr.shape), **axes,
+                    "re": [None], "im": [None]}).split("null")
+                fh.write(", " * (k > 0) + pre)
+                for part, after in ((0, mid), (1, post)):
+                    for j, slab in enumerate(bits):
+                        fh.write(", " * (j > 0) + ", ".join(_slab_texts(
+                            slab.ravel()[part::2], _json_float)))
+                    fh.write(after)
+                continue
             for xv, slab in zip(x_text, bits):
-                flat = slab.ravel()
-                keys, inverse = np.unique(flat, return_inverse=True)
-                # format each distinct value once, at one of its positions
-                # and in row order, so that the gather reads texts in order
-                pos = np.empty(keys.size, np.intp)
-                pos[inverse] = np.arange(flat.size)
-                picked = np.zeros(flat.size, bool)
-                picked[pos] = True
-                texts = list(map(repr, flat[picked].view(float).tolist()))
-                slot = (np.cumsum(picked) - 1)[pos]  # text index of each key
-                # re and im make at least two indices, so a tuple comes back
-                values = operator.itemgetter(*slot[inverse].tolist())(texts)
+                values = _slab_texts(slab.ravel(), repr)
                 parts[0::6] = [f"{sector.s3},{sector.n},{sector.m},"
                                f"{sector.l},{xv},"] * len(points)
                 parts[2::6] = values[0::2]
                 parts[4::6] = values[1::2]
                 fh.write("".join(parts))
-        if is_json:
-            json.dump({"t": sample.t, "tail_norm": sample.tail_norm,
-                       "sectors": sectors}, fh)
-    return rows
+        if cfg.out_format == "json":
+            fh.write(tail)
+    return sum(arr.size for arr in (sample.values or {}).values())
+
+
+def _slab_texts(flat: np.ndarray, fmt) -> tuple:
+    """fmt of each float of `flat` (int64 bits), in order: each distinct
+    value formatted once, in row order, so the gather reads texts in order."""
+    keys, inverse = np.unique(flat, return_inverse=True)
+    pos = np.empty(keys.size, np.intp)
+    pos[inverse] = np.arange(flat.size)
+    picked = np.zeros(flat.size, bool)
+    picked[pos] = True
+    texts = list(map(fmt, flat[picked].view(float).tolist()))
+    # text index of each value; itemgetter of one index gives no tuple
+    idx = (np.cumsum(picked) - 1)[pos][inverse].tolist()
+    return operator.itemgetter(*idx)(texts) if flat.size > 1 else tuple(texts)
+
+
+_JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(v: float) -> str:
+    """json's text of a float: its repr, with json's non-finite names."""
+    return _JSON_SPELLING.get(text := repr(v), text)
 
 
 def _cmd_selftest(args) -> int:

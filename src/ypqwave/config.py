@@ -19,10 +19,11 @@ Validation errors carry the offending line number.  Every float must be
 finite, and each coefficient's indices must satisfy s1 >= s2 >= |s3|,
 k, j, i >= 0 and the truncation bounds s1_max .. i_max (|n| <= n_max,
 and so on); a preset excludes coefficient lines.  M^2/kappa must not
-overflow a double, and the grid must pass `ads.check_grid_memory` (its
-error cites the largest grid key).  Each output time is
-written to a file tagged by time_tag; times whose tags collide are
-rejected, since the later file would overwrite the earlier one.
+overflow a double, the grid must pass `ads.check_grid_memory` (its
+error cites the largest grid key) and n_basis
+`radial.check_basis_memory`.  Each output time is written to a file
+tagged by time_tag; times whose tags collide are rejected, since the
+later file would overwrite the earlier one.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
-from . import ads
+from . import ads, radial
 from .errors import ConfigError, FieldTooLarge
 
 __all__ = ["RunConfig", "parse_config", "load_config", "time_tag"]
@@ -190,11 +191,14 @@ def _validate(cfg: RunConfig, lines: dict, coefs: list) -> None:
     for name in _GRID_KEYS:
         check(getattr(cfg, name) >= 4, name,
               "grid resolutions must be at least 4")
-    try:
-        ads.check_grid_memory(cfg.grid_shape)
-    except FieldTooLarge as exc:
-        largest = max(_GRID_KEYS, key=lambda name: getattr(cfg, name))
-        raise ConfigError(f"line {lines.get(largest, 1)}: {exc}") from exc
+    largest = max(_GRID_KEYS, key=lambda name: getattr(cfg, name))
+    for key, guard, size in (
+            ("n_basis", radial.check_basis_memory, cfg.n_basis),
+            (largest, ads.check_grid_memory, cfg.grid_shape)):
+        try:
+            guard(size)
+        except FieldTooLarge as exc:
+            raise ConfigError(f"line {lines.get(key, 1)}: {exc}") from exc
     check(bool(cfg.times), "times", "times must not be empty")
     check(cfg.out_format in ("csv", "json"), "out_format",
           "out_format must be 'csv' or 'json'")

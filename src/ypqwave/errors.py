@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the physical-memory
+rule behind FieldTooLarge."""
+
+import os
 
 
 class YpqError(Exception):
@@ -43,7 +46,20 @@ class GridMismatch(YpqError):
 
 
 class FieldTooLarge(YpqError):
-    """Synthesized field would not fit in the machine's physical memory."""
+    """A field or table would not fit in the machine's physical memory."""
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory of this machine."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def require_memory(need: int, what: str) -> None:
+    """FieldTooLarge when `need` bytes exceed physical memory."""
+    have = _physical_memory()
+    if need > have:
+        raise FieldTooLarge(f"{what} needs {need} bytes, more than the "
+                            f"{have} bytes of physical memory")
 
 
 class SourceCoverage(YpqError):

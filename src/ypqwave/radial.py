@@ -58,13 +58,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, eigh, eigh_tridiagonal
 
-from .errors import EigenFailure, NotConverged, OutOfRange
+from .errors import EigenFailure, NotConverged, OutOfRange, require_memory
 from .geometry import GeometryParams
 from .specfun import (envelope_jacobi_derivs, gauss_jacobi, jacobi_deriv_all,
                       jacobi_log_norm, jacobi_matrix, jacobi_poly_all)
 
 __all__ = ["RadialProblem", "RadialMode", "char_exponents", "radial_problem",
-           "assemble_galerkin", "solve_radial"]
+           "assemble_galerkin", "check_basis_memory", "solve_radial"]
 
 _NEG_TOL = 1e-9
 _CONV_REL = 1e-8
@@ -263,6 +263,16 @@ class RadialMode:
         return (left - self.ell * g) / (abs(self.ell) * np.abs(g) + 1.0)
 
 
+def check_basis_memory(n_basis: int) -> None:
+    """FieldTooLarge unless the n x n polynomial table behind the Galerkin
+    rules of a solve at n_basis (8 bytes an entry) fits in physical
+    memory: n is solve_radial's 25% larger size, in integers so that any
+    int is judged, plus the rules' padding."""
+    n = -(-5 * n_basis // 4) + _QUAD_PAD
+    require_memory(n * n * 8, f"the {n}-node Galerkin rule of n_basis = "
+                              f"{n_basis}")
+
+
 def solve_radial(prob: RadialProblem, k_max: int, n_basis: int,
                  tables: dict | None = None) -> list[RadialMode]:
     """First k_max+1 eigenpairs of A c = ell B c, ascending.
@@ -275,9 +285,12 @@ def solve_radial(prob: RadialProblem, k_max: int, n_basis: int,
 
     `tables`: the rules and tables shared by the caller's solves (module
     docstring), None for a fresh dict; results do not depend on it.
+    FieldTooLarge, before anything is built, when check_basis_memory
+    refuses n_basis.
     """
     if n_basis < k_max + 8:
         raise ValueError("n_basis must be at least k_max + 8")
+    check_basis_memory(n_basis)
     tables = {} if tables is None else tables
     n_big = int(np.ceil(1.25 * n_basis))
     a_mat, b_mat = assemble_galerkin(prob, n_big, tables)

@@ -16,7 +16,7 @@ from ypqwave.ads import (ModeIndex, Sector, SpectralCoefficients,
                          ads_gram, ads_radial_mode, c_beta, project_cauchy,
                          s3_harmonic, s3_harmonic_norm, s3_laplace_residual,
                          synthesize, ModeTable)
-from ypqwave import ads
+from ypqwave import ads, errors
 from ypqwave.errors import (FieldTooLarge, GridMismatch, IndexChainError,
                             OutOfRange)
 from ypqwave.propagator import TruncationSpec, enumerate_beta
@@ -465,7 +465,7 @@ class TestSectorTransforms:
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_field_size_guard(self, small_table, sparse, monkeypatch):
-        monkeypatch.setattr(ads, "_physical_memory", lambda: 1000)
+        monkeypatch.setattr(errors, "_physical_memory", lambda: 1000)
         with pytest.raises(FieldTooLarge, match="more than the 1000 bytes"):
             synthesize(sparse, small_table)
 
@@ -476,7 +476,7 @@ class TestSectorTransforms:
         ((60, 60, 60, 60, 60), "one sector on grid")])
     def test_grid_size_guard(self, gp23, monkeypatch, shape, what):
         # refused before any rule is built: no size here is allocated
-        monkeypatch.setattr(ads, "_physical_memory", lambda: 10 ** 7)
+        monkeypatch.setattr(errors, "_physical_memory", lambda: 10 ** 7)
 
         def no_rule(*args):
             raise AssertionError("rule built for a refused grid")

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import ypqwave
-from ypqwave import ads, cache, cli, selftest
+from ypqwave import cache, cli, errors, selftest
 from ypqwave.ads import Sector, sector_grid
 from ypqwave.angular import angular_eigenvalue
 from ypqwave.cache import CacheKey, cache_get_or_solve
@@ -202,6 +203,21 @@ class TestTableCommands:
         assert run(argv.split()) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage:") and "must be at least" in err
+
+    @pytest.mark.parametrize("argv,what", [
+        ("radial --p 2 --q 3 --m 0 --l 0 --Lambda 0 --kmax 1 "
+         "--nbasis 100000000", "125000032-node Galerkin rule"),
+        # 1004^2 * 8 bytes of the Gram's rule table against 10^6 bytes
+        ("ads-modes --beta1 0 --c 2 --imax 1000", "1004-node rule")])
+    def test_oversize_table_fails_loudly(self, capsys, monkeypatch, argv,
+                                         what):
+        # refused by the physical-memory rule before the table is built,
+        # not as an internal error from the allocator
+        monkeypatch.setattr(errors, "_physical_memory", lambda: 10 ** 6)
+        assert run(argv.split()) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "internal" not in err
+        assert what in err and "more than the 1000000 bytes" in err
 
 
 CONFIG_TEMPLATE = """
@@ -674,6 +690,32 @@ class TestFieldWriter:
         assert [row[-2] for row in rows] == [repr(v) for v in edge]
         assert [row[-1] for row in rows] == [repr(v) for v in edge[::-1]]
 
+    def test_json_holds_less_than_the_field(self, tmp_path):
+        # JSON holds at most one x slab of one part as text: the writer's
+        # peak traced memory stays below the field's own bytes
+        shape = (16, 6, 6, 10, 10)
+        rng = np.random.default_rng(3)
+        values = {Sector(0, n, 0, 0): rng.standard_normal(shape)
+                  + 1j * rng.standard_normal(shape) for n in (-1, 0, 1)}
+        grid = SimpleNamespace(**{
+            name: np.linspace(0.1, 1.0, n) for name, n in zip(
+                ("x_nodes", "t1_nodes", "t2_nodes", "th_nodes", "y_nodes"),
+                shape)})
+        prop = SimpleNamespace(table=SimpleNamespace(grid=grid))
+        sample = SimpleNamespace(t=0.0, tail_norm=0.0, values=values)
+        cfg = SimpleNamespace(out_format="json", out_dir=str(tmp_path))
+        tracemalloc.start()
+        try:
+            rows = cli._write_sample(cfg, prop, sample, "field_t0.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows == 3 * np.prod(shape)
+        assert peak < sum(arr.nbytes for arr in values.values())
+        _reference_write(cfg, prop, sample, tmp_path / "ref.json")
+        assert ((tmp_path / "field_t0.json").read_bytes()
+                == (tmp_path / "ref.json").read_bytes())
+
 
 def test_propagate_projects_once(tmp_path, capsys, monkeypatch):
     # gaussian_x data on three times: each component is projected once,
@@ -708,6 +750,8 @@ def test_propagate_projects_once(tmp_path, capsys, monkeypatch):
     ("kappa = 1e-320", "line"),            # M = 1 over a tiny kappa
     ("grid_y = 1000000", "line"),
     ("n_basis = 4", "line"),
+    ("n_basis = 100000000", "line"),       # a 125000032-node rule
+    ("n_basis = 1" + "0" * 400, "line"),   # beyond a double
     ("grid_t1 = 3", "line"),
     ("times = 0.0, nan", "line"),
     ("phi0_coef = 0 0 0 -3 0 0 0 0 0 : 1.0 : 0.0", "line"),
@@ -721,7 +765,7 @@ def test_propagate_fails_loudly(tmp_path, capsys, monkeypatch, line, cites):
     # naming its path, never as an internal error
     monkeypatch.delenv("YPQWAVE_CACHE_DIR", raising=False)
     # the verdict on the huge grid must not depend on this machine
-    monkeypatch.setattr(ads, "_physical_memory", lambda: 2 ** 30)
+    monkeypatch.setattr(errors, "_physical_memory", lambda: 2 ** 30)
     blocker = tmp_path / "file"
     blocker.write_text("")
     line = line.format(file=blocker)

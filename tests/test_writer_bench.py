@@ -1,10 +1,11 @@
-"""Micro-benchmark of the CSV field writer, `cli._write_sample`.
+"""Micro-benchmark of the field writer, `cli._write_sample`, in both
+of its formats, CSV and JSON, which share one slab formatter.
 
 Two fields on the same writer: one repetitive like a `propagate_csv`
 run (grid 6 x 4 x 4 x 6 x 6; a sector constant but in x, two constant
 in theta1 and theta2, one with every value distinct) and one with
 every value distinct on two 43,200-point x slabs.  In the suite each
-case runs one round; pytest-benchmark reports its time.
+field and format runs one round; pytest-benchmark reports its time.
 """
 
 from types import SimpleNamespace
@@ -38,9 +39,10 @@ def _distinct(rng):
     return shape, {Sector(0, 0, 0, 0): _complex(rng, shape)}
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("field", [_repetitive, _distinct],
                          ids=["repetitive", "distinct"])
-def test_write_sample(benchmark, tmp_path, field):
+def test_write_sample(benchmark, tmp_path, field, fmt):
     shape, values = field(np.random.default_rng(7))
     grid = SimpleNamespace(**{
         name: np.linspace(0.1, 1.0, n) for name, n in zip(
@@ -48,8 +50,8 @@ def test_write_sample(benchmark, tmp_path, field):
             shape)})
     prop = SimpleNamespace(table=SimpleNamespace(grid=grid))
     sample = SimpleNamespace(t=0.0, tail_norm=0.0, values=values)
-    cfg = SimpleNamespace(out_format="csv", out_dir=str(tmp_path))
+    cfg = SimpleNamespace(out_format=fmt, out_dir=str(tmp_path))
     rows = benchmark.pedantic(cli._write_sample,
-                              args=(cfg, prop, sample, "field_t0.csv"),
+                              args=(cfg, prop, sample, f"field_t0.{fmt}"),
                               rounds=1, iterations=1)
     assert rows == len(values) * np.prod(shape)
