@@ -61,9 +61,9 @@ import numpy as np
 
 from .errors import GridMismatch, IndexChainError, OutOfRange, require_memory
 from .geometry import GeometryParams
-from .specfun import (assoc_legendre, envelope_jacobi_derivs, gauss_jacobi,
-                      gegenbauer_scale, jacobi_log_norm, jacobi_poly_all,
-                      legendre_scale, rule_on_interval)
+from .specfun import (QuadratureRule, assoc_legendre, envelope_jacobi_derivs,
+                      gauss_jacobi, gegenbauer_scale, jacobi_log_norm,
+                      jacobi_poly_all, legendre_scale, rule_on_interval)
 
 __all__ = ["ModeIndex", "AdSRadialMode", "SpectralCoefficients", "Sector",
            "SectorGrid", "s3_harmonic", "s3_harmonic_norm", "c_beta",
@@ -281,34 +281,28 @@ def ads_gram(beta1: int, c: float, i_max: int) -> np.ndarray:
 # product grids and projection
 
 
-@dataclass(frozen=True)
-class SectorGrid:
+class SectorGrid(NamedTuple):
     """Product quadrature grid over (x, t1, t2, theta, y), one for all
     sectors: no rule is matched to the eigenfunctions of a sector.
 
-    Axis rules: x carries the d nu measure through xi = cos^2 x with a
-    fixed oversampled Jacobi rule (exponents (1, 2), the minimal decay
+    One rule per axis, nodes in the axis coordinate and the axis measure
+    in the weights: x carries the d nu measure through xi = cos^2 x with
+    a fixed oversampled Jacobi rule (exponents (1, 2), the minimal decay
     class); t1 and t2 carry sin^2 t1 dt1 and sin t2 dt2 via Gauss
     Chebyshev-2 and Gauss-Legendre in the cosines (polynomial integrands);
     theta carries sin theta dtheta via Gauss-Legendre in cos theta, and y
     carries rho dy, rho = (1 - y)/18, via Gauss-Legendre in y.
     """
 
-    x_nodes: np.ndarray
-    x_weights: np.ndarray
-    t1_nodes: np.ndarray
-    t1_weights: np.ndarray
-    t2_nodes: np.ndarray
-    t2_weights: np.ndarray
-    th_nodes: np.ndarray
-    th_weights: np.ndarray
-    y_nodes: np.ndarray
-    y_weights: np.ndarray
+    x: QuadratureRule
+    t1: QuadratureRule
+    t2: QuadratureRule
+    theta: QuadratureRule
+    y: QuadratureRule
 
     @property
     def shape(self) -> tuple:
-        return (self.x_nodes.size, self.t1_nodes.size, self.t2_nodes.size,
-                self.th_nodes.size, self.y_nodes.size)
+        return tuple(rule.nodes.size for rule in self)
 
     def zeros(self) -> np.ndarray:
         return np.zeros(self.shape, dtype=complex)
@@ -320,9 +314,9 @@ class SectorGrid:
         # sum_{r,c} w_r w_c |data_rc|^2 over rows r = (x, t1, t2) and
         # columns c = (theta, y), one weighted sum over a float view of
         # the data (re, im side by side), with no full-size temporary
-        w_row = np.einsum("x,a,b->xab", self.x_weights, self.t1_weights,
-                          self.t2_weights).ravel()
-        w_col = np.repeat(np.outer(self.th_weights, self.y_weights).ravel(), 2)
+        w_row = np.einsum("x,a,b->xab", self.x.weights, self.t1.weights,
+                          self.t2.weights).ravel()
+        w_col = np.repeat(np.outer(self.theta.weights, self.y.weights), 2)
         flat = np.ascontiguousarray(data, dtype=complex).reshape(
             w_row.size, -1).view(float)
         return float(np.einsum("rc,rc,c->r", flat, flat, w_col) @ w_row)
@@ -346,20 +340,16 @@ def sector_grid(gp: GeometryParams,
     # x axis: int_0^{pi/2} F d nu = int_0^1 F(xi) xi (1-xi)^{-2} dxi;
     # admissible integrands decay at least like (1-xi)^2 there
     xi, wxi = rule_on_interval(0.0, 1.0, 1.0, 2.0, nx)
-    x_nodes = np.arccos(np.sqrt(xi))
-    x_weights = wxi / (1.0 - xi) ** 4
-    # t1 integrands carry sin^{2 s2} x weight-halves: Chebyshev-2 rule
-    t1r = gauss_jacobi(0.5, 0.5, n1)
-    t2r = gauss_jacobi(0.0, 0.0, n2)
-    thr = gauss_jacobi(0.0, 0.0, nth)
     y, wy = rule_on_interval(gp.y_minus, gp.y_plus, 0.0, 0.0, ny)
-    rho = (1.0 - y) / 18.0
+    # t1 integrands carry sin^{2 s2} x weight-halves: Chebyshev-2 rule;
+    # t1, t2 and theta take the rules of their cosines
+    t1, t2, theta = (QuadratureRule(np.arccos(rule.nodes), rule.weights)
+                     for rule in (gauss_jacobi(0.5, 0.5, n1),
+                                  gauss_jacobi(0.0, 0.0, n2),
+                                  gauss_jacobi(0.0, 0.0, nth)))
     return SectorGrid(
-        x_nodes=x_nodes, x_weights=x_weights,
-        t1_nodes=np.arccos(t1r.nodes), t1_weights=t1r.weights,
-        t2_nodes=np.arccos(t2r.nodes), t2_weights=t2r.weights,
-        th_nodes=np.arccos(thr.nodes), th_weights=thr.weights,
-        y_nodes=y, y_weights=wy * rho)
+        QuadratureRule(np.arccos(np.sqrt(xi)), wxi / (1.0 - xi) ** 4),
+        t1, t2, theta, QuadratureRule(y, wy * ((1.0 - y) / 18.0)))
 
 
 @dataclass
@@ -425,22 +415,22 @@ class ModeTable:
         if (s1, s2, s3) not in memo:
             memo[s1, s2, s3] = (
                 s3_harmonic_norm(s1, s2, s3) * math.sqrt(2.0 * math.pi)
-                * _t1_factor(s1, s2, grid.t1_nodes),
-                assoc_legendre(s2, s3, np.cos(grid.t2_nodes)))
+                * _t1_factor(s1, s2, grid.t1.nodes),
+                assoc_legendre(s2, s3, np.cos(grid.t2.nodes)))
         # (n, m, l, k, j) and (-n, -m, -l, k, j) have bitwise equal factors
         y_key = max(y_key, (-n, -m, -l, k, j))
         if y_key not in memo:
-            memo[y_key] = (y_mode.angular.value(grid.th_nodes),
-                           y_mode.radial.value(grid.y_nodes))
+            memo[y_key] = (y_mode.angular.value(grid.theta.nodes),
+                           y_mode.radial.value(grid.y.nodes))
         if (s1, c) not in memo:
             # a huge c overflows the sweep: refused below, not warned about
             with np.errstate(over="ignore", invalid="ignore"):
-                fmat = _f_table(s1, c, self.i_max, grid.x_nodes)
+                fmat = _f_table(s1, c, self.i_max, grid.x.nodes)
             if not np.isfinite(fmat).all():
                 raise OutOfRange(
                     f"x table of s1 = {s1}, c = {c!r} is not finite "
                     f"(M = {self.M!r}, kappa = {self.kappa!r})")
-            memo[s1, c] = fmat, (fmat * grid.x_weights) @ fmat.T
+            memo[s1, c] = fmat, (fmat * grid.x.weights) @ fmat.T
         return memo[s1, s2, s3] + memo[y_key] + memo[s1, c]
 
     def stack(self, betas) -> "SectorStack":
@@ -512,9 +502,9 @@ class SectorStack:
         self.fmat = fmat
         self.t12 = outer(vec1, vec2)
         self.ang = outer(vecth, vecy)
-        self.wfmat = fmat * grid.x_weights
-        self.wt12 = outer(vec1 * grid.t1_weights, vec2 * grid.t2_weights)
-        self.wang = outer(vecth * grid.th_weights, vecy * grid.y_weights)
+        self.wfmat = fmat * grid.x.weights
+        self.wt12 = outer(vec1 * grid.t1.weights, vec2 * grid.t2.weights)
+        self.wang = outer(vecth * grid.theta.weights, vecy * grid.y.weights)
         self.gram = gram
 
     @functools.cached_property

@@ -37,11 +37,17 @@ from .spectrum import TruncationPolicy, build_modes, enumerate_modes
 __all__ = ["run", "main"]
 
 
-def _at_least(convert, low):
-    """argparse type: convert(text), refused unless finite and >= low."""
+def _at_least(convert, low=-math.inf):
+    """argparse type: convert(text), refused unless a double holds it
+    and it is finite and >= low."""
 
     def parse(text: str):
         val = convert(text)
+        try:
+            float(val)
+        except OverflowError:   # an int beyond a double
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is beyond a double") from None
         if not (math.isfinite(val) and val >= low):
             raise argparse.ArgumentTypeError(
                 f"must be at least {low}, got {text!r}")
@@ -52,7 +58,7 @@ def _at_least(convert, low):
     return parse
 
 
-_nonnegative_int = _at_least(int, 0)
+_int, _nonnegative_int = _at_least(int), _at_least(int, 0)
 
 
 def _write_rows(rows, header, fmt: str, out=None) -> None:
@@ -149,7 +155,7 @@ def _cmd_propagate(args) -> int:
     for t in cfg.times:
         sample = prop.evolve(proj, t, synthesize_values=True)
         name = f"field_{time_tag(t)}.{cfg.out_format}"
-        rows = _write_sample(cfg, prop, sample, name)
+        rows = _write_sample(cfg, prop.table.grid, sample, name)
         for (beta, i), e in sorted(sample.per_mode_energy.items()):
             energy_rows.append(beta.beta + (i, t, e))
         print(f"t={t:g}: wrote {rows} rows to {name}, "
@@ -183,7 +189,7 @@ def _build_data(cfg, prop: KGPropagator) -> CauchyData:
     # gaussian_x: a bump in the AdS radial coordinate on the constant
     # angular sector, sampled on the grid (the caller projects it)
     sector = Sector(0, 0, 0, 0)
-    x = prop.table.grid.x_nodes
+    x = prop.table.grid.x.nodes
     prof = cfg.preset_amplitude * np.exp(
         -((x - cfg.preset_x0) / cfg.preset_width) ** 2)
     vec1, vec2, vecth, vecy, _, _ = prop.table.block(
@@ -194,15 +200,14 @@ def _build_data(cfg, prop: KGPropagator) -> CauchyData:
     return CauchyData({sector: arr}, zeros)
 
 
-def _write_sample(cfg, prop: KGPropagator, sample, name: str) -> int:
+def _write_sample(cfg, grid, sample, name: str) -> int:
     """Write file `name` (.json or .csv) in out_dir and return its row
-    count, one per sector and grid point.  Each write holds one x slab of
-    values as text: CSV rows in C order of the grid, floats as repr; JSON
-    as json.dump writes it, a sector's re slabs, then its im slabs."""
-    grid = prop.table.grid
-    axes = dict(zip(("x", "theta1", "theta2", "theta", "y"), (
-        a.tolist() for a in (grid.x_nodes, grid.t1_nodes, grid.t2_nodes,
-                             grid.th_nodes, grid.y_nodes))))
+    count, one per sector and grid point of `grid`, its five axis rules
+    in order.  Each write holds one x slab of values as text: CSV rows in
+    C order of the grid, floats as repr; JSON as json.dump writes it, a
+    sector's re slabs, then its im slabs."""
+    axes = dict(zip(("x", "theta1", "theta2", "theta", "y"),
+                    (rule.nodes.tolist() for rule in grid)))
     path = os.path.join(cfg.out_dir, name)
     with _path_errors("out_dir", cfg.out_dir), open(
             path, "w", encoding="utf-8", newline="") as fh:
@@ -287,8 +292,8 @@ def _build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=_cmd_geometry)
 
     a = sub.add_parser("angular", help="angular eigenvalues and norms")
-    a.add_argument("--n", type=int, required=True)
-    a.add_argument("--m", type=int, required=True)
+    a.add_argument("--n", type=_int, required=True)
+    a.add_argument("--m", type=_int, required=True)
     a.add_argument("--jmax", type=_nonnegative_int, required=True)
     a.add_argument("--format", choices=("csv", "json"), default="csv")
     a.set_defaults(func=_cmd_angular)
@@ -296,8 +301,8 @@ def _build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("radial", help="radial eigenvalues")
     r.add_argument("--p", type=int, required=True)
     r.add_argument("--q", type=int, required=True)
-    r.add_argument("--m", type=int, required=True)
-    r.add_argument("--l", type=int, required=True)
+    r.add_argument("--m", type=_int, required=True)
+    r.add_argument("--l", type=_int, required=True)
     r.add_argument("--Lambda", type=_at_least(float, 0.0), required=True)
     r.add_argument("--kmax", type=_nonnegative_int, required=True)
     r.add_argument("--nbasis", type=_at_least(int, 8), default=40)

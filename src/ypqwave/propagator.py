@@ -218,11 +218,19 @@ class KGPropagator:
     def project(self, data: CauchyData) -> Projection:
         """The mode coefficients of Cauchy data, each component read
         once; a TruncationWarning when the tail exceeds
-        `tail_warn_fraction` of the data norm."""
-        a0, s0, tail0 = self._gather(data.phi0)
-        a1, s1, tail1 = self._gather(data.phi1)
-        tail = math.sqrt(tail0 + tail1)
-        total = math.hypot(np.linalg.norm(a0), np.linalg.norm(a1), tail)
+        `tail_warn_fraction` of the data norm, OutOfRange when the data
+        norm or a mode energy is not finite."""
+        # overflow is refused below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            a0, s0, tail0 = self._gather(data.phi0)
+            a1, s1, tail1 = self._gather(data.phi1)
+            tail = math.sqrt(tail0 + tail1)
+            total = math.hypot(np.linalg.norm(a0), np.linalg.norm(a1), tail)
+            energy = _abs_sq(a1) + self._omega * _abs_sq(a0)
+        if not (math.isfinite(total) and np.isfinite(energy).all()):
+            raise OutOfRange("Cauchy data overflows a double: its projected "
+                             "coefficients, norm or mode energies are not "
+                             "finite")
         if total > 0.0 and tail > self.trunc.tail_warn_fraction * total:
             warnings.warn(
                 f"dropped-coefficient norm {tail:.3e} exceeds "

@@ -286,7 +286,7 @@ def solve_radial(prob: RadialProblem, k_max: int, n_basis: int,
     `tables`: the rules and tables shared by the caller's solves (module
     docstring), None for a fresh dict; results do not depend on it.
     FieldTooLarge, before anything is built, when check_basis_memory
-    refuses n_basis.
+    refuses n_basis; OutOfRange when an eigenvalue is not finite.
     """
     if n_basis < k_max + 8:
         raise ValueError("n_basis must be at least k_max + 8")
@@ -320,12 +320,17 @@ def solve_radial(prob: RadialProblem, k_max: int, n_basis: int,
 
 def _solve_once(prob: RadialProblem, k_max: int, a_mat: np.ndarray,
                 b_mat: np.ndarray):
+    """The k_max + 1 lowest eigenpairs; EigenFailure when eigh fails,
+    OutOfRange when one of those eigenvalues is not finite."""
+    labels = (prob.gp.p, prob.gp.q, prob.m, prob.l, prob.lambda_cap)
+    named = f"(p, q, m, l, Lambda) = {labels}, n_basis = {len(a_mat)}"
     try:
         vals, vecs = eigh(a_mat, b_mat)
     except LinAlgError as exc:
-        labels = (prob.gp.p, prob.gp.q, prob.m, prob.l, prob.lambda_cap)
-        raise EigenFailure(f"Galerkin eigensolve failed for (p, q, m, l, Lambda)"
-                           f" = {labels}, n_basis = {len(a_mat)}: {exc}") from exc
+        raise EigenFailure(f"Galerkin eigensolve failed for {named}: "
+                           f"{exc}") from exc
+    if not np.isfinite(vals[:k_max + 1]).all():
+        raise OutOfRange(f"Galerkin eigenvalues of {named} are not finite")
     return vals[:k_max + 1], vecs[:, :k_max + 1]
 
 

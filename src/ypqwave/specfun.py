@@ -23,7 +23,7 @@ and safe to share between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -168,12 +168,10 @@ def envelope_jacobi_derivs(alpha: float, beta: float, coeffs, u, du, d2u,
             env * ((log1 * log1 + log2) * p0 + 2.0 * log1 * s1 + s2))
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss-Jacobi rule for the weight (1-x)^alpha (1+x)^beta on [-1, 1].
-
-    Exact for polynomial integrands of degree <= 2*len(nodes) - 1.
-    """
+class QuadratureRule(NamedTuple):
+    """Nodes and weights with int f dmu = sum w_i f(x_i) for the rule's
+    measure; a tuple, so `nodes, weights = rule` unpacks it.  A Gauss
+    rule of n nodes is exact for polynomial f of degree <= 2n - 1."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -205,7 +203,8 @@ def jacobi_matrix(alpha: float, beta: float,
 
 
 def gauss_jacobi(alpha: float, beta: float, n: int) -> QuadratureRule:
-    """n-node Gauss rule with Christoffel weights (module docstring).
+    """n-node Gauss rule for the weight (1-x)^alpha (1+x)^beta on
+    [-1, 1], with Christoffel weights (module docstring).
 
     alpha, beta > -1, n >= 1.  Nodes ascend; weights are positive and sum
     to the zeroth moment 2^(a+b+1) B(a+1, b+1).
@@ -230,11 +229,10 @@ def gauss_jacobi(alpha: float, beta: float, n: int) -> QuadratureRule:
 
 
 def rule_on_interval(lo: float, hi: float, exp_lo: float, exp_hi: float,
-                     n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights with
+                     n: int) -> QuadratureRule:
+    """The rule of gauss_jacobi mapped to [lo, hi]:
     int_lo^hi (y-lo)^exp_lo (hi-y)^exp_hi f(y) dy = sum w_i f(y_i)."""
     rule = gauss_jacobi(exp_hi, exp_lo, n)
     half = 0.5 * (hi - lo)
-    y = lo + half * (1.0 + rule.nodes)
-    w = rule.weights * half ** (exp_lo + exp_hi + 1.0)
-    return y, w
+    return QuadratureRule(lo + half * (1.0 + rule.nodes),
+                          rule.weights * half ** (exp_lo + exp_hi + 1.0))

@@ -21,7 +21,8 @@ from ypqwave.errors import (FieldTooLarge, GridMismatch, IndexChainError,
                             OutOfRange)
 from ypqwave.propagator import TruncationSpec, enumerate_beta
 from ypqwave.radial import RadialMode
-from ypqwave.specfun import assoc_legendre, gauss_jacobi
+from ypqwave.specfun import (QuadratureRule, assoc_legendre, gauss_jacobi,
+                             rule_on_interval)
 from ypqwave.spectrum import TruncationPolicy, build_modes, enumerate_modes
 
 
@@ -381,10 +382,10 @@ def _naive_project(data, modes, table):
             continue
         vec1, vec2, vecth, vecy, fmat, gram_x = table.block(beta)
         red = data[beta.sector]
-        for w, vec in ((grid.y_weights, vecy), (grid.th_weights, vecth),
-                       (grid.t2_weights, vec2), (grid.t1_weights, vec1)):
+        for w, vec in ((grid.y.weights, vecy), (grid.theta.weights, vecth),
+                       (grid.t2.weights, vec2), (grid.t1.weights, vec1)):
             red = np.tensordot(red, w * vec, axes=([red.ndim - 1], [0]))
-        vals = np.linalg.solve(gram_x, (fmat * grid.x_weights) @ red)
+        vals = np.linalg.solve(gram_x, (fmat * grid.x.weights) @ red)
         for i, v in enumerate(vals):
             out[(beta, i)] = v
     return out
@@ -485,6 +486,31 @@ class TestSectorTransforms:
             monkeypatch.setattr(ads, name, no_rule)
         with pytest.raises(FieldTooLarge, match=what):
             ads.sector_grid(gp23, shape)
+
+    def test_grid_is_five_axis_rules(self, gp23):
+        # one QuadratureRule per axis, nodes in the axis coordinate and
+        # the axis measure in the weights, bitwise as built axis by axis
+        # here: the (1, 2) rule in xi = cos^2 x, the cosine rules of t1,
+        # t2 and theta, and Gauss-Legendre in y times rho = (1 - y)/18
+        shape = (36, 10, 10, 12, 36)
+        xi_rule = rule_on_interval(0.0, 1.0, 1.0, 2.0, shape[0])
+        assert isinstance(xi_rule, QuadratureRule)
+        xi, wxi = xi_rule
+        y, wy = rule_on_interval(gp23.y_minus, gp23.y_plus, 0.0, 0.0,
+                                 shape[4])
+        rho = (1.0 - y) / 18.0
+        cosine_rules = [gauss_jacobi(a, a, n)
+                        for a, n in zip((0.5, 0.0, 0.0), shape[1:4])]
+        expected = [(np.arccos(np.sqrt(xi)), wxi / (1.0 - xi) ** 4),
+                    *((np.arccos(r.nodes), r.weights) for r in cosine_rules),
+                    (y, wy * rho)]
+        grid = ads.sector_grid(gp23, shape)
+        assert grid._fields == ("x", "t1", "t2", "theta", "y")
+        assert grid.shape == shape
+        for rule, (nodes, weights) in zip(grid, expected, strict=True):
+            assert type(rule) is QuadratureRule
+            assert rule.nodes.tobytes() == nodes.tobytes()
+            assert rule.weights.tobytes() == weights.tobytes()
 
 
 def test_each_factor_built_once_per_key(gp23, small_y_modes, beta_set,

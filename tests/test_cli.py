@@ -26,6 +26,7 @@ from ypqwave.errors import ConfigError
 from ypqwave.geometry import profile_h, solve_geometry
 from ypqwave.propagator import TruncationWarning
 from ypqwave.radial import radial_problem, solve_radial
+from ypqwave.specfun import QuadratureRule
 from ypqwave.spectrum import TruncationPolicy, enumerate_modes
 
 
@@ -203,6 +204,22 @@ class TestTableCommands:
         assert run(argv.split()) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage:") and "must be at least" in err
+
+    @pytest.mark.parametrize("argv", [
+        "radial --p 2 --q 3 --m 0 --l 0 --Lambda 0 --kmax 1 --nbasis {big}",
+        "angular --n 0 --m 0 --jmax {big}",
+        "ads-modes --beta1 {big} --c 2 --imax 1",
+        "spectrum --p 2 --q 3 --nmax {big} --mmax 0 --lmax 0 --kmax 0 "
+        "--jmax 0",
+        "radial --p 2 --q 3 --m {big} --l 0 --Lambda 0 --kmax 1",
+        "radial --p 2 --q 3 --m 0 --l {big} --Lambda 0 --kmax 1",
+        "angular --n {big} --m 0 --jmax 1"])
+    def test_integer_beyond_double_is_usage_error(self, capsys, argv):
+        # a 401-digit integer: no double holds it, so no float arithmetic
+        # may meet it
+        assert run(argv.format(big="1" + "0" * 400).split()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "is beyond a double" in err
 
     @pytest.mark.parametrize("argv,what", [
         ("radial --p 2 --q 3 --m 0 --l 0 --Lambda 0 --kmax 1 "
@@ -500,8 +517,7 @@ class TestPropagate:
         # the field-file layout: per sector, one row per grid point in C
         # order of the grid, with the values of the JSON file
         grid = sector_grid(solve_geometry(2, 3), shape)
-        nodes = (grid.x_nodes, grid.t1_nodes, grid.t2_nodes, grid.th_nodes,
-                 grid.y_nodes)
+        nodes = [rule.nodes for rule in grid]
         at = np.unravel_index(np.arange(np.prod(shape)), shape)
         coords = np.stack([ax[i] for ax, i in zip(nodes, at)], axis=1)
         for tag in ("t0", "t1"):
@@ -561,13 +577,11 @@ class TestPropagate:
         assert (tmp_path / "out" / "energy_trace.csv").exists()
 
 
-def _reference_write(cfg, prop, sample, path) -> None:
+def _reference_write(cfg, grid, sample, path) -> None:
     """The field-sample writer as a per-row f-string loop, every value
     formatted by repr: the output the slab writer must reproduce."""
-    grid = prop.table.grid
-    axes = dict(zip(("x", "theta1", "theta2", "theta", "y"), (
-        a.tolist() for a in (grid.x_nodes, grid.t1_nodes, grid.t2_nodes,
-                             grid.th_nodes, grid.y_nodes))))
+    axes = dict(zip(("x", "theta1", "theta2", "theta", "y"),
+                    (rule.nodes.tolist() for rule in grid)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if cfg.out_format == "json":
             json.dump({"t": sample.t, "tail_norm": sample.tail_norm,
@@ -619,9 +633,9 @@ class TestFieldWriter:
         write_sample = cli._write_sample
         writes = {}
 
-        def checked(cfg, prop, sample, name):
-            rows = write_sample(cfg, prop, sample, name)
-            _reference_write(cfg, prop, sample, tmp_path / f"ref_{name}")
+        def checked(cfg, grid, sample, name):
+            rows = write_sample(cfg, grid, sample, name)
+            _reference_write(cfg, grid, sample, tmp_path / f"ref_{name}")
             assert rows == sum(arr.size for arr in sample.values.values())
             return rows
 
@@ -668,16 +682,13 @@ class TestFieldWriter:
         arr.imag = im.reshape(arr.shape)
         nodes = [np.array([0.5]), np.array([0.25]), np.array([-0.0]),
                  np.array([1.0, 2.0, 3.0]), np.linspace(-1.0, 1.0, 4)]
-        grid = SimpleNamespace(**dict(zip(
-            ("x_nodes", "t1_nodes", "t2_nodes", "th_nodes", "y_nodes"),
-            nodes)))
-        prop = SimpleNamespace(table=SimpleNamespace(grid=grid))
+        grid = [QuadratureRule(a, np.ones_like(a)) for a in nodes]
         sample = SimpleNamespace(t=0.0, tail_norm=0.0,
                                  values={Sector(0, 0, 0, 0): arr})
         cfg = SimpleNamespace(out_format=fmt, out_dir=str(tmp_path))
         name = f"field.{fmt}"
-        assert cli._write_sample(cfg, prop, sample, name) == re.size
-        _reference_write(cfg, prop, sample, tmp_path / f"ref.{fmt}")
+        assert cli._write_sample(cfg, grid, sample, name) == re.size
+        _reference_write(cfg, grid, sample, tmp_path / f"ref.{fmt}")
         text = (tmp_path / name).read_text()
         assert text == (tmp_path / f"ref.{fmt}").read_text()
         if fmt == "json":
@@ -697,22 +708,19 @@ class TestFieldWriter:
         rng = np.random.default_rng(3)
         values = {Sector(0, n, 0, 0): rng.standard_normal(shape)
                   + 1j * rng.standard_normal(shape) for n in (-1, 0, 1)}
-        grid = SimpleNamespace(**{
-            name: np.linspace(0.1, 1.0, n) for name, n in zip(
-                ("x_nodes", "t1_nodes", "t2_nodes", "th_nodes", "y_nodes"),
-                shape)})
-        prop = SimpleNamespace(table=SimpleNamespace(grid=grid))
+        grid = [QuadratureRule(np.linspace(0.1, 1.0, n), np.ones(n))
+                for n in shape]
         sample = SimpleNamespace(t=0.0, tail_norm=0.0, values=values)
         cfg = SimpleNamespace(out_format="json", out_dir=str(tmp_path))
         tracemalloc.start()
         try:
-            rows = cli._write_sample(cfg, prop, sample, "field_t0.json")
+            rows = cli._write_sample(cfg, grid, sample, "field_t0.json")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert rows == 3 * np.prod(shape)
         assert peak < sum(arr.nbytes for arr in values.values())
-        _reference_write(cfg, prop, sample, tmp_path / "ref.json")
+        _reference_write(cfg, grid, sample, tmp_path / "ref.json")
         assert ((tmp_path / "field_t0.json").read_bytes()
                 == (tmp_path / "ref.json").read_bytes())
 
@@ -785,6 +793,30 @@ def test_propagate_fails_loudly(tmp_path, capsys, monkeypatch, line, cites):
     else:
         key, _, where = line.partition(" = ")
         assert err.startswith(f"error: {key} {where!r}:")
+
+
+@pytest.mark.parametrize("data", [
+    "preset = gaussian_x\npreset_amplitude = 1e308",  # nan coefficients
+    "preset = gaussian_x\npreset_amplitude = 1e200",  # the norm overflows
+    "phi0_coef = 0 0 0 1 0 0 0 0 1 : 1e200 : 0.0",    # Omega |a|^2 overflows
+])
+def test_overflowing_cauchy_data_fails_loudly(tmp_path, capsys, monkeypatch,
+                                              data):
+    # Cauchy data whose projection, data norm or mode energies overflow a
+    # double is refused before any file is written; no single key is at
+    # fault, so no line is cited
+    monkeypatch.delenv("YPQWAVE_CACHE_DIR", raising=False)
+    path = tmp_path / "run.cfg"
+    path.write_text("\n".join([
+        "schema_version = 1", "p = 2", "q = 3", "n_max = 1", "i_max = 2",
+        "n_basis = 16", "grid_x = 6", "grid_t1 = 4", "grid_t2 = 4",
+        "grid_theta = 4", "grid_y = 6", "times = 0.0", data,
+        f"out_dir = {tmp_path / 'out'}", ""]))
+    assert run(["propagate", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: Cauchy data overflows a double")
+    assert err.count("\n") == 1 and "wrote" not in out
+    assert not (tmp_path / "out").exists() or not os.listdir(tmp_path / "out")
 
 
 @pytest.mark.parametrize("preset", ["gaussian_x", "none"])

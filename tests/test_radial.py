@@ -228,6 +228,20 @@ class TestSolveRadial:
                               "(p, q, m, l, Lambda) = (2, 3, 0, 1, 0.0), "
                               "n_basis = 12: ")
 
+    def test_nonfinite_eigenvalue_fails_loudly(self, gp23, capsys):
+        # Lambda = 1e308 overflows the Galerkin system: its eigenvalues
+        # are inf and nan, refused with the problem named before the
+        # refinement check compares them, also in the CLI
+        with pytest.raises(OutOfRange, match=r"\(p, q, m, l, Lambda\) = "
+                           r"\(2, 3, 0, 0, 1e\+308\), n_basis = 40 are not "
+                           r"finite"):
+            solve_radial(radial_problem(gp23, 0, 0, 1e308), 1, 40)
+        assert run(["radial", "--p", "2", "--q", "3", "--m", "0", "--l", "0",
+                    "--Lambda", "1e308", "--kmax", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: Galerkin eigenvalues of ")
+
 
 class TestEval:
     def test_constant_value(self, gp23):

@@ -15,6 +15,7 @@ import pytest
 
 from ypqwave import cli
 from ypqwave.ads import Sector
+from ypqwave.specfun import QuadratureRule
 
 pytest.importorskip("pytest_benchmark")
 
@@ -44,14 +45,11 @@ def _distinct(rng):
                          ids=["repetitive", "distinct"])
 def test_write_sample(benchmark, tmp_path, field, fmt):
     shape, values = field(np.random.default_rng(7))
-    grid = SimpleNamespace(**{
-        name: np.linspace(0.1, 1.0, n) for name, n in zip(
-            ("x_nodes", "t1_nodes", "t2_nodes", "th_nodes", "y_nodes"),
-            shape)})
-    prop = SimpleNamespace(table=SimpleNamespace(grid=grid))
+    grid = [QuadratureRule(np.linspace(0.1, 1.0, n), np.ones(n))
+            for n in shape]
     sample = SimpleNamespace(t=0.0, tail_norm=0.0, values=values)
     cfg = SimpleNamespace(out_format=fmt, out_dir=str(tmp_path))
     rows = benchmark.pedantic(cli._write_sample,
-                              args=(cfg, prop, sample, f"field_t0.{fmt}"),
+                              args=(cfg, grid, sample, f"field_t0.{fmt}"),
                               rounds=1, iterations=1)
     assert rows == len(values) * np.prod(shape)
