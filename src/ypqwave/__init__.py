@@ -3,8 +3,8 @@ Y^{p,q} spaces and the Klein-Gordon mode-sum propagator on
 AdS5 x Y^{p,q}."""
 
 from .angular import AngularMode, angular_eigenvalue, angular_gram, angular_mode
-from .ads import (AdSRadialMode, ModeIndex, Sector, SpectralCoefficients,
-                  ads_gram, ads_radial_mode, c_beta, project_cauchy,
+from .ads import (ModeIndex, Sector, SpectralCoefficients, ads_gram,
+                  ads_omegas, ads_operator_residual, c_beta, project_cauchy,
                   s3_harmonic, synthesize)
 from .cache import SOLVER_VERSION, CacheKey, cache_get_or_solve
 from .config import RunConfig, load_config, parse_config

@@ -65,9 +65,9 @@ from .specfun import (QuadratureRule, assoc_legendre, envelope_jacobi_derivs,
                       gauss_jacobi, gegenbauer_scale, jacobi_log_norm,
                       jacobi_poly_all, legendre_scale, rule_on_interval)
 
-__all__ = ["ModeIndex", "AdSRadialMode", "SpectralCoefficients", "Sector",
-           "SectorGrid", "s3_harmonic", "s3_harmonic_norm", "c_beta",
-           "ads_radial_mode", "ads_gram", "check_grid_memory",
+__all__ = ["ModeIndex", "SpectralCoefficients", "Sector", "SectorGrid",
+           "s3_harmonic", "s3_harmonic_norm", "c_beta", "ads_omegas",
+           "ads_operator_residual", "ads_gram", "check_grid_memory",
            "project_cauchy", "synthesize", "ModeTable"]
 
 
@@ -196,41 +196,6 @@ def c_beta(M: float, kappa: float, lam: float) -> float:
     return math.sqrt(c_sq)
 
 
-@dataclass(frozen=True)
-class AdSRadialMode:
-    """One normalized eigenfunction f_i of L(beta1, lam) under d nu."""
-
-    beta1: int
-    c: float
-    i: int
-    omega: float
-    norm_const: float
-
-    def value(self, x):
-        out = _f_table(self.beta1, self.c, self.i, x)[self.i]
-        return out if out.ndim else float(out)
-
-    def value_and_derivs(self, x):
-        xv = np.asarray(x, dtype=float)
-        s, co = np.sin(xv), np.cos(xv)
-        return envelope_jacobi_derivs(
-            self.beta1 + 1.0, self.c,
-            self.norm_const * np.eye(self.i + 1)[self.i],
-            -np.cos(2.0 * xv), 2.0 * np.sin(2.0 * xv), 4.0 * np.cos(2.0 * xv),
-            [(self.beta1, co, -s, -co), (2.0 + self.c, s, co, -s)])
-
-    def operator_residual(self, x, M: float, kappa: float) -> np.ndarray:
-        """(L(beta1, lam) - Omega) f with lam recovered from c."""
-        lam = kappa * (self.c ** 2 - 4.0) - M * M
-        xv = np.asarray(x, dtype=float)
-        f, f1, f2 = self.value_and_derivs(xv)
-        s, co = np.sin(xv), np.cos(xv)
-        left = (-f2 + 3.0 * (s / co + co / s) * f1
-                + self.beta1 * (self.beta1 + 2.0) / co ** 2 * f
-                + (M * M + lam) / (kappa * s * s) * f)
-        return left - self.omega * f
-
-
 def _f_norm(beta1: int, c: float, i):
     """N_i of f_i, elementwise over i: unit d nu norm fixed by int_0^1
     xi^{b1+1} (1-xi)^c P_i^(b1+1, c)(1-2xi)^2 dxi = h_i / 2^(b1+c+2)."""
@@ -248,19 +213,39 @@ def _f_table(beta1: int, c: float, i_max: int, x) -> np.ndarray:
             * jacobi_poly_all(beta1 + 1.0, c, i_max, -np.cos(2.0 * xv)))
 
 
-def ads_radial_mode(beta1: int, c: float, i: int) -> AdSRadialMode:
-    if beta1 < 0 or i < 0:
-        raise ValueError("beta1 and i must be nonnegative")
-    if c < 2.0:
-        raise ValueError("c must be at least 2")
-    try:
-        omega = (2.0 * i + beta1 + c + 2.0) ** 2
-    except OverflowError:
-        omega = math.inf
-    if not math.isfinite(omega):
-        raise OutOfRange(f"Omega of beta1={beta1}, c={c!r}, i={i} is not finite")
-    return AdSRadialMode(beta1=beta1, c=c, i=i, omega=omega,
-                         norm_const=_f_norm(beta1, c, i))
+def ads_omegas(beta1, c, i_max: int) -> np.ndarray:
+    """Omega_i = (2i + beta1 + c + 2)^2 for i = 0 .. i_max, broadcast over
+    beta1 and c (columns give one row each).  ValueError unless beta1,
+    i_max >= 0 and c >= 2; OutOfRange when an Omega is not finite."""
+    b1, cv, i = np.broadcast_arrays(np.asarray(beta1, dtype=float),
+                                    np.asarray(c, dtype=float),
+                                    np.arange(i_max + 1.0))
+    if (b1 < 0.0).any() or i_max < 0 or (cv < 2.0).any():
+        raise ValueError("need beta1 >= 0, i_max >= 0 and c >= 2")
+    with np.errstate(over="ignore"):
+        omega = (2.0 * i + b1 + cv + 2.0) ** 2
+    if (bad := np.flatnonzero(~np.isfinite(omega))).size:
+        b, cc, ii = (arr.flat[bad[0]].item() for arr in (b1, cv, i))
+        raise OutOfRange(f"Omega of beta1={b:g}, c={cc!r}, i={ii:g} "
+                         f"is not finite")
+    return omega
+
+
+def ads_operator_residual(beta1: int, c: float, i_max: int, x, M: float,
+                          kappa: float) -> np.ndarray:
+    """(L(beta1, lam) - Omega_i) f_i at 1d points x, one row per i <=
+    i_max, lam recovered from c; one chain-rule sweep for every f_i."""
+    lam = kappa * (c ** 2 - 4.0) - M * M
+    xv = np.asarray(x, dtype=float)
+    s, co = np.sin(xv), np.cos(xv)
+    f, f1, f2 = envelope_jacobi_derivs(
+        beta1 + 1.0, c, np.diag(_f_norm(beta1, c, np.arange(i_max + 1))),
+        -np.cos(2.0 * xv), 2.0 * np.sin(2.0 * xv), 4.0 * np.cos(2.0 * xv),
+        [(beta1, co, -s, -co), (2.0 + c, s, co, -s)])
+    left = (-f2 + 3.0 * (s / co + co / s) * f1
+            + beta1 * (beta1 + 2.0) / co ** 2 * f
+            + (M * M + lam) / (kappa * s * s) * f)
+    return left - ads_omegas(beta1, c, i_max)[:, None] * f
 
 
 def ads_gram(beta1: int, c: float, i_max: int) -> np.ndarray:
@@ -457,17 +442,14 @@ class ModeTable:
         return c_beta(self.M, self.kappa, self._y_mode(beta).lam)
 
     def omega_table(self, betas) -> np.ndarray:
-        """Omega_i = (2i + s1 + c + 2)^2 of every (beta, i), shaped
-        (len(betas), i_max + 1) with rows in the order of `betas`: c is
-        computed once per Y^{p,q} mode, the table in one broadcast
-        expression."""
+        """ads_omegas of each beta's (s1, c), one row per beta in the
+        order of `betas`, c computed once per Y^{p,q} mode."""
         y_keys = [b[3:] for b in betas]
         c_of = {key: self.c(beta)
                 for key, beta in dict(zip(y_keys, betas)).items()}
-        s1 = np.array([b[0] for b in betas])[:, None]
-        c = np.array([c_of[key] for key in y_keys])[:, None]
-        i = np.arange(self.i_max + 1, dtype=float)
-        return (2.0 * i + s1 + c + 2.0) ** 2
+        return ads_omegas(np.array([b[0] for b in betas])[:, None],
+                          np.array([c_of[key] for key in y_keys])[:, None],
+                          self.i_max)
 
 
 # projection refuses an x-Gram whose condition number exceeds this: its

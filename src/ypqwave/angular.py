@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfRange
+from .errors import OutOfRange, require_memory
 from .specfun import (envelope_jacobi_derivs, gauss_jacobi, jacobi_log_norm,
                       jacobi_poly_all)
 
@@ -105,13 +105,19 @@ class AngularMode:
 
 
 def angular_mode(n: int, m: int, j: int) -> AngularMode:
+    """v_{nmj}; OutOfRange when its eigenvalue or norm constant is not a
+    finite double."""
     a = abs(n + 2 * m)
     b = abs(n - 2 * m)
-    log_c = _log_norm_const(a, b, j)
+    try:
+        lam = angular_eigenvalue(n, m, j)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            log_c = _log_norm_const(a, b, j)
+    except OverflowError as exc:  # labels whose products no double holds
+        raise OutOfRange(f"angular mode {(n, m, j)}: {exc}") from None
     if not log_c < math.log(sys.float_info.max):
         raise OutOfRange(f"angular norm constant of {(n, m, j)} overflows")
-    return AngularMode(n=n, m=m, j=j,
-                       lambda_cap=angular_eigenvalue(n, m, j),
+    return AngularMode(n=n, m=m, j=j, lambda_cap=lam,
                        norm_const=np.exp(log_c))
 
 
@@ -119,13 +125,16 @@ def angular_gram(n: int, m: int, j_max: int) -> np.ndarray:
     """Gram matrix of {v_{nmj}}_{j<=j_max} under sin(theta) dtheta.
 
     Substituting z = sin^2(theta/2) gives polynomial integrands against the
-    exact Jacobi weight, so the rule below is exact.
+    exact Jacobi weight, so the rule below is exact.  FieldTooLarge, before
+    anything is built, unless the size x size polynomial table behind the
+    size = j_max + 4 node rule (8 bytes an entry) fits in physical memory.
     """
-    if j_max > 100:
-        raise ValueError("j_max above 100 not supported")
+    size = j_max + 4
+    require_memory(size * size * 8, f"the {size}-node rule of the Gram of "
+                                    f"j_max = {j_max}")
     a = abs(n + 2 * m)
     b = abs(n - 2 * m)
-    rule = gauss_jacobi(a, b, j_max + 4)
+    rule = gauss_jacobi(a, b, size)
     log_c = _log_norm_const(a, b, np.arange(j_max + 1))
     basis = jacobi_poly_all(a, b, j_max, rule.nodes)
     # int_0^pi v_j v_k sin dtheta = 2 C_j C_k 2^{-a-b-1} int (1-x)^a (1+x)^b P_j P_k dx;

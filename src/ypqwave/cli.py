@@ -23,11 +23,10 @@ import numpy as np
 
 from . import selftest as _selftest
 from .angular import angular_mode
-from .ads import (ModeIndex, Sector, SpectralCoefficients, ads_gram,
-                  ads_radial_mode)
+from .ads import ModeIndex, Sector, SpectralCoefficients, ads_gram, ads_omegas
 from .cache import CacheKey, cache_get_or_solve
 from .config import load_config, time_tag
-from .errors import UnusablePath, YpqError
+from .errors import UnusablePath, YpqError, require_memory
 from .geometry import solve_geometry
 from .propagator import CauchyData, KGPropagator, TruncationSpec
 from .radial import radial_problem, solve_radial
@@ -82,6 +81,9 @@ def _cmd_geometry(args) -> int:
 
 
 def _cmd_angular(args) -> int:
+    # each row a tuple and a list slot: at least 64 bytes
+    require_memory((args.jmax + 1) * 64,
+                   f"a table of {args.jmax + 1} angular rows")
     rows = [(md.j, md.lambda_cap, md.norm_const) for md in (
         angular_mode(args.n, args.m, j) for j in range(args.jmax + 1))]
     _write_rows(rows, ("j", "lambda", "norm_const"), args.format)
@@ -121,8 +123,9 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_ads_modes(args) -> int:
     norm_resid = np.abs(np.diag(ads_gram(args.beta1, args.c, args.imax)) - 1.0)
-    rows = [(i, ads_radial_mode(args.beta1, args.c, i).omega,
-             float(norm_resid[i])) for i in range(args.imax + 1)]
+    rows = zip(range(args.imax + 1),
+               ads_omegas(args.beta1, args.c, args.imax).tolist(),
+               norm_resid.tolist())
     _write_rows(rows, ("i", "omega", "norm_residual"), args.format)
     return 0
 

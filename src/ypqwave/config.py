@@ -20,7 +20,8 @@ finite, and each coefficient's indices must satisfy s1 >= s2 >= |s3|,
 k, j, i >= 0 and the truncation bounds s1_max .. i_max (|n| <= n_max,
 and so on); a preset excludes coefficient lines.  M^2/kappa must not
 overflow a double, the grid must pass `ads.check_grid_memory` (its
-error cites the largest grid key) and n_basis
+error cites the largest grid key), the bounds
+`propagator.check_key_memory` (citing the largest bound key) and n_basis
 `radial.check_basis_memory`.  Each output time is written to a file
 tagged by time_tag; times whose tags collide are rejected, since the
 later file would overwrite the earlier one.
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
-from . import ads, radial
+from . import ads, propagator, radial
 from .errors import ConfigError, FieldTooLarge
 
 __all__ = ["RunConfig", "parse_config", "load_config", "time_tag"]
@@ -177,6 +178,9 @@ def _validate(cfg: RunConfig, lines: dict, coefs: list) -> None:
         if not ok:
             raise ConfigError(f"line {lines.get(key, 1)}: {message}")
 
+    def largest(keys: tuple) -> str:
+        return max(keys, key=lambda name: getattr(cfg, name))
+
     check(cfg.kappa > 0.0, "kappa", "kappa must be positive")
     check(cfg.M >= 0.0, "M", "M must be nonnegative")
     # c^2 = 4 + (M^2 + lam)/kappa must be a double; cite M when M^2
@@ -191,10 +195,10 @@ def _validate(cfg: RunConfig, lines: dict, coefs: list) -> None:
     for name in _GRID_KEYS:
         check(getattr(cfg, name) >= 4, name,
               "grid resolutions must be at least 4")
-    largest = max(_GRID_KEYS, key=lambda name: getattr(cfg, name))
     for key, guard, size in (
             ("n_basis", radial.check_basis_memory, cfg.n_basis),
-            (largest, ads.check_grid_memory, cfg.grid_shape)):
+            (largest(_GRID_KEYS), ads.check_grid_memory, cfg.grid_shape),
+            (largest(_BOUND_KEYS), propagator.check_key_memory, cfg)):
         try:
             guard(size)
         except FieldTooLarge as exc:

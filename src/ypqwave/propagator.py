@@ -44,12 +44,13 @@ import numpy as np
 
 from .ads import (ModeIndex, ModeTable, SpectralCoefficients, project_cauchy,
                   synthesize)
-from .errors import GridMismatch, OutOfRange, SourceCoverage
+from .errors import GridMismatch, OutOfRange, SourceCoverage, require_memory
 from .geometry import GeometryParams
 from .spectrum import TruncationPolicy, build_modes, enumerate_modes
 
 __all__ = ["TruncationSpec", "CauchyData", "Projection", "SourceTerm",
-           "FieldSample", "KGPropagator", "TruncationWarning", "enumerate_beta"]
+           "FieldSample", "KGPropagator", "TruncationWarning",
+           "check_key_memory", "enumerate_beta"]
 
 
 class TruncationWarning(UserWarning):
@@ -72,9 +73,22 @@ class TruncationSpec:
     tail_warn_fraction: float = 0.1
 
 
+def check_key_memory(trunc) -> None:
+    """FieldTooLarge unless the keys (beta, i) inside trunc's bounds fit
+    in physical memory at 64 bytes each (a list slot and a tuple: a lower
+    bound); trunc is anything with TruncationSpec's s1_max .. i_max."""
+    s = trunc.s1_max
+    # s1 <= s of (s1 + 1)^2 chains (s1, s2, s3) each
+    count = ((s + 1) * (s + 2) * (2 * s + 3) // 6 * (2 * trunc.n_max + 1)
+             * (2 * trunc.m_max + 1) * (2 * trunc.l_max + 1)
+             * (trunc.k_max + 1) * (trunc.j_max + 1) * (trunc.i_max + 1))
+    require_memory(count * 64, f"a table of {count} keys (beta, i)")
+
+
 def enumerate_beta(trunc: TruncationSpec) -> list[ModeIndex]:
     """All 8-tuples inside the bounds with the chain s1 >= s2 >= |s3|,
-    in sorted order."""
+    in sorted order; check_key_memory first."""
+    check_key_memory(trunc)
     chains = [(s1, s2, s3) for s1 in range(trunc.s1_max + 1)
               for s2 in range(s1 + 1) for s3 in range(-s2, s2 + 1)]
     rest = list(itertools.product(
@@ -165,6 +179,7 @@ class KGPropagator:
         self.M = M
         self.kappa = kappa
         self.trunc = trunc
+        self.betas = enumerate_beta(trunc)
         policy = TruncationPolicy(trunc.n_max, trunc.m_max, trunc.l_max,
                                   trunc.k_max, trunc.j_max)
         y_modes = build_modes(gp, enumerate_modes(gp, policy),
@@ -173,7 +188,6 @@ class KGPropagator:
                   md.index.j): md for md in y_modes}
         self.table = ModeTable(gp, M, kappa, y_map, trunc.grid_shape,
                                trunc.i_max)
-        self.betas = enumerate_beta(trunc)
         # the keys (beta, i) in table order, and each one's flat position
         self._keys = [(beta, i) for beta in self.betas
                       for i in range(trunc.i_max + 1)]

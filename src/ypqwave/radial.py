@@ -122,17 +122,30 @@ class RadialProblem:
 
 def radial_problem(gp: GeometryParams, m: int, l: int,
                    lambda_cap: float) -> RadialProblem:
+    """The (m, l, Lambda) sector; OutOfRange when the Jacobi matrix of
+    the basis weight, which holds fourth powers of its exponent sum
+    2 nu_minus + 2 nu_plus, would overflow a double."""
     if lambda_cap < 0:
         raise ValueError("Lambda must be nonnegative")
-    nu_minus, nu_plus = char_exponents(gp, m, l)
+    try:
+        nu_minus, nu_plus = char_exponents(gp, m, l)
+    except OverflowError:  # labels whose products no double holds
+        nu_minus = nu_plus = np.inf
+    if not 2.0 * (nu_minus + nu_plus) < np.finfo(float).max ** 0.25:
+        raise OutOfRange(f"endpoint exponents of (p, q, m, l, Lambda) = "
+                         f"{(gp.p, gp.q, m, l, lambda_cap)} overflow the "
+                         f"Jacobi matrix of the basis weight")
     return RadialProblem(gp=gp, m=m, l=l, lambda_cap=float(lambda_cap),
                          nu_minus=nu_minus, nu_plus=nu_plus)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _exponent_tables(gp: GeometryParams, nm: float, npl: float,
                      n_basis: int, n_nodes: int):
     """B, both rules and the tables on the second: all of the Galerkin
-    matrices that depends on the exponent pair and sizes alone."""
+    matrices that depends on the exponent pair and sizes alone.
+    OutOfRange, not a numpy warning, when exponents this large overflow
+    a table."""
     ybar, half = 0.5 * (gp.y_plus + gp.y_minus), 0.5 * (gp.y_plus - gp.y_minus)
     diag, off = jacobi_matrix(2.0 * npl, 2.0 * nm, n_basis)
     b_mat = (np.diag((1.0 - ybar) - half * diag)
@@ -156,8 +169,12 @@ def _exponent_tables(gp: GeometryParams, nm: float, npl: float,
     r_mat = ((nm * (1.0 - t_d) - npl * (1.0 + t_d)) * p_d
              + (1.0 - t_d * t_d) * dp_d) / div
     # the centrifugal divisor also takes the h of the R it lacks
-    return (b_mat, *_mass_rule(gp, nm, npl, n_basis, n_nodes),
-            ybar + half * t_d, w_d, p_d, r_mat, div * half)
+    tables = (b_mat, *_mass_rule(gp, nm, npl, n_basis, n_nodes),
+              ybar + half * t_d, w_d, p_d, r_mat, div * half)
+    if not all(np.isfinite(table).all() for table in tables):
+        raise OutOfRange(f"Galerkin tables of Y^{{{gp.p},{gp.q}}} at endpoint "
+                         f"exponents ({nm}, {npl}) are not finite")
+    return tables
 
 
 def _mass_rule(gp: GeometryParams, nm: float, npl: float, n_basis: int,

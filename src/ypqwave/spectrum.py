@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from .angular import AngularMode, angular_eigenvalue, angular_mode
-from .errors import OutOfRange
+from .errors import OutOfRange, require_memory
 from .geometry import GeometryParams
 from .radial import RadialMode, radial_problem, solve_radial
 from .specfun import gauss_jacobi, rule_on_interval
@@ -108,8 +108,13 @@ def eval_u(mode: YEigenmode, pt: YPoint) -> complex:
 
 def enumerate_modes(gp: GeometryParams,
                     truncation: TruncationPolicy) -> list[YModeIndex]:
-    """All indices inside the rectangular bounds, lexicographic order."""
+    """All indices inside the rectangular bounds, lexicographic order;
+    FieldTooLarge, before any is built, unless they fit in physical
+    memory at 64 bytes each (a list slot and an object: a lower bound)."""
     t = truncation
+    count = ((2 * t.n_max + 1) * (2 * t.m_max + 1) * (2 * t.l_max + 1)
+             * (t.k_max + 1) * (t.j_max + 1))
+    require_memory(count * 64, f"a list of {count} indices of {t}")
     return [YModeIndex(n, m, l, k, j)
             for n in range(-t.n_max, t.n_max + 1)
             for m in range(-t.m_max, t.m_max + 1)

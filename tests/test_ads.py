@@ -13,9 +13,9 @@ import pytest
 from scipy.special import eval_gegenbauer
 
 from ypqwave.ads import (ModeIndex, Sector, SpectralCoefficients,
-                         ads_gram, ads_radial_mode, c_beta, project_cauchy,
-                         s3_harmonic, s3_harmonic_norm, s3_laplace_residual,
-                         synthesize, ModeTable)
+                         ads_gram, ads_omegas, ads_operator_residual, c_beta,
+                         project_cauchy, s3_harmonic, s3_harmonic_norm,
+                         s3_laplace_residual, synthesize, ModeTable)
 from ypqwave import ads, errors
 from ypqwave.errors import (FieldTooLarge, GridMismatch, IndexChainError,
                             OutOfRange)
@@ -193,8 +193,22 @@ class TestCBeta:
 
 class TestAdSRadial:
     def test_omega_values(self):
-        assert ads_radial_mode(0, 2.0, 0).omega == 16.0
-        assert ads_radial_mode(2, 3.0, 1).omega == 81.0
+        assert ads_omegas(0, 2.0, 0).tolist() == [16.0]
+        assert ads_omegas(2, 3.0, 1).tolist() == [49.0, 81.0]
+
+    def test_omegas_broadcast_over_columns(self):
+        # a table of (beta1, c) rows is the rows of each pair, bitwise
+        b1s, cs = [0, 2, 3], [2.0, 2.7, 88.67606802145276]
+        table = ads_omegas(np.array(b1s)[:, None], np.array(cs)[:, None], 4)
+        assert table.shape == (3, 5)
+        for row, b1, c in zip(table, b1s, cs):
+            assert row.tolist() == ads_omegas(b1, c, 4).tolist()
+
+    @pytest.mark.parametrize("beta1,c,i_max", [(-1, 2.0, 1), (0, 1.5, 1),
+                                               (0, 2.0, -1)])
+    def test_omega_guards(self, beta1, c, i_max):
+        with pytest.raises(ValueError):
+            ads_omegas(beta1, c, i_max)
 
     @pytest.mark.parametrize("beta1,c", [(0, 2.0), (1, 2.7), (3, 5.0)])
     def test_orthonormality(self, beta1, c):
@@ -210,11 +224,12 @@ class TestAdSRadial:
 
     def test_operator_residual(self):
         xs = np.linspace(0.12, 1.45, 30)
-        for (beta1, c, i) in [(0, 2.0, 0), (1, 2.7, 3), (3, 5.0, 7)]:
-            md = ads_radial_mode(beta1, c, i)
+        for (beta1, c, i_max) in [(0, 2.0, 0), (1, 2.7, 3), (3, 5.0, 7)]:
             # lam recovered from c via the mass relation; M, kappa arbitrary
-            res = md.operator_residual(xs, M=0.7, kappa=1.3)
-            assert np.abs(res).max() / md.omega < 1e-6
+            res = ads_operator_residual(beta1, c, i_max, xs, M=0.7, kappa=1.3)
+            assert res.shape == (i_max + 1, xs.size)
+            omegas = ads_omegas(beta1, c, i_max)
+            assert (np.abs(res).max(axis=1) / omegas).max() < 1e-6
 
     def test_spacing_identity_exact(self):
         for c in (Fraction(2), Fraction(27, 10), Fraction(9, 2)):
@@ -225,12 +240,12 @@ class TestAdSRadial:
                     assert lhs == 4 * (2 * i + beta1 + c + 3)
 
     def test_omega_positive(self):
-        assert ads_radial_mode(0, 2.0, 0).omega >= 16.0
+        assert ads_omegas(0, 2.0, 0)[0] >= 16.0
 
     @pytest.mark.parametrize("c", [1e160, math.inf, math.nan])
     def test_omega_not_finite(self, c):
         with pytest.raises(OutOfRange, match="is not finite"):
-            ads_radial_mode(0, c, 1)
+            ads_omegas(0, c, 1)
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,8 @@ import pytest
 from scipy.special import eval_legendre
 
 from ypqwave.angular import (angular_eigenvalue, angular_gram, angular_mode)
-from ypqwave.errors import OutOfRange
+from ypqwave import errors
+from ypqwave.errors import FieldTooLarge, OutOfRange
 from ypqwave.specfun import jacobi_norm_integral
 
 CHEB40 = np.pi * (1.0 + np.cos(np.pi * (2 * np.arange(40) + 1) / 80.0)) / 2.0
@@ -98,9 +99,16 @@ class TestGram:
         assert g.shape == (1, 1)
         assert g[0, 0] == pytest.approx(1.0, abs=1e-12)
 
-    def test_jmax_cap(self):
-        with pytest.raises(ValueError):
-            angular_gram(0, 0, 101)
+    def test_identity_at_jmax_400(self):
+        # norms in log space: no cap on j_max short of memory
+        g = angular_gram(50, 20, 400)
+        assert np.abs(g - np.eye(401)).max() < 1e-11
+
+    def test_oversize_jmax_is_refused(self, monkeypatch):
+        # 1004^2 * 8 bytes of the rule's table against 10^6 bytes
+        monkeypatch.setattr(errors, "_physical_memory", lambda: 10 ** 6)
+        with pytest.raises(FieldTooLarge, match="1004-node rule"):
+            angular_gram(0, 0, 1000)
 
 
 def test_norm_const_beyond_double_range():

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -17,7 +18,7 @@ import pytest
 
 import ypqwave
 from ypqwave import cache, cli, errors, selftest
-from ypqwave.ads import Sector, sector_grid
+from ypqwave.ads import ModeIndex, ModeTable, Sector, c_beta, sector_grid
 from ypqwave.angular import angular_eigenvalue
 from ypqwave.cache import CacheKey, cache_get_or_solve
 from ypqwave.cli import run
@@ -235,6 +236,48 @@ class TestTableCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "internal" not in err
         assert what in err and "more than the 1000000 bytes" in err
+
+    @pytest.mark.parametrize("argv", [
+        "radial --p 2 --q 3 --m 0 --l {e308} --Lambda 0 --kmax 1",
+        "angular --n {e308} --m 0 --jmax 1",
+        "angular --n 0 --m {e308} --jmax 1",
+        # exponents of 1e10 are doubles, but the Galerkin tables overflow
+        "radial --p 2 --q 3 --m 10000000000 --l 0 --Lambda 0 --kmax 1",
+        "radial --p 2 --q 3 --m {e308} --l 0 --Lambda 0 --kmax 1"])
+    def test_overflowing_label_arithmetic_fails_loudly(self, capsys, argv):
+        # labels that a double holds but whose arithmetic overflows one:
+        # a single error line, no internal error and no numpy warning
+        assert run(argv.format(e308="1" + "0" * 308).split()) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "internal" not in err
+        assert err.count("\n") == 1
+
+    def test_spectrum_lambda_max_filters_rows(self, capsys):
+        argv = ("spectrum --p 2 --q 3 --nmax 1 --mmax 0 --lmax 0 --kmax 1 "
+                "--jmax 1 --nbasis 20").split()
+        assert run(argv) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        bound = sorted(float(row["lambda"]) for row in rows)[len(rows) // 2]
+        assert run(argv + ["--lambda-max", repr(bound)]) == 0
+        kept = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert kept == [row for row in rows if float(row["lambda"]) <= bound]
+        assert 0 < len(kept) < len(rows)
+
+    def test_ads_modes_prints_the_propagator_omega(self, capsys, gp23):
+        # Python's float ** rounds this square 1 ulp high; the one Omega
+        # expression gives the correctly rounded value everywhere
+        c = 88.67606802145276
+        assert run(f"ads-modes --beta1 0 --c {c!r} --imax 2".split()) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert rows[2]["omega"] == "8963.55785600275"
+        # a mode table whose one Y^{p,q} mode has exactly this c
+        lam = c * c - 4.0
+        assert c_beta(0.0, 1.0, lam) == c
+        table = ModeTable(gp23, 0.0, 1.0,
+                          {(0, 0, 0, 0, 0): SimpleNamespace(lam=lam)},
+                          (4, 4, 4, 4, 4), 2)
+        omegas = table.omega_table([ModeIndex(0, 0, 0, 0, 0, 0, 0, 0)])
+        assert [float(row["omega"]) for row in rows] == omegas[0].tolist()
 
 
 CONFIG_TEMPLATE = """
@@ -793,6 +836,29 @@ def test_propagate_fails_loudly(tmp_path, capsys, monkeypatch, line, cites):
     else:
         key, _, where = line.partition(" = ")
         assert err.startswith(f"error: {key} {where!r}:")
+
+
+@pytest.mark.parametrize("argv,cites", [
+    ("angular --n 0 --m 0 --jmax 1000000000000000000", ""),
+    ("spectrum --p 2 --q 3 --nmax 0 --mmax 0 --lmax 1" + "0" * 308
+     + " --kmax 0 --jmax 0 --nbasis 16", ""),
+    ("propagate --config {cfg}", "line 5: ")])
+def test_unholdable_truncation_fails_fast(tmp_path, capsys, argv, cites):
+    # row and index counts that no machine holds are refused by the
+    # physical-memory rule before anything is enumerated
+    path = tmp_path / "run.cfg"
+    path.write_text("\n".join([
+        "schema_version = 1", "p = 2", "q = 3", "i_max = 1",
+        "n_max = 1000000000000", "n_basis = 16", "grid_x = 4", "grid_t1 = 4",
+        "grid_t2 = 4", "grid_theta = 4", "grid_y = 4",
+        "phi0_coef = 0 0 0 0 0 0 0 0 0 : 1.0 : 0.0",
+        f"out_dir = {tmp_path / 'out'}", ""]))
+    start = time.perf_counter()
+    assert run(argv.format(cfg=path).split()) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cites}") and "internal" not in err
+    assert "bytes of physical memory" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("data", [
