@@ -33,8 +33,11 @@ Pieces:
   separable product x (x) t1 (x) t2 (x) theta (x) y, so the sector's
   field is a rank-(#betas) matrix (x t1 t2) x (theta y).  Synthesis is
   one GEMM of the stacked (coefficient-weighted x profile) (x) t1 (x) t2
-  factors against the stacked theta (x) y factors; projection is the
-  transposed contraction followed by one batched x-Gram solve.
+  factors against the stacked theta (x) y factors.  Projection is the
+  transposed contraction, one x slab at a time against the sector's
+  distinct theta (x) y rows (one per Y^{p,q} mode, shared by all of its
+  S^3 chains), followed by one batched x-Gram solve; the data norm is
+  taken from the same slab while it is in cache.
   Synthesis refuses, before allocating, a field larger than the
   machine's physical memory, and the grid refuses, before building a
   rule, a shape whose one-sector field or longest-axis rule would not
@@ -296,15 +299,32 @@ class SectorGrid(NamedTuple):
         """Discrete squared L^2 norm of a sector amplitude."""
         if data.shape != self.shape:
             raise GridMismatch(f"data shape {data.shape} != grid {self.shape}")
-        # sum_{r,c} w_r w_c |data_rc|^2 over rows r = (x, t1, t2) and
-        # columns c = (theta, y), one weighted sum over a float view of
-        # the data (re, im side by side), with no full-size temporary
-        w_row = np.einsum("x,a,b->xab", self.x.weights, self.t1.weights,
-                          self.t2.weights).ravel()
+        return self.read_sector(np.ascontiguousarray(data, dtype=complex))[1]
+
+    def read_sector(self, arr: np.ndarray, rows: np.ndarray | None = None):
+        """(moments, norm_sq) of a complex C-contiguous sector array, read
+        one x node at a time: each (t1*t2, theta*y) slab is squared into
+        one slab-sized buffer, whose weighted row sums give the discrete
+        squared L^2 norm, and, while it is in cache, contracted against
+        `rows` (k, theta*y) into moments[x] (None without rows)."""
+        nx, n1, n2, nth, ny = self.shape
+        slabs = arr.reshape(nx, n1 * n2, nth * ny)
+        moments = (None if rows is None
+                   else np.empty((nx, n1 * n2, len(rows)), dtype=complex))
+        # sum_{r,c} w_r w_c |arr_rc|^2 over rows r = (x, t1, t2) and
+        # columns c = (theta, y), on a float view (re, im side by side)
         w_col = np.repeat(np.outer(self.theta.weights, self.y.weights), 2)
-        flat = np.ascontiguousarray(data, dtype=complex).reshape(
-            w_row.size, -1).view(float)
-        return float(np.einsum("rc,rc,c->r", flat, flat, w_col) @ w_row)
+        square = np.empty((n1 * n2, 2 * nth * ny))
+        row_sq = np.empty((nx, n1 * n2))
+        for x, slab in enumerate(slabs):
+            flat = slab.view(float)
+            np.multiply(flat, flat, out=square)
+            np.matmul(square, w_col, out=row_sq[x])
+            if moments is not None:
+                np.matmul(slab, rows.T, out=moments[x])
+        w_row = np.einsum("x,a,b->xab", self.x.weights, self.t1.weights,
+                          self.t2.weights)
+        return moments, float(row_sq.ravel() @ w_row.ravel())
 
 
 def check_grid_memory(shape: tuple) -> None:
@@ -463,9 +483,12 @@ class SectorStack:
 
     * fmat (nb, i, x), t12 (nb, t1*t2) = t1 vec (x) t2 vec and
       ang (nb, theta*y) = theta vec (x) y vec for synthesis;
-    * the same with the quadrature weights folded in (wfmat, wt12,
-      wang) and the discrete x-Grams (nb, i, i) for projection, with
-      the c of each beta to name an x-Gram that projection refuses.
+    * for projection, the quadrature weights folded in (wfmat, wt12),
+      the discrete x-Grams (nb, i, i), with the c of each beta to name an
+      x-Gram that projection refuses, and the weighted angular rows once
+      per Y^{p,q} mode: a beta's (theta, y) factor depends on its labels
+      beta[3:] alone, so its betas share the complex rows wang
+      (modes, theta*y), and row `mode_of[b]` belongs to beta b.
     """
 
     def __init__(self, betas: tuple, blocks: list, grid: SectorGrid,
@@ -476,17 +499,26 @@ class SectorStack:
         self.rows = {beta: r for r, beta in enumerate(betas)}
         vec1, vec2, vecth, vecy, fmat, gram = (
             np.stack(factor) for factor in zip(*blocks))
-        nb = len(betas)
 
         def outer(a, b):
-            return (a[:, :, None] * b[:, None, :]).reshape(nb, -1)
+            return (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
 
         self.fmat = fmat
         self.t12 = outer(vec1, vec2)
         self.ang = outer(vecth, vecy)
         self.wfmat = fmat * grid.x.weights
         self.wt12 = outer(vec1 * grid.t1.weights, vec2 * grid.t2.weights)
-        self.wang = outer(vecth * grid.theta.weights, vecy * grid.y.weights)
+        # ModeTable.block memoizes the (theta, y) pair on beta[3:]: one
+        # row per distinct label tuple is exact; first: labels -> the
+        # first beta that has them
+        first: dict[tuple, int] = {}
+        for r, beta in enumerate(betas):
+            first.setdefault(beta[3:], r)
+        slot = {key: u for u, key in enumerate(first)}
+        self.mode_of = np.array([slot[beta[3:]] for beta in betas])
+        pick = list(first.values())
+        self.wang = outer(vecth[pick] * grid.theta.weights,
+                          vecy[pick] * grid.y.weights).astype(complex)
         self.gram = gram
 
     @functools.cached_property
@@ -503,28 +535,33 @@ class SectorStack:
             len(self.betas), -1)
         return (left.T @ self.ang).reshape(self.grid.shape)
 
-    def project(self, arr: np.ndarray) -> np.ndarray:
-        """(nb, i) coefficients of a sector array: the transposed
-        contraction of `synthesize`, refined by the x-Gram solves;
-        OutOfRange when an x-Gram's condition number exceeds
+    def project(self, arr: np.ndarray) -> tuple[np.ndarray, float]:
+        """((nb, i) coefficients, discrete squared norm) of a sector array
+        from one read of it: each x slab against the distinct angular
+        rows (`SectorGrid.read_sector`), the moments gathered to betas and
+        contracted with t12 and the x factors, then refined by the x-Gram
+        solves; OutOfRange when an x-Gram's condition number exceeds
         GRAM_COND_MAX (the x rule does not resolve that beta's modes)."""
-        nx, n1, n2, nth, ny = self.grid.shape
         worst = int(np.argmax(self.cond))
         if self.cond[worst] > GRAM_COND_MAX:
             raise OutOfRange(
-                f"grid_x = {nx} cannot resolve s1 = {self.betas[worst][0]}, "
-                f"c = {self.cs[worst]!r}: x-Gram condition number "
-                f"{self.cond[worst]:.3g} > {GRAM_COND_MAX:g}")
-        red = arr.reshape(nx * n1 * n2, nth * ny) @ self.wang.T
-        red = np.einsum("xab,ba->bx", red.reshape(nx, n1 * n2, -1), self.wt12)
+                f"grid_x = {self.grid.shape[0]} cannot resolve "
+                f"s1 = {self.betas[worst][0]}, c = {self.cs[worst]!r}: "
+                f"x-Gram condition number {self.cond[worst]:.3g} > "
+                f"{GRAM_COND_MAX:g}")
+        moments, norm_sq = self.grid.read_sector(
+            np.ascontiguousarray(arr, dtype=complex), self.wang)
+        red = np.einsum("xab,ba->bx", moments[:, :, self.mode_of], self.wt12)
         raw = np.einsum("bix,bx->bi", self.wfmat, red)
-        return np.linalg.solve(self.gram, raw[:, :, None])[:, :, 0]
+        return np.linalg.solve(self.gram, raw[:, :, None])[:, :, 0], norm_sq
 
 
 def project_cauchy(data: dict, modes: list[ModeIndex],
                    table: ModeTable) -> tuple[np.ndarray, float]:
-    """(coeffs, norm_sq) of data: dict Sector -> complex 5d array on
-    `table.grid` (GridMismatch otherwise), each sector read once.
+    """(coeffs, norm_sq) of data: dict Sector -> 5d array on
+    `table.grid` (GridMismatch otherwise), each sector converted to a
+    complex C-contiguous array at most once and read once, one x slab at
+    a time, for its coefficients and its norm together.
 
     coeffs[r, i] = <data, Psi_beta f_i>, beta = modes[r] (distinct), its
     x moments refined by the per-block discrete Gram solve; zero where
@@ -543,9 +580,10 @@ def project_cauchy(data: dict, modes: list[ModeIndex],
         if sector in by_sector:
             stack = table.stack(by_sector[sector])
             rows = list(map(row_of.__getitem__, stack.betas))
-            coeffs[rows] = stack.project(arr)
-        # reads what the projection has just pulled into cache
-        norm_sq += table.grid.grid_norm_sq(arr)
+            coeffs[rows], sector_sq = stack.project(arr)
+        else:
+            sector_sq = table.grid.grid_norm_sq(arr)
+        norm_sq += sector_sq
     return coeffs, norm_sq
 
 

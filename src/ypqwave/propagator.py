@@ -21,10 +21,13 @@ evolution up to roundoff, and time reflection
 (phi0, -phi1) -> t equals (phi0, phi1) -> -t coefficientwise; both are
 runnable checks here, not assumptions.
 
-Cauchy data is projected once, by `KGPropagator.project` (gridded data
-read once, through `project_cauchy`), into a `Projection`: one dense
-complex array per component over the keys (beta, i), rows in
-`enumerate_beta` order, which every evolution and diagnostic reads.
+Cauchy data is projected once, by `KGPropagator.project`, into a
+`Projection`: one dense complex array per component over the keys
+(beta, i), rows in `enumerate_beta` order, which every evolution and
+diagnostic reads.  Gridded data is read once, one x slab at a time,
+through `project_cauchy`, which takes the data norm behind the
+truncation tail from the same slabs.  A TruncationWarning names the
+line that called the public method, whichever one projected.
 SpectralCoefficients hold spectral data and FieldSample coefficients.
 
 Coefficient keys are (ModeIndex, i), and a ModeIndex is a validated
@@ -234,6 +237,11 @@ class KGPropagator:
         once; a TruncationWarning when the tail exceeds
         `tail_warn_fraction` of the data norm, OutOfRange when the data
         norm or a mode energy is not finite."""
+        return self._project(data, stacklevel=3)
+
+    def _project(self, data: CauchyData, stacklevel: int) -> Projection:
+        """`project`, its TruncationWarning attributed to the frame
+        `stacklevel` up from here: the caller of the public method."""
         # overflow is refused below, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
             a0, s0, tail0 = self._gather(data.phi0)
@@ -249,15 +257,18 @@ class KGPropagator:
             warnings.warn(
                 f"dropped-coefficient norm {tail:.3e} exceeds "
                 f"{self.trunc.tail_warn_fraction:.0%} of the data norm",
-                TruncationWarning, stacklevel=2)
+                TruncationWarning, stacklevel=stacklevel)
         return Projection(a0, a1, s0 | s1, tail,
                           not isinstance(data.phi0, SpectralCoefficients))
 
     def _projected(self, data, t: float = 0.0) -> Projection:
-        """Projection of `data`; OutOfRange unless t sqrt(Omega) is finite."""
+        """Projection of `data` for a public method that calls this
+        directly; OutOfRange unless t sqrt(Omega) is finite."""
         if not math.isfinite(t * math.sqrt(self._omega.max())):
             raise OutOfRange(f"t = {t!r}: t sqrt(Omega) is not finite")
-        return data if isinstance(data, Projection) else self.project(data)
+        if isinstance(data, Projection):
+            return data
+        return self._project(data, stacklevel=4)
 
     # -- evolution --------------------------------------------------------
 

@@ -6,6 +6,7 @@ import math
 import pickle
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -359,6 +360,56 @@ class TestProjection:
         _, norm_sq = project_cauchy(data, beta_set, small_table)
         assert norm_sq == sum(small_table.grid.grid_norm_sq(a)
                               for a in data.values())
+        # and sector by sector, projected or not, on every sector of the
+        # modes besides: a sum can hide a mismatch in the last bit of one
+        # term
+        more = [(sector, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+                for sector in sorted({beta.sector for beta in beta_set})]
+        for sector, arr in list(data.items()) + more:
+            _, alone = project_cauchy({sector: arr}, beta_set, small_table)
+            assert alone == small_table.grid.grid_norm_sq(arr), sector
+
+    def test_input_layouts(self, small_table, beta_set):
+        # real, Fortran-ordered and strided sectors are read as their
+        # complex C-contiguous copies, bitwise
+        rng = np.random.default_rng(14)
+        shape = small_table.grid.shape
+        sector = Sector(0, 0, 0, 0)
+        wide = (rng.normal(size=shape[:-1] + (2 * shape[-1],))
+                + 1j * rng.normal(size=shape[:-1] + (2 * shape[-1],)))
+        for arr in (rng.normal(size=shape),
+                    np.asfortranarray(wide[..., ::2]), wide[..., 1::2]):
+            want = project_cauchy({sector: np.array(arr, dtype=complex)},
+                                  beta_set, small_table)
+            got = project_cauchy({sector: arr}, beta_set, small_table)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1] == want[1]
+            assert (small_table.grid.grid_norm_sq(arr)
+                    == small_table.grid.grid_norm_sq(np.array(arr, complex)))
+
+    def test_no_full_size_temporary(self, gp23, small_y_modes):
+        # one 2 MiB sector of 24 betas: the traced peak of projecting it
+        # stays below a quarter of the sector, so nothing of its size
+        # (its square, a copy) is allocated
+        table = ModeTable(gp23, M=1.0, kappa=1.0, y_modes=small_y_modes,
+                          grid_shape=(16, 8, 8, 8, 16), i_max=3)
+        modes = [beta for beta in enumerate_beta(TruncationSpec(
+            s1_max=2, n_max=0, m_max=0, l_max=0, k_max=1, j_max=1, i_max=3))
+            if beta.s3 == 0]
+        assert len(modes) == 24
+        rng = np.random.default_rng(15)
+        shape = table.grid.shape
+        arr = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        data = {Sector(0, 0, 0, 0): arr}
+        project_cauchy(data, modes, table)      # builds the stack
+        tracemalloc.start()
+        try:
+            project_cauchy(data, modes, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert arr.nbytes == 2 * 2 ** 20
+        assert peak < arr.nbytes / 4
 
     def test_rows_follow_modes(self, small_table, beta_set):
         # row r belongs to modes[r] whatever the order; betas whose sector

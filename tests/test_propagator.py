@@ -419,6 +419,29 @@ class TestValidation:
                         synthesize_values=False)
         assert any(issubclass(w.category, TruncationWarning) for w in caught)
 
+    def test_truncation_warning_names_the_caller(self, prop):
+        # on every path that projects, the warning points at the line
+        # that called the propagator, here, not into the propagator
+        rng = np.random.default_rng(5)
+        sector = Sector(0, 0, 0, 0)
+        grid = prop.table.grid
+        data = CauchyData({sector: rng.normal(size=grid.shape) + 0j},
+                          {sector: grid.zeros()})
+        src = SourceTerm([0.0, 1.0], [SpectralCoefficients()] * 2)
+        paths = {
+            "project": lambda: prop.project(data),
+            "evolve": lambda: prop.evolve(data, 1.0, synthesize_values=False),
+            "evolve_inhomogeneous": lambda: prop.evolve_inhomogeneous(
+                data, src, 1.0, synthesize_values=False),
+            "mode_energy": lambda: prop.mode_energy(data),
+            "check_reflection": lambda: prop.check_reflection(data, 1.0)}
+        for name, call in paths.items():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call()
+            assert [(w.category, w.filename) for w in caught] == [
+                (TruncationWarning, __file__)], name
+
     def test_preset_tail_norm_pinned(self, gp23):
         # the gaussian_x preset on the grid of the CLI tests: the tail
         # norm, from one read of each component, keeps its last digit
