@@ -43,6 +43,11 @@ halves at y*.  The excitation number is the sum, over both halves, of
 the sign changes of every step's series at 65 points of the step: the
 renormalizations are positive, and y* is generically not a zero.
 Nothing here shares code with the Galerkin path.
+
+Each ell is shot once per root: a memo made anew for each root, at most
+brentq's iteration cap long, serves Brent's second look at the bracket
+ends (or the scan's mismatches there) and the count at the root.  Tables
+free of ell are built outside the step loop.
 """
 
 from __future__ import annotations
@@ -112,18 +117,23 @@ def _shifted(pqr: np.ndarray, y0: float, delta: float) -> np.ndarray:
     return rows
 
 
-def _series(rows: np.ndarray, nu: float, lead: int, head: list) -> np.ndarray:
-    """Coefficients t_0 .. t_{N-1} of u = w^nu sum_k t_k w^k, N the term
-    budget, from the leading ones in `head`: the recurrence of the module
-    docstring by forward substitution.  `lead` is the order of the zero
-    of p at w = 0 (2 at an endpoint, 0 at a regular point)."""
+def _exponents(nu: float) -> tuple[np.ndarray, np.ndarray]:
+    """nu + k and (nu + k)(nu + k - 1) for k below the term budget N."""
     k = nu + np.arange(_SERIES_TERMS)
+    return k, k * (k - 1.0)
+
+
+def _series(rows: np.ndarray, k, kk, lead: int, head: list) -> np.ndarray:
+    """Coefficients t_0 .. t_{N-1} of u = w^nu sum_k t_k w^k from the
+    leading ones in `head`, (k, kk) = `_exponents(nu)`: the recurrence of
+    the module docstring by forward substitution.  `lead` is the order of
+    the zero of p at w = 0 (2 at an endpoint, 0 at a regular point)."""
     # two leading zeros stand for q_{-1}, r_{-2} and r_{-1}
     ext = np.zeros((3, _DEGREE + 3))
     ext[:, 2:] = rows
     top = _DEGREE + 1
     # band[d, k] multiplies t_k in the equation for t_{k+d}
-    band = (ext[0, lead + 2:top + 2, None] * (k * (k - 1.0))
+    band = (ext[0, lead + 2:top + 2, None] * kk
             + ext[1, lead + 1:top + 1, None] * k
             + ext[2, lead:top, None])
     n_head = len(head)
@@ -137,12 +147,12 @@ def _series(rows: np.ndarray, nu: float, lead: int, head: list) -> np.ndarray:
     return np.concatenate([head, tail[:, 0]])
 
 
-def _end_state(t: np.ndarray, nu: float):
-    """u and du/dw at w = 1, or None when the series misses _SERIES_TOL
-    within its budget, loses more than two digits to cancellation, or
-    ends at a zero or non-finite state."""
+def _end_state(t: np.ndarray, k: np.ndarray):
+    """u and du/dw at w = 1, k the exponents nu + 0, 1, ..., or None when
+    the series misses _SERIES_TOL within its budget, loses more than two
+    digits to cancellation, or ends at a zero or non-finite state."""
     value = t.sum()
-    slope = ((nu + np.arange(len(t))) * t).sum()
+    slope = (k * t).sum()
     size = abs(value) + abs(slope)
     big = np.abs(t)
     # the recurrence carries on from its last _DEGREE terms alone
@@ -152,13 +162,13 @@ def _end_state(t: np.ndarray, nu: float):
     return None
 
 
-def _step(make, h: float, nu: float, floor: float, y0: float):
+def _step(make, h: float, k: np.ndarray, floor: float, y0: float):
     """Halve h until the series make(h) from y0 passes `_end_state`;
     returns h, the series and its end state, or raises NotConverged
     below floor."""
     while True:
         t = make(h)
-        state = _end_state(t, nu)
+        state = _end_state(t, k)
         if state is not None:
             return h, t, state
         h *= 0.5
@@ -204,9 +214,10 @@ def _half(prob: RadialProblem, pqr: np.ndarray, endpoint: int,
     zeros = (gp.y_minus, gp.y_plus, gp.y_third, root_a, -root_a)
     # the Frobenius series reaches d0 unless ell is large; steps carry on
     # from wherever it stops
+    launch, interior = _exponents(nu), _exponents(0.0)
     dist, t, (u, du) = _step(
-        lambda h: _series(_shifted(pqr, y_end, sgn * h), nu, 2, [1.0]),
-        _LAUNCH_FRACTION * length, nu, floor, y_end)
+        lambda h: _series(_shifted(pqr, y_end, sgn * h), *launch, 2, [1.0]),
+        _LAUNCH_FRACTION * length, launch[0], floor, y_end)
     y = y_end + sgn * dist
     u, du = _normalized(u, du / (sgn * dist), y)
     steps = [t]
@@ -217,10 +228,10 @@ def _half(prob: RadialProblem, pqr: np.ndarray, endpoint: int,
             return math.copysign(h, left) if h < abs(left) else left
 
         h, t, (value, slope) = _step(
-            lambda h: _series(_shifted(pqr, y, signed(h)), 0.0, 0,
+            lambda h: _series(_shifted(pqr, y, signed(h)), *interior, 0,
                               [u, signed(h) * du]),
             min(_STEP_FRACTION * min(abs(z - y) for z in zeros), abs(left)),
-            0.0, floor, y)
+            interior[0], floor, y)
         delta = signed(h)
         steps.append(t)
         y = y_match if delta == left else y + delta
@@ -247,39 +258,52 @@ def _halves(prob: RadialProblem, ell: float):
                            f"ell = {ell}") from None
 
 
-def shooting_matcher(prob: RadialProblem, ell: float) -> float:
-    """Wronskian mismatch of the two endpoint solutions at the match
-    point; zero exactly at eigenvalues of -S."""
-    (ul, dul, _), (ur, dur, _) = _halves(prob, ell)
+def _mismatch(halves) -> float:
+    (ul, dul, _), (ur, dur, _) = halves
     return ul * dur - dul * ur
 
 
-def _oscillation_count(prob: RadialProblem, ell: float) -> int:
-    """Interior zeros of the eigenfunction at an eigenvalue: the sign
-    changes of every step's series at _COUNT_POINTS points, summed."""
-    count = 0
-    for _, _, steps in _halves(prob, ell):
-        # one column of values per step
-        vals = (np.vander(_COUNT_POINTS, len(steps[0]), True)
-                @ np.transpose(steps))
-        count += int(np.sum(vals[1:] * vals[:-1] < 0.0))
-    return count
+def shooting_matcher(prob: RadialProblem, ell: float) -> float:
+    """Wronskian mismatch of the two endpoint solutions at the match
+    point; zero exactly at eigenvalues of -S."""
+    return _mismatch(_halves(prob, ell))
+
+
+def _oscillation_count(prob: RadialProblem, ell: float, halves=None) -> int:
+    """Interior zeros at an eigenvalue ell, from its `_halves` if at hand:
+    the sign changes of every step's series at _COUNT_POINTS points."""
+    halves = halves or _halves(prob, ell)
+    vander = np.vander(_COUNT_POINTS, len(halves[0][2][0]), True)
+    # one column of values per step
+    return sum(int(np.sum(vals[1:] * vals[:-1] < 0.0)) for vals in
+               (vander @ np.transpose(steps) for _, _, steps in halves))
+
+
+def _root(prob: RadialProblem, lo: float, hi: float, ends=()):
+    """Zero of the mismatch on [lo, hi] by brentq, and its oscillation
+    count.  `ends` holds the mismatches at lo and hi when they are known;
+    any other ell is shot once, its halves kept for this root alone."""
+    # scipy.optimize is imported by the commands that shoot only
+    from scipy.optimize import brentq
+    known, shot = dict(zip((lo, hi), ends)), {}
+
+    def mismatch(ell):
+        if ell not in known:
+            shot[ell] = _halves(prob, ell)
+            known[ell] = _mismatch(shot[ell])
+        return known[ell]
+
+    if mismatch(lo) * mismatch(hi) > 0.0:
+        raise BracketError(f"no sign change of the matcher on [{lo}, {hi}]")
+    ell = brentq(mismatch, lo, hi, xtol=1e-13, rtol=1e-12)
+    return ell, _oscillation_count(prob, ell, shot.get(ell))
 
 
 def shooting_oracle(prob: RadialProblem, ell_guess_bracket: tuple[float, float],
                     k_target: int) -> float:
     """Eigenvalue inside the bracket, located by bisection on the
     Wronskian mismatch; the oscillation count must equal k_target."""
-    # scipy.optimize is imported by the commands that shoot only
-    from scipy.optimize import brentq
-    lo, hi = ell_guess_bracket
-    flo = shooting_matcher(prob, lo)
-    fhi = shooting_matcher(prob, hi)
-    if flo * fhi > 0.0:
-        raise BracketError(f"no sign change of the matcher on [{lo}, {hi}]")
-    ell = brentq(lambda e: shooting_matcher(prob, e), lo, hi,
-                 xtol=1e-13, rtol=1e-12)
-    count = _oscillation_count(prob, ell)
+    ell, count = _root(prob, *ell_guess_bracket)
     if count != k_target:
         raise BracketError(
             f"bracket isolated excitation {count}, requested {k_target}")
@@ -289,6 +313,8 @@ def shooting_oracle(prob: RadialProblem, ell_guess_bracket: tuple[float, float],
 def oracle_bracket(ells, i: int) -> tuple[float, float]:
     """Bracket of the i-th ascending estimate in `ells`, halfway to each
     neighbour (the end ones use one gap twice, a lone one a 3% pad)."""
+    if not 0 <= i < len(ells):
+        raise OutOfRange(f"estimate {i} of a list of {len(ells)}")
     gaps = np.diff(ells) if len(ells) > 1 else [0.06 * max(1.0, abs(ells[0]))]
     return (ells[i] - 0.5 * gaps[max(i - 1, 0)],
             ells[i] + 0.5 * gaps[min(i, len(gaps) - 1)])
@@ -299,7 +325,6 @@ def shooting_spectrum(prob: RadialProblem, k_max: int,
     """First k_max+1 eigenvalues by scanning the matcher, with no input
     from the Galerkin side.  Expands and densifies the scan until the
     oscillation counts come out as 0, 1, ..., k_max."""
-    from scipy.optimize import brentq
     if k_max < 0:
         raise OutOfRange(f"k_max must be non-negative, got {k_max}")
     if not (math.isfinite(ell_hi) and ell_hi > 0.0):
@@ -309,18 +334,13 @@ def shooting_spectrum(prob: RadialProblem, k_max: int,
         grid = np.linspace(0.0, ell_hi, n_scan)
         grid[0] = -1e-7
         vals = np.array([shooting_matcher(prob, e) for e in grid])
-        roots = []
-        for i in range(len(grid) - 1):
-            if vals[i] == 0.0:
-                roots.append(grid[i])
-            elif vals[i] * vals[i + 1] < 0.0:
-                roots.append(brentq(lambda e: shooting_matcher(prob, e),
-                                    grid[i], grid[i + 1],
-                                    xtol=1e-13, rtol=1e-12))
+        # a root at a scan point is the end brentq returns
+        roots = [_root(prob, grid[i], grid[i + 1], vals[i:i + 2])
+                 for i in range(len(grid) - 1)
+                 if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0.0]
         if len(roots) >= k_max + 1:
-            counts = [_oscillation_count(prob, e) for e in roots[:k_max + 1]]
-            if counts == list(range(k_max + 1)):
-                return [float(e) for e in roots[:k_max + 1]]
+            if [c for _, c in roots[:k_max + 1]] == list(range(k_max + 1)):
+                return [float(e) for e, _ in roots[:k_max + 1]]
             n_scan *= 2
         else:
             ell_hi *= 2.0

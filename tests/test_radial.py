@@ -21,8 +21,8 @@ from ypqwave.errors import (BracketError, EigenFailure, NotConverged,
 from ypqwave.geometry import solve_geometry
 from ypqwave.radial import (assemble_galerkin, char_exponents, radial_problem,
                             solve_radial)
-from ypqwave.shooting import (shooting_matcher, shooting_oracle,
-                              shooting_spectrum)
+from ypqwave.shooting import (oracle_bracket, shooting_matcher,
+                              shooting_oracle, shooting_spectrum)
 from ypqwave.specfun import jacobi_matrix, rule_on_interval
 
 
@@ -436,6 +436,57 @@ class TestShooting:
         prob = radial_problem(gp23, 1, 0, 0.0)
         with pytest.raises(OutOfRange, match=name):
             shooting_spectrum(prob, **{"k_max": 2, **kwargs})
+
+    @pytest.mark.parametrize("ells,i", [([], 0), ([3.0], 1), ([1.0, 4.0], 2),
+                                        ([1.0, 4.0], -1)])
+    def test_bracket_index_outside_the_list(self, ells, i):
+        with pytest.raises(OutOfRange,
+                           match=rf"estimate {i} of a list of {len(ells)}"):
+            oracle_bracket(ells, i)
+
+    def test_each_ell_shot_once(self, gp23, monkeypatch):
+        # brentq looks at the bracket ends again and the zero count needs
+        # the root's halves: both must come from what was already shot
+        shot = []
+        halves = shooting._halves
+
+        def recording(prob, ell):
+            shot.append(ell)
+            return halves(prob, ell)
+
+        monkeypatch.setattr(shooting, "_halves", recording)
+        prob = radial_problem(gp23, 1, 0, 8.0)
+        for md in solve_radial(prob, 1, 24):
+            shot.clear()
+            pad = 0.02 * max(1.0, md.ell)
+            shooting_oracle(prob, (md.ell - pad, md.ell + pad), md.k)
+            assert len(shot) > 2
+            assert sorted(shot) == sorted(set(shot))
+        # one scan pass finds these three roots: no ell recurs in the call
+        prob = radial_problem(gp23, 0, 1, 0.0)
+        galerkin = [md.ell for md in solve_radial(prob, 2, 24)]
+        shot.clear()
+        shooting_spectrum(prob, 2, ell_hi=max(galerkin) * 2.0)
+        assert len(shot) > 24 * 4
+        assert sorted(shot) == sorted(set(shot))
+
+    @pytest.mark.parametrize("p,q", [(2, 3), (3, 4)])
+    @pytest.mark.parametrize("m,l", [(0, 0), (1, 0)])
+    @pytest.mark.parametrize("lam", [0.0, 5.0])
+    def test_oracle_bitwise_plain_brentq(self, request, p, q, m, l, lam):
+        # the memo reuses shots, it changes no value: the root is brentq's
+        # on the plain matcher, and the count is that of a fresh shot
+        from scipy.optimize import brentq
+        prob = radial_problem(request.getfixturevalue(f"gp{p}{q}"), m, l, lam)
+        for md in solve_radial(prob, 1, 28):
+            pad = 0.02 * max(1.0, md.ell)
+            lo, hi = (-1e-6, 1e-6) if md.ell == 0.0 else (md.ell - pad,
+                                                           md.ell + pad)
+            ref = brentq(lambda e: shooting_matcher(prob, e), lo, hi,
+                         xtol=1e-13, rtol=1e-12)
+            assert shooting_oracle(prob, (lo, hi), md.k) == ref
+            count = shooting._oscillation_count(prob, ref)
+            assert shooting._root(prob, lo, hi) == (ref, count) == (ref, md.k)
 
 
 def _docstring_rows(prob, ell):
