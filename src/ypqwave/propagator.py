@@ -12,7 +12,9 @@ adds the Duhamel integral
 
 per coefficient, through a not-a-knot cubic spline of the sampled
 source whose pieces are integrated against exp(+-i sqrt(Omega) (t-T))
-exactly (four-term integration by parts).
+exactly (four-term integration by parts).  The spline is built here
+with scipy's CubicSpline arithmetic, bitwise, without scipy.interpolate;
+a slice or a mode energy that is not finite is refused with OutOfRange.
 
 Diagnostics: the per-mode energy E = |a'|^2 + Omega |a|^2 (the quadratic
 form of the sector generator in the orthonormal mode basis), which every
@@ -44,6 +46,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg import solve, solve_banded
 
 from .ads import (ModeIndex, ModeTable, SpectralCoefficients, project_cauchy,
                   synthesize)
@@ -280,7 +283,13 @@ class KGPropagator:
 
     def _sample(self, proj: Projection, t: float, at, vt,
                 synthesize_values: bool | None) -> FieldSample:
-        energy = _abs_sq(vt) + self._omega * _abs_sq(at)
+        """The FieldSample of the state (at, vt) at time t; OutOfRange
+        when a mode energy is not finite."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            energy = _abs_sq(vt) + self._omega * _abs_sq(at)
+        if not np.isfinite(energy).all():
+            raise OutOfRange(f"the state at t = {t} overflows a double: "
+                             "a mode energy is not finite")
         a_map, v_map, per_mode_energy = self._scatter(proj.support, at, vt,
                                                       energy)
         coefficients = SpectralCoefficients(a_map)
@@ -311,13 +320,20 @@ class KGPropagator:
                 f"source covers [{source.times[0]}, {source.times[-1]}], "
                 f"needs [{lo}, {hi}]")
         at, vt = self._free(proj.a0, proj.a1, t)
-        slices = [self._gather(sl) for sl in source.slices]
-        touched = np.logical_or.reduce([s for _, s, _ in slices])
-        duh, dv = _duhamel(source.times,
-                           np.array([vals[touched] for vals, _, _ in slices]),
-                           np.sqrt(self._omega[touched]), t)
-        at[touched] += duh
-        vt[touched] += dv
+        # overflow is refused by `_sample`, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            slices = [self._gather(sl) for sl in source.slices]
+            touched = np.logical_or.reduce([s for _, s, _ in slices])
+            S = np.array([vals[touched] for vals, _, _ in slices])
+            finite = np.isfinite(S).all(axis=1)
+            if not finite.all():
+                raise OutOfRange(
+                    f"the source slice at t = {source.times[finite.argmin()]}"
+                    " has a coefficient that is not finite")
+            duh, dv = _duhamel(source.times, S,
+                               np.sqrt(self._omega[touched]), t)
+            at[touched] += duh
+            vt[touched] += dv
         return self._sample(replace(proj, support=proj.support | touched),
                             t, at, vt, synthesize_values)
 
@@ -346,7 +362,7 @@ def _abs_sq(a: np.ndarray) -> np.ndarray:
 
 def _duhamel(times: np.ndarray, S: np.ndarray, ro: np.ndarray, t: float):
     """(int_0^t sin((t-T) ro)/ro s dT, int_0^t cos((t-T) ro) s dT) for
-    each column of S, s the not-a-knot cubic spline through the rows of S
+    each column of S, s the spline `_not_a_knot` through the rows of S
     (a constant for one row).  Each piece p of s, clipped to the span of
     0 and t (end pieces reach past the end knots), times e^{mu (T-t)},
     mu = -+i ro, has the antiderivative e^{mu (T-t)} G, where
@@ -354,10 +370,7 @@ def _duhamel(times: np.ndarray, S: np.ndarray, ro: np.ndarray, t: float):
     if len(times) == 1:
         x, c = np.repeat(times, 2), S[None]
     else:
-        # scipy.interpolate loads scipy.optimize: only a source pays for it
-        from scipy.interpolate import CubicSpline
-        spline = CubicSpline(times, S, axis=0)
-        x, c = spline.x, spline.c
+        x, c = times, _not_a_knot(times, S)
     lo, hi = min(0.0, t), max(0.0, t)
     edges = np.clip(x, lo, hi)
     edges[0], edges[-1] = lo, hi
@@ -371,3 +384,41 @@ def _duhamel(times: np.ndarray, S: np.ndarray, ro: np.ndarray, t: float):
     F = np.exp(mu * (ends[:, :, None] - t)) * G          # (2, 2, pieces, keys)
     plus, minus = np.sign(t) * (F[:, 1] - F[:, 0]).sum(axis=1)
     return (plus - minus) / (2j * ro), 0.5 * (plus + minus)
+
+
+def _not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients (4, pieces, ...) of the not-a-knot cubic spline through
+    the rows of y at the knots x (de Boor), top power first, in powers of
+    T - x[piece]: scipy's CubicSpline `c` bitwise, by its arithmetic (the
+    parabola for three knots, the chord for two)."""
+    n = len(x)
+    dx = np.diff(x)
+    dxr = dx.reshape([n - 1] + [1] * (y.ndim - 1))
+    slope = np.diff(y, axis=0) / dxr
+    b = np.empty(y.shape, dtype=y.dtype)
+    if n == 3:
+        A = np.array([[1.0, 1.0, 0.0], [dx[1], 2 * (dx[0] + dx[1]), dx[0]],
+                      [0.0, 1.0, 1.0]])
+        b[0], b[2] = 2 * slope[0], 2 * slope[1]
+        b[1] = 3 * (dxr[0] * slope[1] + dxr[1] * slope[0])
+        s = solve(A, b.reshape(n, -1), overwrite_a=True, overwrite_b=True,
+                  check_finite=False)
+    else:   # the slopes' tridiagonal system, bands upper first
+        A = np.zeros((3, n))
+        A[0, 2:], A[2, :-2] = dx[:-1], dx[1:]
+        A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+        b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+        if n == 2:
+            A[1], b[:] = 1.0, slope[0]
+        else:
+            d0, d1 = x[2] - x[0], x[-1] - x[-3]
+            A[1, 0], A[0, 1], A[1, -1], A[2, -2] = dx[1], d0, dx[-2], d1
+            b[0] = ((dxr[0] + 2 * d0) * dxr[1] * slope[0]
+                    + dxr[0] ** 2 * slope[1]) / d0
+            b[-1] = (dxr[-1] ** 2 * slope[-2]
+                     + (2 * d1 + dxr[-1]) * dxr[-2] * slope[-1]) / d1
+        s = solve_banded((1, 1), A, b.reshape(n, -1), overwrite_ab=True,
+                         overwrite_b=True, check_finite=False)
+    s = s.reshape(y.shape)
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    return np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))

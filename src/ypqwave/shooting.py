@@ -44,10 +44,14 @@ the sign changes of every step's series at 65 points of the step: the
 renormalizations are positive, and y* is generically not a zero.
 Nothing here shares code with the Galerkin path.
 
-Each ell is shot once per root: a memo made anew for each root, at most
-brentq's iteration cap long, serves Brent's second look at the bracket
-ends (or the scan's mismatches there) and the count at the root.  Tables
-free of ell are built outside the step loop.
+Roots are found by `_brentq`, Brent's method (Algorithms for
+Minimization without Derivatives, 1973) as scipy.optimize.brentq runs
+it: a line-for-line port of scipy's C routine brentq.c, so every root is
+scipy's bitwise and no shot loads scipy.optimize.  Each ell is shot once
+per root: a memo made anew for each root, at most the 100-iteration cap
+long, serves Brent's look at the bracket ends (or the scan's mismatches
+there) and the count at the root.  Tables free of ell are built outside
+the step loop.
 """
 
 from __future__ import annotations
@@ -74,6 +78,8 @@ _STEP_FRACTION = 0.5   # of the distance to the nearest zero of P
 _STEP_FLOOR = 1e-6     # smallest step, relative to the interval
 _CANCELLATION = 100.0  # largest term over |u| + |du/dw| a step accepts
 _COUNT_POINTS = np.linspace(0.0, 1.0, 65)  # of a step, for the zero count
+_BRENT_XTOL, _BRENT_RTOL = 1e-13, 1e-12
+_BRENT_ITERATIONS = 100
 
 _DEGREE = 8            # of P; the rows of Q and R are padded to it
 _POWERS = np.arange(_DEGREE + 1)
@@ -239,6 +245,13 @@ def _half(prob: RadialProblem, pqr: np.ndarray, endpoint: int,
     return u, du, steps
 
 
+def _labels(prob: RadialProblem) -> str:
+    """The problem as an error message names it."""
+    gp = prob.gp
+    labels = (gp.p, gp.q, prob.m, prob.l, prob.lambda_cap)
+    return f"(p, q, m, l, Lambda) = {labels}"
+
+
 def _halves(prob: RadialProblem, ell: float):
     """`_half` from each endpoint at ell, left first; NotConverged names
     the problem and ell."""
@@ -252,10 +265,7 @@ def _halves(prob: RadialProblem, ell: float):
             return (_half(prob, pqr, -1, y_match),
                     _half(prob, pqr, 1, y_match))
     except NotConverged as exc:
-        gp = prob.gp
-        labels = (gp.p, gp.q, prob.m, prob.l, prob.lambda_cap)
-        raise NotConverged(f"{exc} for (p, q, m, l, Lambda) = {labels}, "
-                           f"ell = {ell}") from None
+        raise NotConverged(f"{exc} for {_labels(prob)}, ell = {ell}") from None
 
 
 def _mismatch(halves) -> float:
@@ -279,12 +289,59 @@ def _oscillation_count(prob: RadialProblem, ell: float, halves=None) -> int:
                (vander @ np.transpose(steps) for _, _, steps in halves))
 
 
+def _brentq(f, xa: float, xb: float, name: str) -> float:
+    """Zero of f on [xa, xb] by scipy.optimize.brentq's steps (its C
+    routine brentq.c) at xtol 1e-13, rtol 1e-12: BracketError without a
+    sign change, NotConverged naming `name` and the bracket when f is not
+    finite or 100 iterations pass."""
+    def value(x):
+        fx = f(x)
+        if not math.isfinite(fx):
+            raise NotConverged(f"{name} is {fx} at {x}, bracket [{xa}, {xb}]")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0 or fcur == 0.0:
+        return xpre if fpre == 0.0 else xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise BracketError(f"no sign change of {name} on [{xa}, {xb}]")
+    for _ in range(_BRENT_ITERATIONS):
+        if (fpre < 0.0) != (fcur < 0.0):   # a new bracket [xpre, xcur]
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):   # xcur the better end
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf     # bisect unless a short step is on offer
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:    # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:               # inverse quadratic extrapolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise NotConverged(f"{name} has no root within {_BRENT_ITERATIONS} "
+                       f"Brent iterations on [{xa}, {xb}]")
+
+
 def _root(prob: RadialProblem, lo: float, hi: float, ends=()):
-    """Zero of the mismatch on [lo, hi] by brentq, and its oscillation
+    """Zero of the mismatch on [lo, hi] by `_brentq`, and its oscillation
     count.  `ends` holds the mismatches at lo and hi when they are known;
     any other ell is shot once, its halves kept for this root alone."""
-    # scipy.optimize is imported by the commands that shoot only
-    from scipy.optimize import brentq
     known, shot = dict(zip((lo, hi), ends)), {}
 
     def mismatch(ell):
@@ -293,15 +350,13 @@ def _root(prob: RadialProblem, lo: float, hi: float, ends=()):
             known[ell] = _mismatch(shot[ell])
         return known[ell]
 
-    if mismatch(lo) * mismatch(hi) > 0.0:
-        raise BracketError(f"no sign change of the matcher on [{lo}, {hi}]")
-    ell = brentq(mismatch, lo, hi, xtol=1e-13, rtol=1e-12)
+    ell = _brentq(mismatch, lo, hi, f"the mismatch of {_labels(prob)}")
     return ell, _oscillation_count(prob, ell, shot.get(ell))
 
 
 def shooting_oracle(prob: RadialProblem, ell_guess_bracket: tuple[float, float],
                     k_target: int) -> float:
-    """Eigenvalue inside the bracket, located by bisection on the
+    """Eigenvalue inside the bracket, located by Brent's method on the
     Wronskian mismatch; the oscillation count must equal k_target."""
     ell, count = _root(prob, *ell_guess_bracket)
     if count != k_target:

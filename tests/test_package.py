@@ -1,8 +1,8 @@
 """Package-wide consistency: every dataclass annotation resolves, every
 name a module exports exists, every error type is raised somewhere,
 every selftest check has one size and one acceptance criterion, and
-importing the command line loads no scipy module that only some
-commands use."""
+neither importing the command line nor a Duhamel source or a shooting
+run loads scipy.optimize or scipy.interpolate."""
 
 import ast
 import dataclasses
@@ -57,15 +57,36 @@ def test_selftest_checks_have_one_size_and_one_criterion():
 
 
 def test_cli_import_leaves_out_optimize_and_interpolate():
-    # brentq (the shooting oracle) and CubicSpline (a Duhamel source) are
-    # imported by the functions that call them
+    # the Duhamel spline and the oracle's root finder are in the package:
+    # neither the import nor a run of either loads these modules
     src = str(Path(ypqwave.__file__).parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import sys, ypqwave.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] in (['scipy', 'optimize'], "
-            "['scipy', 'interpolate'])))")
+    code = """
+import sys
+import numpy as np
+import ypqwave.cli
+from ypqwave import (SpectralCoefficients, radial_problem, shooting_oracle,
+                     shooting_spectrum, solve_geometry)
+from ypqwave.propagator import (CauchyData, KGPropagator, SourceTerm,
+                                TruncationSpec)
+gp = solve_geometry(2, 3)
+prop = KGPropagator(gp, 1.0, 1.0, TruncationSpec(0, 0, 0, 0, 1, 1, 1,
+                                                 n_basis=12))
+data = CauchyData(SpectralCoefficients(), SpectralCoefficients())
+key = (prop.betas[0], 1)
+for n in (2, 3, 5):
+    times = np.linspace(0.0, 1.0, n)
+    src = SourceTerm(times, [SpectralCoefficients({key: 1.0 + T * T})
+                             for T in times])
+    prop.evolve_inhomogeneous(data, src, 0.7, synthesize_values=False)
+prob = radial_problem(gp, 0, 0, 0.0)
+shooting_oracle(prob, (-1e-6, 1e-6), 0)
+shooting_spectrum(prob, 1)
+print(sorted(m for m in sys.modules if m.split('.')[:2] in
+             (['scipy', 'optimize'], ['scipy', 'interpolate'])))
+"""
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"

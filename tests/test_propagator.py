@@ -16,7 +16,7 @@ from ypqwave.config import parse_config
 from ypqwave.errors import GridMismatch, OutOfRange, SourceCoverage
 from ypqwave.propagator import (CauchyData, KGPropagator, Projection,
                                 SourceTerm, TruncationSpec, TruncationWarning,
-                                enumerate_beta)
+                                _not_a_knot, enumerate_beta)
 
 
 @pytest.fixture(scope="module")
@@ -306,6 +306,23 @@ class TestDuhamelMoments:
         self._check(prop, times, 2.2)
 
 
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 9, 40])
+@pytest.mark.parametrize("tail", [(), (3,)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_not_a_knot_is_cubic_spline(n, tail, dtype):
+    # irregular knots; the 2-knot chord and the 3-knot parabola included
+    rng = np.random.default_rng(n)
+    x = np.cumsum(rng.uniform(0.05, 2.0, n)) - 1.5
+    y = rng.normal(size=(n, *tail)) * 10.0 ** rng.uniform(-4, 4, (n, *tail))
+    if dtype is complex:
+        y = y + 1j * rng.normal(size=y.shape)
+    c = _not_a_knot(x, y)
+    ref = CubicSpline(x, y, axis=0).c
+    assert c.dtype == ref.dtype and c.shape == ref.shape
+    assert c.tobytes() == ref.tobytes()
+
+
 def _assert_same_sample(a, b):
     """Two FieldSamples agree bitwise."""
     assert (a.t, a.tail_norm) == (b.t, b.tail_norm)
@@ -376,6 +393,40 @@ class TestNonFinite:
     def test_source_stamps_refused(self, times):
         with pytest.raises(SourceCoverage, match="must be finite"):
             SourceTerm(times, [SpectralCoefficients()] * len(times))
+
+    @staticmethod
+    def _source(prop, vals, gridded):
+        key = (prop.betas[2], 1)
+        times = np.linspace(0.0, 2.0, len(vals))
+        slices = [SpectralCoefficients({key: v}) for v in vals]
+        if gridded:     # the slice's value on every grid point
+            unit = synthesize(SpectralCoefficients({key: 1.0}), prop.table)
+            slices = [{sec: np.full_like(arr, v) for sec, arr in unit.items()}
+                      for v in vals]
+        return SourceTerm(times, slices)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("gridded", [False, True])
+    def test_source_slice_refused(self, prop, random_data, n, bad, gridded):
+        vals = [1.0] * n
+        vals[n // 2] = bad
+        src = self._source(prop, vals, gridded)
+        stamp = src.times[n // 2]
+        with pytest.raises(OutOfRange, match=re.escape(
+                f"source slice at t = {stamp} has a coefficient that is "
+                "not finite")):
+            prop.evolve_inhomogeneous(random_data, src, src.times[-1])
+
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("gridded", [False, True])
+    def test_overflowing_state_refused(self, prop, random_data, n, gridded):
+        # each slice finite, the Duhamel state not: refused, and no
+        # RuntimeWarning (an error under this suite's filters) on the way
+        src = self._source(prop, [1e308] * n, gridded)
+        with pytest.raises(OutOfRange, match=re.escape(
+                "the state at t = 1.3 overflows a double")):
+            prop.evolve_inhomogeneous(random_data, src, 1.3)
 
 
 class TestValidation:

@@ -3,6 +3,7 @@ endpoint exponents, spectral structure."""
 
 import ast
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -487,6 +488,84 @@ class TestShooting:
             assert shooting_oracle(prob, (lo, hi), md.k) == ref
             count = shooting._oscillation_count(prob, ref)
             assert shooting._root(prob, lo, hi) == (ref, count) == (ref, md.k)
+
+
+
+# (f, bracket): the secant alone; inverse quadratic extrapolation, with a
+# short step refused for bisection; bisection only (|f| never shrinks);
+# a root at either end of the bracket
+BRENT_CASES = [(lambda x: x - 0.3, 0.0, 1.0),
+               (lambda x: math.exp(x) - 2.0, -1.0, 3.0),
+               (lambda x: math.copysign(1.0, x - 0.7), 0.0, 1.0),
+               (lambda x: x * (x - 2.0), 0.0, 1.0),
+               (lambda x: x * (x - 2.0), -1.0, 0.0)]
+
+
+class TestBrent:
+    """The oracle's root finder takes scipy.optimize.brentq's steps."""
+
+    @pytest.mark.parametrize("f,lo,hi", BRENT_CASES)
+    def test_bitwise_scipy(self, f, lo, hi):
+        from scipy.optimize import brentq
+        ours, theirs = [], []
+        root = shooting._brentq(lambda x: ours.append(x) or f(x), lo, hi, "f")
+        ref = brentq(lambda x: theirs.append(x) or f(x), lo, hi,
+                     xtol=1e-13, rtol=1e-12)
+        assert root == ref and ours == theirs
+
+    def test_bitwise_scipy_seeded(self):
+        # the same points and root as scipy: 300 seeded monotone functions
+        from scipy.optimize import brentq
+        rng = np.random.default_rng(27)
+        families = [lambda x, r, s: math.tanh(s * (x - r)),
+                    lambda x, r, s: math.atan(s * (x - r)) + 0.1 * (x - r),
+                    lambda x, r, s: math.expm1(s * (x - r)) + (x - r) ** 5]
+        for k in range(300):
+            r, s = rng.uniform(-3.0, 3.0), rng.uniform(0.1, 5.0)
+            lo, hi = r - rng.uniform(0.01, 5.0), r + rng.uniform(0.01, 5.0)
+            fam = families[k % 3]
+            ours, theirs = [], []
+            root = shooting._brentq(
+                lambda x: ours.append(x) or fam(x, r, s), lo, hi, "f")
+            ref = brentq(lambda x: theirs.append(x) or fam(x, r, s), lo, hi,
+                         xtol=1e-13, rtol=1e-12)
+            assert root == ref and ours == theirs
+
+    def test_iterations_run_out(self):
+        # scipy's brentq stops unconverged on this triple root too
+        from scipy.optimize import brentq
+
+        def f(x):
+            return (x - 1 / 3) ** 3
+
+        _, res = brentq(f, -1.0, 2.0, xtol=1e-13, rtol=1e-12,
+                        full_output=True, disp=False)
+        assert not res.converged
+        with pytest.raises(NotConverged, match=r"f has no root within 100 "
+                           r"Brent iterations on \[-1.0, 2.0\]"):
+            shooting._brentq(f, -1.0, 2.0, "f")
+
+    @pytest.mark.parametrize("f", [
+        lambda x: math.nan,
+        lambda x: x - 0.3 if x in (0.0, 1.0) else math.nan,
+        lambda x: math.inf if x else -1.0])
+    def test_non_finite_value(self, f):
+        with pytest.raises(NotConverged,
+                           match=r"f is .* at .*, bracket \[0.0, 1.0\]"):
+            shooting._brentq(f, 0.0, 1.0, "f")
+
+    def test_no_sign_change(self):
+        # 1e-200 squared underflows: the sign test takes no product
+        with pytest.raises(BracketError, match="no sign change of f"):
+            shooting._brentq(lambda x: 1e-200, 0.0, 1.0, "f")
+
+    def test_oracle_names_problem_and_bracket(self, gp23, monkeypatch):
+        monkeypatch.setattr(shooting, "_mismatch", lambda halves: math.nan)
+        prob = radial_problem(gp23, 0, 0, 0.0)
+        with pytest.raises(NotConverged, match=re.escape(
+                "the mismatch of (p, q, m, l, Lambda) = (2, 3, 0, 0, 0.0) "
+                "is nan at -1e-06, bracket [-1e-06, 1e-06]")):
+            shooting_oracle(prob, (-1e-6, 1e-6), 0)
 
 
 def _docstring_rows(prob, ell):
