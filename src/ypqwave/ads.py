@@ -506,6 +506,8 @@ class SectorStack:
         self.fmat = fmat
         self.t12 = outer(vec1, vec2)
         self.ang = outer(vecth, vecy)
+        # |synthesized value| <= sum_b max_x |sum_i amps[b, i] f_i| peak[b]
+        self.peak = np.abs(self.t12).max(axis=1) * np.abs(self.ang).max(axis=1)
         self.wfmat = fmat * grid.x.weights
         self.wt12 = outer(vec1 * grid.t1.weights, vec2 * grid.t2.weights)
         # ModeTable.block memoizes the (theta, y) pair on beta[3:]: one
@@ -529,11 +531,19 @@ class SectorStack:
     def synthesize(self, amps: np.ndarray) -> np.ndarray:
         """Sector array of sum_b,i amps[b, i] f_i (x) t12_b (x) ang_b:
         the x profiles times t12 as an (nb, x*t1*t2) matrix, against
-        ang in one GEMM."""
-        xprof = np.einsum("bi,bix->bx", amps, self.fmat)
-        left = (xprof[:, :, None] * self.t12[:, None, :]).reshape(
-            len(self.betas), -1)
-        return (left.T @ self.ang).reshape(self.grid.shape)
+        ang in one GEMM.  OutOfRange, naming the sector, when a value is
+        not finite; read value by value only if `peak` allows that."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            xprof = np.einsum("bi,bix->bx", amps, self.fmat)
+            left = (xprof[:, :, None] * self.t12[:, None, :]).reshape(
+                len(self.betas), -1)
+            out = (left.T @ self.ang).reshape(self.grid.shape)
+            bound = np.abs(xprof).max(axis=1) @ self.peak
+        if not (bound < 1e300 or np.isfinite(out).all()):
+            raise OutOfRange(f"synthesized values of "
+                             f"{Sector._make(self.betas[0][2:6])} are not "
+                             f"finite")
+        return out
 
     def project(self, arr: np.ndarray) -> tuple[np.ndarray, float]:
         """((nb, i) coefficients, discrete squared norm) of a sector array
@@ -591,9 +601,10 @@ def synthesize(coeffs: SpectralCoefficients, table: ModeTable) -> dict:
     """Sector amplitude arrays of sum coeff * Psi_beta f_i on
     `table.grid`, in sorted sector order.
 
-    Raises GridMismatch for a key with i outside 0..table.i_max, and
+    Raises GridMismatch for a key with i outside 0..table.i_max,
     FieldTooLarge, before allocating anything, when the arrays would not
-    fit in the machine's physical memory.
+    fit in the machine's physical memory, and OutOfRange, naming the
+    sector, when its values are not finite.
     """
     by_sector: dict[Sector, list] = {}
     for (beta, i), v in coeffs.items():

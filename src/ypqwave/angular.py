@@ -111,8 +111,7 @@ def angular_mode(n: int, m: int, j: int) -> AngularMode:
     b = abs(n - 2 * m)
     try:
         lam = angular_eigenvalue(n, m, j)
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            log_c = _log_norm_const(a, b, j)
+        log_c = _log_norm_const(a, b, j)  # plain floats: refused below
     except OverflowError as exc:  # labels whose products no double holds
         raise OutOfRange(f"angular mode {(n, m, j)}: {exc}") from None
     if not log_c < math.log(sys.float_info.max):

@@ -32,9 +32,9 @@ from .radial import RadialMode, radial_problem
 
 __all__ = ["CacheKey", "cache_get_or_solve", "SOLVER_VERSION"]
 
-# bump on any change to the radial discretization, its norm check, the
-# geometry constants or the entry format
-SOLVER_VERSION = "galerkin-jacobi-5"
+# bump on any change to the radial discretization, its eigensolver or
+# norm check, the geometry constants or the entry format
+SOLVER_VERSION = "galerkin-jacobi-6"
 
 
 @dataclass(frozen=True)

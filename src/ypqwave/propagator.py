@@ -46,7 +46,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import solve, solve_banded
 
 from .ads import (ModeIndex, ModeTable, SpectralCoefficients, project_cauchy,
                   synthesize)
@@ -390,13 +389,18 @@ def _not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Coefficients (4, pieces, ...) of the not-a-knot cubic spline through
     the rows of y at the knots x (de Boor), top power first, in powers of
     T - x[piece]: scipy's CubicSpline `c` bitwise, by its arithmetic (the
-    parabola for three knots, the chord for two)."""
+    chord for two knots, the parabola for three) and, from three knots,
+    its LAPACK solves, which numpy lacks in banded form: scipy.linalg
+    loads there, not with the package."""
     n = len(x)
     dx = np.diff(x)
     dxr = dx.reshape([n - 1] + [1] * (y.ndim - 1))
     slope = np.diff(y, axis=0) / dxr
     b = np.empty(y.shape, dtype=y.dtype)
-    if n == 3:
+    if n == 2:  # the chord: its slope at both knots
+        s = np.concatenate((slope, slope))
+    elif n == 3:
+        from scipy.linalg import solve
         A = np.array([[1.0, 1.0, 0.0], [dx[1], 2 * (dx[0] + dx[1]), dx[0]],
                       [0.0, 1.0, 1.0]])
         b[0], b[2] = 2 * slope[0], 2 * slope[1]
@@ -404,19 +408,17 @@ def _not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         s = solve(A, b.reshape(n, -1), overwrite_a=True, overwrite_b=True,
                   check_finite=False)
     else:   # the slopes' tridiagonal system, bands upper first
+        from scipy.linalg import solve_banded
         A = np.zeros((3, n))
         A[0, 2:], A[2, :-2] = dx[:-1], dx[1:]
         A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
         b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
-        if n == 2:
-            A[1], b[:] = 1.0, slope[0]
-        else:
-            d0, d1 = x[2] - x[0], x[-1] - x[-3]
-            A[1, 0], A[0, 1], A[1, -1], A[2, -2] = dx[1], d0, dx[-2], d1
-            b[0] = ((dxr[0] + 2 * d0) * dxr[1] * slope[0]
-                    + dxr[0] ** 2 * slope[1]) / d0
-            b[-1] = (dxr[-1] ** 2 * slope[-2]
-                     + (2 * d1 + dxr[-1]) * dxr[-2] * slope[-1]) / d1
+        d0, d1 = x[2] - x[0], x[-1] - x[-3]
+        A[1, 0], A[0, 1], A[1, -1], A[2, -2] = dx[1], d0, dx[-2], d1
+        b[0] = ((dxr[0] + 2 * d0) * dxr[1] * slope[0]
+                + dxr[0] ** 2 * slope[1]) / d0
+        b[-1] = (dxr[-1] ** 2 * slope[-2]
+                 + (2 * d1 + dxr[-1]) * dxr[-2] * slope[-1]) / d1
         s = solve_banded((1, 1), A, b.reshape(n, -1), overwrite_ab=True,
                          overwrite_b=True, check_finite=False)
     s = s.reshape(y.shape)

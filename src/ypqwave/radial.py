@@ -32,17 +32,19 @@ underflows at large exponents, is dropped; `RadialMode` restores it in
 log space.  The Jacobi matrix J of w multiplies by t in the pbar_k and
 rho = (1 - ybar - h t)/18, so B = ((1 - ybar) I - h J)/18 exactly:
 cond(B) < (1 - y_minus)/(1 - y_plus) at any exponent and size.  The
-eigenvectors of the N-node J are V_ki = pbar_k(x_i) sqrt(lambda_i)
-(Gauss nodes x_i, Christoffel numbers lambda_i), so V[:n] diag(f)
-V[:n]^T is the Gauss rule of A's mass-type part (and of the norm check)
-with no polynomial evaluated.  The derivative part uses the Gauss-Jacobi
-rule of exponents 2 nu - 1, where the 1/r potential singularity has
-cancelled against the basis weight.
+orthonormal eigenvectors of the N-node J are V_ki = pbar_k(x_i)
+sqrt(lambda_i) (Gauss nodes x_i, Christoffel numbers lambda_i), so
+V[:n] diag(f) V[:n]^T is the Gauss rule of A's mass-type part (and of
+the norm check).  The derivative part uses the Gauss-Jacobi rule of
+exponents 2 nu - 1, where the 1/r potential singularity has cancelled
+against the basis weight.  One recurrence sweep evaluates all of these.
 
-A solve assembles once, at 25% more basis functions than asked for.
-Its refinement check solves the leading n_basis block of that system
-too: the same basis rows, so B's block is the smaller B exactly (J's
-leading block) and A's is the smaller A under the larger rules.
+A solve assembles once, at 25% more basis functions than asked for,
+and takes A c = ell B c as W A W^T y = ell y, c = W^T y, W =
+inv(cholesky(B)), by numpy's LAPACK.  Its refinement check solves the
+leading n_basis block of W A W^T, the smaller system's: the same basis
+rows, so B's block is the smaller B (J's leading block), A's the smaller
+A under the larger rules, and W is lower triangular.
 
 Problems and modes are immutable.  The rules and tables of a solve
 depend only on (gp, nu_minus, nu_plus) and the sizes, so solves may
@@ -53,14 +55,15 @@ CLI run), never to several threads, and nothing outlives the call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh, eigh_tridiagonal
+from numpy.linalg import LinAlgError, cholesky, eigh, eigvalsh, inv
 
 from .errors import EigenFailure, NotConverged, OutOfRange, require_memory
 from .geometry import GeometryParams
-from .specfun import (envelope_jacobi_derivs, gauss_jacobi, jacobi_deriv_all,
+from .specfun import (christoffel, envelope_jacobi_derivs, gauss_nodes,
                       jacobi_log_norm, jacobi_matrix, jacobi_poly_all)
 
 __all__ = ["RadialProblem", "RadialMode", "char_exponents", "radial_problem",
@@ -142,26 +145,36 @@ def radial_problem(gp: GeometryParams, m: int, l: int,
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _exponent_tables(gp: GeometryParams, nm: float, npl: float,
                      n_basis: int, n_nodes: int):
-    """B, both rules and the tables on the second: all of the Galerkin
-    matrices that depends on the exponent pair and sizes alone.
-    OutOfRange, not a numpy warning, when exponents this large overflow
-    a table."""
+    """B, both rules, the tables on the second and W = inv(cholesky(B)):
+    all of the Galerkin system that depends on the exponent pair and
+    sizes alone.  OutOfRange, not a numpy warning, when exponents this
+    large overflow a table."""
     ybar, half = 0.5 * (gp.y_plus + gp.y_minus), 0.5 * (gp.y_plus - gp.y_minus)
-    diag, off = jacobi_matrix(2.0 * npl, 2.0 * nm, n_basis)
-    b_mat = (np.diag((1.0 - ybar) - half * diag)
-             - half * (np.diag(off, 1) + np.diag(off, -1))) / 18.0
+    a, b = 2.0 * npl, 2.0 * nm
+    b_mat = ((1.0 - ybar) * np.eye(n_basis)
+             - half * jacobi_matrix(a, b, n_basis)) / 18.0
 
     # derivative/centrifugal rule: exponent 2nu-1, lifted to 1 when nu = 0
     d_lo, d_hi = int(nm == 0.0), int(npl == 0.0)
-    rule = gauss_jacobi(2.0 * npl - 1.0 + 2.0 * d_hi,
-                        2.0 * nm - 1.0 + 2.0 * d_lo, n_nodes)
-    t_d = rule.nodes
+    a_d, b_d = a - 1.0 + 2.0 * d_hi, b - 1.0 + 2.0 * d_lo
+    t_d, log_d = gauss_nodes(a_d, b_d, n_nodes)
+    t_b, log_h = gauss_nodes(a, b, n_nodes)
+    # one sweep: the Christoffel tables of both rules, and at t_d the
+    # basis polynomials and the P^(a+1,b+1) of their derivatives
+    rows = jacobi_poly_all(np.array([[a_d], [a], [a + 1.0], [a]]),
+                           np.array([[b_d], [b], [b + 1.0], [b]]),
+                           n_nodes - 1, np.stack((t_d, t_d, t_d, t_b)))
     # over mu0 of the basis weight (the dropped factor), on the pbar_k
-    log_h = jacobi_log_norm(2.0 * npl, 2.0 * nm, np.arange(n_basis))
-    w_d = rule.weights * np.exp(-log_h[0])
-    scale = np.exp(0.5 * (log_h[0] - log_h))[:, None]
-    p_d = scale * jacobi_poly_all(2.0 * npl, 2.0 * nm, n_basis - 1, t_d)
-    dp_d = scale * jacobi_deriv_all(2.0 * npl, 2.0 * nm, n_basis - 1, t_d)
+    w_d = math.exp(log_d[0]) / christoffel(rows[:, 0], log_d) \
+        * np.exp(-log_h[0])
+    scale = np.exp(0.5 * (log_h[0] - log_h[:n_basis]))[:, None]
+    # the mass rule as V[:n_basis], V_ki = pbar_k(x_i) sqrt(lambda_i)
+    v_b = scale * rows[:n_basis, 3] / np.sqrt(christoffel(rows[:, 3], log_h))
+    p_d = scale * rows[:n_basis, 1]
+    # d/dt P_k^(a,b) = (k+a+b+1)/2 P_{k-1}^(a+1,b+1)
+    dp_d = np.zeros_like(p_d)
+    shift = 0.5 * (np.arange(1, n_basis) + a + b + 1.0)[:, None]
+    dp_d[1:] = scale[1:] * (shift * rows[:n_basis - 1, 2])
 
     # R_k = (nm (1-t) - npl (1+t)) pbar_k + (1-t^2) pbar_k', divided by
     # the structural factors it always contains when nu = 0
@@ -169,21 +182,13 @@ def _exponent_tables(gp: GeometryParams, nm: float, npl: float,
     r_mat = ((nm * (1.0 - t_d) - npl * (1.0 + t_d)) * p_d
              + (1.0 - t_d * t_d) * dp_d) / div
     # the centrifugal divisor also takes the h of the R it lacks
-    tables = (b_mat, *_mass_rule(gp, nm, npl, n_basis, n_nodes),
-              ybar + half * t_d, w_d, p_d, r_mat, div * half)
+    tables = (b_mat, gp.y_minus + half * (1.0 + t_b), v_b, ybar + half * t_d,
+              w_d, p_d, r_mat, div * half)
     if not all(np.isfinite(table).all() for table in tables):
         raise OutOfRange(f"Galerkin tables of Y^{{{gp.p},{gp.q}}} at endpoint "
                          f"exponents ({nm}, {npl}) are not finite")
-    return tables
-
-
-def _mass_rule(gp: GeometryParams, nm: float, npl: float, n_basis: int,
-               n_nodes: int):
-    """(y nodes, V[:n_basis]) of the n_nodes-node Jacobi matrix of the
-    basis weight: V diag(f) V^T is the Gauss rule of the mass type."""
-    t, vecs = eigh_tridiagonal(*jacobi_matrix(2.0 * npl, 2.0 * nm, n_nodes))
-    return gp.y_minus + 0.5 * (gp.y_plus - gp.y_minus) * (1.0 + t), \
-        vecs[:n_basis]
+    # B is positive definite with cond(B) bounded (module docstring)
+    return *tables, inv(cholesky(b_mat))
 
 
 def _p_scale(gp: GeometryParams, nm: float, npl: float, n: int):
@@ -213,9 +218,14 @@ def assemble_galerkin(prob: RadialProblem, n_basis: int,
     """
     if n_basis < 4:
         raise ValueError("n_basis must be at least 4")
+    tabs = _galerkin_tables(prob, n_basis, {} if tables is None else tables)
+    return _stiffness(prob, tabs), tabs[0].copy()
+
+
+def _stiffness(prob: RadialProblem, tabs: tuple) -> np.ndarray:
+    """A of assemble_galerkin from prob's `_exponent_tables`."""
+    _, y_b, v_b, y_d, w_d, p_d, r_mat, div, _ = tabs
     gp = prob.gp
-    b_mat, y_b, v_b, y_d, w_d, p_d, r_mat, div = _galerkin_tables(
-        prob, n_basis, {} if tables is None else tables)
     a, y3, mu = gp.a, gp.y_third, prob.alpha_freq
     # smooth factors; the mass-type one without rho, which B carries
     f_mass = (mu * mu) * (1.0 - y_b) ** 2 / (36.0 * (a - y_b * y_b)) \
@@ -230,7 +240,7 @@ def assemble_galerkin(prob: RadialProblem, n_basis: int,
     a_mat = (v_b * f_mass) @ v_b.T
     a_mat += (r_mat * (w_d * f_kin)) @ r_mat.T
     a_mat += (p_d * (w_d * f_cent)) @ p_d.T
-    return a_mat, b_mat.copy()
+    return a_mat
 
 
 @dataclass(frozen=True)
@@ -281,13 +291,14 @@ class RadialMode:
 
 
 def check_basis_memory(n_basis: int) -> None:
-    """FieldTooLarge unless the n x n polynomial table behind the Galerkin
-    rules of a solve at n_basis (8 bytes an entry) fits in physical
-    memory: n is solve_radial's 25% larger size, in integers so that any
-    int is judged, plus the rules' padding."""
+    """FieldTooLarge unless the arrays a solve at n_basis holds at its
+    peak, while it builds the rules, fit in physical memory: about 11
+    n x n tables of 8-byte entries (the stacked polynomial sweep is 4),
+    n being solve_radial's 25% larger size, in integers so that any int
+    is judged, plus the rules' padding."""
     n = -(-5 * n_basis // 4) + _QUAD_PAD
-    require_memory(n * n * 8, f"the {n}-node Galerkin rule of n_basis = "
-                              f"{n_basis}")
+    require_memory(11 * n * n * 8, f"the {n}-node Galerkin rule of n_basis "
+                                   f"= {n_basis}")
 
 
 def solve_radial(prob: RadialProblem, k_max: int, n_basis: int,
@@ -310,10 +321,25 @@ def solve_radial(prob: RadialProblem, k_max: int, n_basis: int,
     check_basis_memory(n_basis)
     tables = {} if tables is None else tables
     n_big = int(np.ceil(1.25 * n_basis))
-    a_mat, b_mat = assemble_galerkin(prob, n_big, tables)
-    ell_a, _ = _solve_once(prob, k_max, a_mat[:n_basis, :n_basis],
-                           b_mat[:n_basis, :n_basis])
-    ell_b, vecs = _solve_once(prob, k_max, a_mat, b_mat)
+    tabs = _galerkin_tables(prob, n_big, tables)
+    w_mat = tabs[-1]
+    labels = (prob.gp.p, prob.gp.q, prob.m, prob.l, prob.lambda_cap)
+    named = f"(p, q, m, l, Lambda) = {labels}, n_basis = {n_basis}"
+    with np.errstate(over="ignore", invalid="ignore"):
+        pencil = w_mat @ _stiffness(prob, tabs) @ w_mat.T
+    if not np.isfinite(pencil).all():
+        raise OutOfRange(f"Galerkin eigenvalues of {named} are not finite")
+    try:
+        # W is lower triangular: the leading block of W A W^T is the
+        # smaller system's
+        ell_a = eigvalsh(pencil[:n_basis, :n_basis])
+        ell_b, vecs = eigh(pencil)
+    except LinAlgError as exc:
+        raise EigenFailure(f"Galerkin eigensolve failed for {named}: "
+                           f"{exc}") from exc
+    if not np.isfinite([ell_a[:k_max + 1], ell_b[:k_max + 1]]).all():
+        raise OutOfRange(f"Galerkin eigenvalues of {named} are not finite")
+    vecs = w_mat.T @ vecs[:, :k_max + 1]
     # fix sign for reproducibility: dominant coefficient of P_k positive
     lead = np.argmax(np.abs(vecs) * _p_scale(
         prob.gp, prob.nu_minus, prob.nu_plus, n_big)[:, None], axis=0)
@@ -333,22 +359,6 @@ def solve_radial(prob: RadialProblem, k_max: int, n_basis: int,
                                 coeffs=vecs[:, k].copy(),
                                 grid_norm_residual=resid[k]))
     return modes
-
-
-def _solve_once(prob: RadialProblem, k_max: int, a_mat: np.ndarray,
-                b_mat: np.ndarray):
-    """The k_max + 1 lowest eigenpairs; EigenFailure when eigh fails,
-    OutOfRange when one of those eigenvalues is not finite."""
-    labels = (prob.gp.p, prob.gp.q, prob.m, prob.l, prob.lambda_cap)
-    named = f"(p, q, m, l, Lambda) = {labels}, n_basis = {len(a_mat)}"
-    try:
-        vals, vecs = eigh(a_mat, b_mat)
-    except LinAlgError as exc:
-        raise EigenFailure(f"Galerkin eigensolve failed for {named}: "
-                           f"{exc}") from exc
-    if not np.isfinite(vals[:k_max + 1]).all():
-        raise OutOfRange(f"Galerkin eigenvalues of {named} are not finite")
-    return vals[:k_max + 1], vecs[:, :k_max + 1]
 
 
 def _norm_residuals(prob: RadialProblem, vecs: np.ndarray, n_basis: int,

@@ -61,7 +61,6 @@ from functools import lru_cache, reduce
 
 import numpy as np
 from numpy.polynomial import polynomial as npp
-from scipy.linalg.lapack import dtbtrs
 
 from .errors import BracketError, NotConverged, OutOfRange
 from .radial import RadialProblem
@@ -129,11 +128,13 @@ def _exponents(nu: float) -> tuple[np.ndarray, np.ndarray]:
     return k, k * (k - 1.0)
 
 
-def _series(rows: np.ndarray, k, kk, lead: int, head: list) -> np.ndarray:
+def _series(rows: np.ndarray, k, kk, lead: int, head: list,
+            dtbtrs) -> np.ndarray:
     """Coefficients t_0 .. t_{N-1} of u = w^nu sum_k t_k w^k from the
     leading ones in `head`, (k, kk) = `_exponents(nu)`: the recurrence of
-    the module docstring by forward substitution.  `lead` is the order of
-    the zero of p at w = 0 (2 at an endpoint, 0 at a regular point)."""
+    the module docstring by forward substitution, LAPACK's banded
+    triangular solve `dtbtrs`.  `lead` is the order of the zero of p at
+    w = 0 (2 at an endpoint, 0 at a regular point)."""
     # two leading zeros stand for q_{-1}, r_{-2} and r_{-1}
     ext = np.zeros((3, _DEGREE + 3))
     ext[:, 2:] = rows
@@ -209,6 +210,9 @@ def _half(prob: RadialProblem, pqr: np.ndarray, endpoint: int,
     every step's series, the launch first: on each step u has the sign
     of sum_k t_k w^k, w in [0, 1].
     """
+    # the one LAPACK driver of the oracle that numpy lacks: scipy.linalg
+    # loads with the first shot, not with the package
+    from scipy.linalg.lapack import dtbtrs
     gp = prob.gp
     if endpoint == -1:
         y_end, nu, sgn = gp.y_minus, prob.nu_minus, 1.0
@@ -222,7 +226,8 @@ def _half(prob: RadialProblem, pqr: np.ndarray, endpoint: int,
     # from wherever it stops
     launch, interior = _exponents(nu), _exponents(0.0)
     dist, t, (u, du) = _step(
-        lambda h: _series(_shifted(pqr, y_end, sgn * h), *launch, 2, [1.0]),
+        lambda h: _series(_shifted(pqr, y_end, sgn * h), *launch, 2, [1.0],
+                          dtbtrs),
         _LAUNCH_FRACTION * length, launch[0], floor, y_end)
     y = y_end + sgn * dist
     u, du = _normalized(u, du / (sgn * dist), y)
@@ -235,7 +240,7 @@ def _half(prob: RadialProblem, pqr: np.ndarray, endpoint: int,
 
         h, t, (value, slope) = _step(
             lambda h: _series(_shifted(pqr, y, signed(h)), *interior, 0,
-                              [u, signed(h) * du]),
+                              [u, signed(h) * du], dtbtrs),
             min(_STEP_FRACTION * min(abs(z - y) for z in zeros), abs(left)),
             interior[0], floor, y)
         delta = signed(h)

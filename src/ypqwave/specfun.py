@@ -10,10 +10,11 @@ one log-form square norm (`jacobi_log_norm`) exponentiated last, so
 index ranges that would overflow a double factorial-wise remain usable.
 
 Gauss rules: nodes are the eigenvalues of the Jacobi matrix J (the
-multiplication by t in the orthonormal pbar_k = P_k / sqrt(h_k)),
-weights the Christoffel numbers 1 / sum_k pbar_k(x_i)^2 (Golub & Welsch
-1969; Gautschi 2004), sums of positive terms accurate at every node.
-The eigenvector form mu0 v_0i^2 is accurate only relative to the largest
+multiplication by t in the orthonormal pbar_k = P_k / sqrt(h_k)), by
+numpy's LAPACK on the dense J, weights the Christoffel numbers 1 /
+sum_k pbar_k(x_i)^2 (Golub & Welsch 1969; Gautschi 2004) from one
+recurrence sweep, sums of positive terms accurate at every node.  The
+eigenvector form mu0 v_0i^2 is accurate only relative to the largest
 weight: at exponents in the hundreds the outer weights lose every digit.
 
 All functions are pure; quadrature rules are immutable after construction
@@ -26,8 +27,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
 
 from .errors import DegreeOrderError, EigenFailure, QuadratureUnderflow
 
@@ -37,27 +36,42 @@ __all__ = ["QuadratureRule", "jacobi_poly_all", "jacobi_deriv_all",
            "jacobi_matrix", "gauss_jacobi", "rule_on_interval"]
 
 
-def jacobi_poly_all(alpha: float, beta: float, j_max: int, x) -> np.ndarray:
+def jacobi_poly_all(alpha, beta, j_max: int, x) -> np.ndarray:
     """All of P_0 .. P_{j_max}^(alpha,beta) at x, one three-term recurrence
     sweep.
 
     Stable on x in [-1, 1] for degrees well beyond 200.  Returns an array
-    of shape (j_max+1,) + np.shape(x), so row j of a scalar argument is a
-    scalar.
+    of shape (j_max+1,) + the broadcast shape of x, alpha and beta, so row
+    j of scalars is a scalar; ndarrays alpha and beta stack families in
+    one sweep, each row bitwise its scalar call.
     """
     x = np.asarray(x, dtype=float)
-    out = np.empty((j_max + 1,) + x.shape)
+    shape, degrees = x.shape, range(2, j_max + 1)
+    # stacked families take all degrees' step coefficients as arrays;
+    # scalar ones keep floats: as arrays, the table sweeps (degrees 0-24)
+    # took 20-60 us a call longer, about 2% of a propagate_csv operation
+    if isinstance(alpha, np.ndarray):
+        shape = np.broadcast(x, alpha, beta).shape
+        n = np.array(degrees, float).reshape(-1, *[1] * len(shape))
+        steps = zip(*_jacobi_step(n, alpha, beta))
+    else:
+        steps = (_jacobi_step(n, alpha, beta) for n in degrees)
+    out = np.empty((j_max + 1,) + shape)
     out[0] = 1.0
     if j_max >= 1:
         out[1] = 0.5 * (alpha - beta) + 0.5 * (alpha + beta + 2.0) * x
-    for n in range(2, j_max + 1):
-        s = 2.0 * n + alpha + beta
-        c1 = 2.0 * n * (n + alpha + beta) * (s - 2.0)
-        c2 = (s - 1.0) * (alpha * alpha - beta * beta)
-        c3 = (s - 2.0) * (s - 1.0) * s
-        c4 = 2.0 * (n + alpha - 1.0) * (n + beta - 1.0) * s
+    for n, (c1, c2, c3, c4) in zip(degrees, steps):
         out[n] = ((c2 + c3 * x) * out[n - 1] - c4 * out[n - 2]) / c1
     return out
+
+
+def _jacobi_step(n, alpha, beta):
+    """(c1, c2, c3, c4) of c1 P_n = (c2 + c3 x) P_{n-1} - c4 P_{n-2}."""
+    s = 2.0 * n + alpha + beta
+    return (2.0 * n * (n + alpha + beta) * (s - 2.0),
+            (s - 1.0) * (alpha * alpha - beta * beta),
+            (s - 2.0) * (s - 1.0) * s,
+            2.0 * (n + alpha - 1.0) * (n + beta - 1.0) * s)
 
 
 def jacobi_deriv_all(alpha: float, beta: float, j_max: int, x,
@@ -93,15 +107,35 @@ def gegenbauer_scale(order: float, degree: int) -> float:
 
 
 def jacobi_log_norm(alpha: float, beta: float, k):
-    """log h_k, elementwise over k, of the square norm (h_0 = mu0, the
-    zeroth moment)  h_k = int_-1^1 (1-x)^alpha (1+x)^beta P_k^2 dx
-    = 2^(a+b+1) G(k+a+1) G(k+b+1) / ((2k+a+b+1) k! G(k+a+b+1))."""
+    """log h_k of the square norm (h_0 = mu0, the zeroth moment)
+    h_k = int_-1^1 (1-x)^alpha (1+x)^beta P_k^2 dx
+    = 2^(a+b+1) G(k+a+1) G(k+b+1) / ((2k+a+b+1) k! G(k+a+b+1)): by
+    log-gammas for a scalar k; for an array of integers k >= 0, log mu0
+    plus the cumulative sum of log h_j/h_{j-1} = log[(j+a)(j+b)(2j+a+b-1)
+    / (j (j+a+b)(2j+a+b+1))], at j = 1 (1+a)(1+b)/(a+b+3), cancelled."""
     ab = alpha + beta
+    if np.ndim(k):
+        k = np.asarray(k)
+        if k.dtype.kind not in "iu" or k.min(initial=0) < 0:
+            raise ValueError(f"degrees must be integers >= 0, got {k}")
+        j = np.arange(2.0, k.max(initial=0) + 1.0)
+        s = 2.0 * j + ab
+        steps = np.empty(len(j) + 2)
+        steps[0] = jacobi_log_norm(alpha, beta, 0)
+        steps[1] = np.log((1.0 + alpha) * ((1.0 + beta) / (ab + 3.0)))
+        np.log((j + alpha) / j * ((j + beta) / (j + ab))
+               * ((s - 1.0) / (s + 1.0)), out=steps[2:])
+        return steps.cumsum()[k]
     # (2k+a+b+1) G(k+a+b+1) = G(k+a+b+2) (1 + k/(k+a+b+1)), the ratio 1
     # at k = 0 also for a+b = -1
-    return ((ab + 1.0) * math.log(2.0) + gammaln(k + alpha + 1.0)
-            + gammaln(k + beta + 1.0) - gammaln(k + 1.0)
-            - gammaln(k + ab + 2.0) - np.log1p(k / (k + ab + 1.0 + (k == 0))))
+    return ((ab + 1.0) * math.log(2.0) + _lgamma(k + alpha + 1.0)
+            + _lgamma(k + beta + 1.0) - _lgamma(k + 1.0)
+            - _lgamma(k + ab + 2.0) - math.log1p(k / (k + ab + 1.0 + (k == 0))))
+
+
+def _lgamma(x: float) -> float:
+    """log Gamma(x), x > 0, as inf where it exceeds a double."""
+    return math.lgamma(x) if x < 2e305 else math.inf
 
 
 def jacobi_norm_integral(a_exp: int, b_exp: int, j: int) -> float:
@@ -180,10 +214,10 @@ class QuadratureRule(NamedTuple):
         return float(np.dot(self.weights, values))
 
 
-def jacobi_matrix(alpha: float, beta: float,
-                  n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(diag, off) of the n x n Jacobi matrix: t pbar_k = off[k-1] pbar_{k-1}
-    + diag[k] pbar_k + off[k] pbar_{k+1}, the leading block of J at any n."""
+def jacobi_matrix(alpha: float, beta: float, n: int) -> np.ndarray:
+    """The n x n Jacobi matrix J, symmetric tridiagonal: t pbar_k =
+    J[k, k-1] pbar_{k-1} + J[k, k] pbar_k + J[k, k+1] pbar_{k+1}, the
+    leading block of J at any n."""
     ab = alpha + beta
     diag = np.empty(n)
     diag[0] = (beta - alpha) / (ab + 2.0)
@@ -199,7 +233,34 @@ def jacobi_matrix(alpha: float, beta: float,
             num = 4.0 * k * (k + alpha) * (k + beta) * (k + ab)
             den = (2.0 * k + ab) ** 2 * (2.0 * k + ab + 1.0) * (2.0 * k + ab - 1.0)
             off[1:] = np.sqrt(num / den)
-    return diag, off
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def gauss_nodes(alpha: float, beta: float,
+                n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, log h_0 .. h_{n-1}) of the n-node Gauss rule of the weight
+    (1-x)^alpha (1+x)^beta, nodes ascending; alpha, beta > -1, n >= 1.
+    QuadratureUnderflow when mu0 overflows a double."""
+    if n < 1:
+        raise ValueError("need at least one node")
+    # tested first: exponents this large also overflow the Jacobi matrix
+    # and the norm recurrence
+    if not jacobi_log_norm(alpha, beta, 0) < np.log(np.finfo(float).max):
+        raise QuadratureUnderflow(f"degenerate weights for exponents ({alpha}"
+                                  f", {beta}): mu0 overflows a double")
+    log_h = jacobi_log_norm(alpha, beta, np.arange(n))
+    try:
+        nodes = np.linalg.eigvalsh(jacobi_matrix(alpha, beta, n))
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - signals a bug
+        raise EigenFailure(str(exc)) from exc
+    return nodes, log_h
+
+
+def christoffel(rows: np.ndarray, log_h: np.ndarray):
+    """sum_k pbar_k(x_i)^2 = mu0 / w_i from rows[k] = P_k(x_i) at the
+    nodes of an n-node Gauss rule, k < n."""
+    pbar = rows * np.exp(0.5 * (log_h[0] - log_h))[:, None]
+    return np.einsum("ki,ki->i", pbar, pbar)
 
 
 def gauss_jacobi(alpha: float, beta: float, n: int) -> QuadratureRule:
@@ -209,23 +270,9 @@ def gauss_jacobi(alpha: float, beta: float, n: int) -> QuadratureRule:
     alpha, beta > -1, n >= 1.  Nodes ascend; weights are positive and sum
     to the zeroth moment 2^(a+b+1) B(a+1, b+1).
     """
-    if n < 1:
-        raise ValueError("need at least one node")
-    # tested first: exponents this large also overflow the Jacobi matrix
-    log_h = jacobi_log_norm(alpha, beta, np.arange(n))
-    if not log_h[0] < np.log(np.finfo(float).max):
-        raise QuadratureUnderflow(f"degenerate weights for exponents ({alpha}"
-                                  f", {beta}): mu0 overflows a double")
-    try:
-        nodes = eigh_tridiagonal(*jacobi_matrix(alpha, beta, n),
-                                 eigvals_only=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - signals a bug
-        raise EigenFailure(str(exc)) from exc
-    # sqrt(mu0) pbar_k: orthonormal for the weight over mu0, row 0 is 1
-    rows = (jacobi_poly_all(alpha, beta, n - 1, nodes)
-            * np.exp(0.5 * (log_h[0] - log_h))[:, None])
-    weights = math.exp(log_h[0]) / np.einsum("ki,ki->i", rows, rows)
-    return QuadratureRule(nodes=nodes, weights=weights)
+    nodes, log_h = gauss_nodes(alpha, beta, n)
+    sums = christoffel(jacobi_poly_all(alpha, beta, n - 1, nodes), log_h)
+    return QuadratureRule(nodes=nodes, weights=math.exp(log_h[0]) / sums)
 
 
 def rule_on_interval(lo: float, hi: float, exp_lo: float, exp_hi: float,

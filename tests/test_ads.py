@@ -514,6 +514,16 @@ class TestSectorTransforms:
                           _small_table(gp23, small_y_modes))
         assert list(zero) == [Sector(0, 0, 0, 0)]
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_coefficient_refused(self, small_table, beta_set):
+        # a coefficient near the top of the double range overflows the
+        # grid values: refused naming the sector, with no numpy warning
+        coeffs = SpectralCoefficients({(beta_set[0], 1): 1e308})
+        with pytest.raises(OutOfRange, match=re.escape(
+                f"synthesized values of {beta_set[0].sector} are not "
+                f"finite")):
+            synthesize(coeffs, small_table)
+
     def test_plain_tuple_breaking_chain(self, gp23, small_y_modes):
         # s2 > s1 in a plain tuple: the chain error, not an AttributeError
         bad = SpectralCoefficients({((0, 1, 0, 0, 0, 0, 0, 0), 0): 1.0})

@@ -1051,13 +1051,15 @@ class TestCache:
     @pytest.mark.parametrize("version", ["galerkin-jacobi-1",
                                          "galerkin-jacobi-2",
                                          "galerkin-jacobi-3",
-                                         "galerkin-jacobi-4"])
+                                         "galerkin-jacobi-4",
+                                         "galerkin-jacobi-5"])
     def test_old_solver_version_is_a_plain_miss(self, tmp_path, gp23,
                                                 version):
         # an entry of an earlier discretization (coefficients in another
         # basis), geometry (bisection constants), norm check (a finer
-        # rule) or entry format (geometry and problem stored with the
-        # eigenpairs) is re-solved without a corruption warning, and kept
+        # rule), entry format (geometry and problem stored with the
+        # eigenpairs) or eigensolver (scipy's, other bits) is re-solved
+        # without a corruption warning, and kept
         prob = radial_problem(gp23, 1, 0, 2.0)
         old = CacheKey(p=2, q=3, m=1, l=0, lambda_cap=2.0, n_basis=16,
                        solver_version=version)

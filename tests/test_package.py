@@ -1,8 +1,9 @@
 """Package-wide consistency: every dataclass annotation resolves, every
 name a module exports exists, every error type is raised somewhere,
 every selftest check has one size and one acceptance criterion, and
-neither importing the command line nor a Duhamel source or a shooting
-run loads scipy.optimize or scipy.interpolate."""
+the propagation path from geometry to output file loads no scipy module
+(only a Duhamel spline of three or more slices and the shooting oracle
+load scipy.linalg)."""
 
 import ast
 import dataclasses
@@ -56,37 +57,69 @@ def test_selftest_checks_have_one_size_and_one_criterion():
     assert {criterion for criterion, _, _ in rows} == set(range(1, 8))
 
 
-def test_cli_import_leaves_out_optimize_and_interpolate():
-    # the Duhamel spline and the oracle's root finder are in the package:
-    # neither the import nor a run of either loads these modules
+def test_propagation_path_leaves_out_scipy(tmp_path):
+    # geometry to output file runs on numpy alone; only a Duhamel spline of
+    # three or more slices and the shooting oracle, each with a LAPACK
+    # driver numpy lacks, load scipy.linalg, and nothing loads
+    # scipy.special, scipy.optimize or scipy.interpolate
     src = str(Path(ypqwave.__file__).parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    code = """
-import sys
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        "schema_version = 1\np = 2\nq = 3\ni_max = 1\nn_basis = 12\n"
+        "grid_x = 6\ngrid_t1 = 4\ngrid_t2 = 4\ngrid_theta = 4\ngrid_y = 6\n"
+        "times = 0.0, 1.0\nphi0_coef = 0 0 0 0 0 0 0 0 0 : 1.0 : 0.5\n"
+        f"out_dir = {tmp_path / 'out'}\ncache_dir = {tmp_path / 'cache'}\n")
+    code = f"""
+import contextlib, io, sys
 import numpy as np
-import ypqwave.cli
-from ypqwave import (SpectralCoefficients, radial_problem, shooting_oracle,
-                     shooting_spectrum, solve_geometry)
+import ypqwave
+from ypqwave import (SpectralCoefficients, build_modes, enumerate_modes,
+                     radial_problem, shooting_oracle, solve_geometry)
+from ypqwave.cli import run
 from ypqwave.propagator import (CauchyData, KGPropagator, SourceTerm,
                                 TruncationSpec)
+from ypqwave.spectrum import TruncationPolicy
+
+
+def loaded(*names):
+    # scipy's modules, or those of its subpackages `names`
+    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'
+                  and (not names or m.split('.')[1:2] in [[n] for n in names]))
+
+
 gp = solve_geometry(2, 3)
-prop = KGPropagator(gp, 1.0, 1.0, TruncationSpec(0, 0, 0, 0, 1, 1, 1,
-                                                 n_basis=12))
-data = CauchyData(SpectralCoefficients(), SpectralCoefficients())
+build_modes(gp, enumerate_modes(gp, TruncationPolicy(1, 1, 1, 1, 1)), 12)
+prop = KGPropagator(gp, 1.0, 1.0, TruncationSpec(
+    0, 1, 0, 0, 1, 1, 1, n_basis=12, grid_shape=(6, 4, 4, 4, 6)))
 key = (prop.betas[0], 1)
-for n in (2, 3, 5):
+data = CauchyData(SpectralCoefficients({{key: 1.0}}), SpectralCoefficients())
+grid = prop.evolve(data, 0.5, synthesize_values=True).values
+prop.evolve(CauchyData(grid, {{s: 0.0 * a for s, a in grid.items()}}), 0.5)
+
+
+def source(n):
     times = np.linspace(0.0, 1.0, n)
-    src = SourceTerm(times, [SpectralCoefficients({key: 1.0 + T * T})
-                             for T in times])
-    prop.evolve_inhomogeneous(data, src, 0.7, synthesize_values=False)
-prob = radial_problem(gp, 0, 0, 0.0)
-shooting_oracle(prob, (-1e-6, 1e-6), 0)
-shooting_spectrum(prob, 1)
-print(sorted(m for m in sys.modules if m.split('.')[:2] in
-             (['scipy', 'optimize'], ['scipy', 'interpolate'])))
+    return SourceTerm(times, [SpectralCoefficients({{key: 1.0 + T * T}})
+                              for T in times])
+
+
+prop.evolve_inhomogeneous(data, source(2), 0.7, synthesize_values=False)
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in ("geometry --p 2 --q 3",
+                 "spectrum --p 2 --q 3 --nmax 1 --mmax 0 --lmax 0 --kmax 1 "
+                 "--jmax 1 --nbasis 12",
+                 "radial --p 2 --q 3 --m 1 --l 0 --Lambda 6 --kmax 2",
+                 "propagate --config {config}"):
+        assert run(argv.split()) == 0, argv
+print(loaded())
+for n in (3, 5):
+    prop.evolve_inhomogeneous(data, source(n), 0.7, synthesize_values=False)
+shooting_oracle(radial_problem(gp, 0, 0, 0.0), (-1e-6, 1e-6), 0)
+print(loaded('special', 'optimize', 'interpolate'), 'scipy.linalg' in loaded())
 """
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split("\n")[:2] == ["[]", "[] True"]

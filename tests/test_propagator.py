@@ -506,7 +506,7 @@ class TestValidation:
         with pytest.warns(TruncationWarning):
             sample = prop.evolve(_build_data(cfg, prop), 1.0,
                                  synthesize_values=False)
-        assert sample.tail_norm == 0.17943351307206648
+        assert sample.tail_norm == 0.17943351307206215
 
 
 def test_enumerate_beta_counts():

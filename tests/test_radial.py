@@ -9,10 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.linalg import LinAlgError
 from numpy.polynomial import Polynomial
 from numpy.polynomial import polynomial as npp
 from scipy.integrate import solve_ivp
-from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from ypqwave import radial, shooting
 from ypqwave.angular import angular_eigenvalue
@@ -90,8 +90,8 @@ class TestAssembly:
         # eigenvector rule of the 40-node Jacobi matrix reproduces it
         prob = radial_problem(gp23, m, l, 1.0)
         _, b = assemble_galerkin(prob, 20)
-        t, vecs = eigh_tridiagonal(*jacobi_matrix(2.0 * prob.nu_plus,
-                                                  2.0 * prob.nu_minus, 40))
+        t, vecs = np.linalg.eigh(jacobi_matrix(2.0 * prob.nu_plus,
+                                               2.0 * prob.nu_minus, 40))
         half = 0.5 * (gp23.y_plus - gp23.y_minus)
         rho = (1.0 - (gp23.y_minus + half * (1.0 + t))) / 18.0
         quad = (vecs[:20] * rho) @ vecs[:20].T
@@ -191,13 +191,13 @@ class TestSolveRadial:
         # block of the 25% larger one.  At Lambda = 1000 the top eigenvalues
         # are unresolved with 12 basis functions and resolved with 24
         calls = []
-        assemble = radial.assemble_galerkin
+        assemble = radial._stiffness
 
-        def counted(prob, n_basis, tables=None):
-            calls.append(n_basis)
-            return assemble(prob, n_basis, tables)
+        def counted(prob, tabs):
+            calls.append(len(tabs[0]))
+            return assemble(prob, tabs)
 
-        monkeypatch.setattr(radial, "assemble_galerkin", counted)
+        monkeypatch.setattr(radial, "_stiffness", counted)
         prob = radial_problem(gp23, 0, 0, 1000.0)
         with pytest.raises(NotConverged,
                            match="moved by .* under basis refinement"):
@@ -212,15 +212,14 @@ class TestSolveRadial:
 
     def test_eigensolver_failure_fails_loudly(self, gp23, monkeypatch,
                                               capsys):
-        # a mass matrix eigh refuses (seen for Y^{3,5}, m = 0, l = 1 at
-        # n_basis 75) is an EigenFailure naming the problem, also in the CLI
-        def refuse(a_mat, b_mat):
-            raise LinAlgError("The leading minor of order 3 of B is not "
-                              "positive definite.")
+        # an eigensolve LAPACK refuses (the refinement check's comes
+        # first) is an EigenFailure naming the problem, also in the CLI
+        def refuse(pencil):
+            raise LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(radial, "eigh", refuse)
+        monkeypatch.setattr(radial, "eigvalsh", refuse)
         with pytest.raises(EigenFailure, match=r"\(p, q, m, l, Lambda\) = "
-                           r"\(2, 3, 1, -1, 0\.5\), n_basis = 16: The "):
+                           r"\(2, 3, 1, -1, 0\.5\), n_basis = 16: Eigenvalues "):
             solve_radial(radial_problem(gp23, 1, -1, 0.5), 1, 16)
         assert run(["radial", "--p", "2", "--q", "3", "--m", "0", "--l", "1",
                     "--Lambda", "0", "--kmax", "1", "--nbasis", "12"]) == 1

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from scipy.special import eval_gegenbauer, eval_jacobi, jacobi
 
-from ypqwave.errors import DegreeOrderError
+from ypqwave.errors import DegreeOrderError, QuadratureUnderflow
 from ypqwave.specfun import (assoc_legendre, envelope_jacobi_derivs,
                              gauss_jacobi, gegenbauer_scale, jacobi_deriv_all,
-                             jacobi_norm_integral, jacobi_poly_all,
+                             jacobi_log_norm, jacobi_norm_integral,
+                             jacobi_poly_all,
                              legendre_scale, rule_on_interval)
 
 
@@ -106,6 +107,51 @@ class TestNormIntegral:
         z, w = rule_on_interval(0.0, 1.0, 2, 3, 12)
         quad = float(np.dot(w, jacobi_poly_all(2, 3, 4, 1.0 - 2.0 * z)[4] ** 2))
         assert jacobi_norm_integral(2, 3, 4) == pytest.approx(quad, rel=1e-12)
+
+
+class TestLogNorm:
+    K = np.arange(40)
+
+    @staticmethod
+    def _relative(log_h, exact):
+        return max(abs(math.exp(v) / float(e) - 1.0)
+                   for v, e in zip(log_h, exact))
+
+    @pytest.mark.parametrize("a,b", [(0, 0), (1, 2), (5, 0), (7, 12)])
+    def test_integer_exponents_are_exact(self, a, b):
+        # h_k = 2^(a+b+1) (k+a)! (k+b)! / ((2k+a+b+1) k! (k+a+b)!) from
+        # one array call (the ratio recurrence); a scalar k (log-gammas
+        # of up to 60, each good to an ulp of about 1e-14) agrees
+        f = math.factorial
+        exact = [Fraction(2 ** (a + b + 1) * f(k + a) * f(k + b),
+                          (2 * k + a + b + 1) * f(k) * f(k + a + b))
+                 for k in self.K.tolist()]
+        array = jacobi_log_norm(a, b, self.K)
+        assert self._relative(array, exact) < 1e-14
+        scalar = [jacobi_log_norm(a, b, k) for k in self.K.tolist()]
+        assert np.abs(array - scalar).max() < 1e-13
+        assert jacobi_log_norm(a, b, self.K[[7, 0, 3]]).tolist() == \
+            array[[7, 0, 3]].tolist()
+
+    def test_exponent_sum_minus_one(self):
+        # Chebyshev weight: P_k^(-1/2,-1/2) = (2k)!/(4^k k!^2) T_k, and
+        # |T_k|^2 = pi/2 (pi at k = 0); the cancelled form at k = 1
+        f = math.factorial
+        exact = [Fraction(f(2 * k), 4 ** k * f(k) ** 2) ** 2
+                 * Fraction(1 if k else 2, 2) for k in self.K.tolist()]
+        array = jacobi_log_norm(-0.5, -0.5, self.K)
+        assert self._relative(array - math.log(math.pi), exact) < 1e-14
+        scalar = [jacobi_log_norm(-0.5, -0.5, k) for k in self.K.tolist()]
+        assert np.abs(array - scalar).max() < 1e-13
+        assert np.isfinite(jacobi_log_norm(-0.25, -0.75, self.K)).all()
+
+    @pytest.mark.parametrize("k", [np.array([0, -1]), np.array([0.0, 1.0]),
+                                   [1, 2.5]])
+    def test_degrees_are_counts(self, k):
+        # an array of degrees indexes the recurrence: a negative or
+        # fractional one is refused, not read from elsewhere
+        with pytest.raises(ValueError, match="integers >= 0"):
+            jacobi_log_norm(1.0, 2.0, k)
 
 
 def gegenbauer_via_jacobi(order, degree, x):
@@ -334,6 +380,14 @@ class TestGaussJacobi:
         assert np.allclose(rule.weights, math.pi / n, rtol=1e-14, atol=0.0)
         assert np.allclose(rule.nodes, np.cos(
             np.pi * (2 * np.arange(n, 0, -1) - 1) / (2 * n)), atol=1e-15)
+
+    @pytest.mark.parametrize("alpha,beta", [(1100.0, 0.0), (-0.5, 1e308),
+                                            (1e308, 1e308)])
+    def test_overflowing_moment_refused(self, alpha, beta):
+        # mu0 = 2^(a+b+1) B(a+1, b+1) beyond a double, also where a + b
+        # itself overflows, refused before any table is built
+        with pytest.raises(QuadratureUnderflow, match="mu0 overflows"):
+            gauss_jacobi(alpha, beta, 4)
 
     def test_interval_rule_scaling(self):
         y, w = rule_on_interval(1.0, 3.0, 1.0, 2.0, 10)
