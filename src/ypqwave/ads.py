@@ -186,16 +186,17 @@ def s3_laplace_residual(s1: int, s2: int, s3: int, points) -> np.ndarray:
 
 
 def c_beta(M: float, kappa: float, lam: float) -> float:
-    """c = sqrt(4 + (M^2 + lam)/kappa) >= 2; OutOfRange when c^2
-    overflows a double."""
-    if kappa <= 0.0:
-        raise ValueError("kappa must be positive")
-    if M < 0.0 or lam < 0.0:
-        raise ValueError("M and lam must be nonnegative")
+    """c = sqrt(4 + (M^2 + lam)/kappa) >= 2; ValueError unless M and
+    kappa are finite, OutOfRange when c^2 overflows a double."""
+    if not 0.0 < kappa < math.inf:
+        raise ValueError("kappa must be finite and positive")
+    if not (0.0 <= M < math.inf and lam >= 0.0):
+        raise ValueError("M must be finite, M and lam nonnegative")
     c_sq = 4.0 + (M * M + lam) / kappa
     if not math.isfinite(c_sq):
         raise OutOfRange(f"c^2 = 4 + (M^2 + lam)/kappa overflows for M = "
-                         f"{M!r}, kappa = {kappa!r}, lam = {lam!r}")
+                         f"{float(M)!r}, kappa = {float(kappa)!r}, "
+                         f"lam = {float(lam)!r}")
     return math.sqrt(c_sq)
 
 

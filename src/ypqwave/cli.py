@@ -2,8 +2,9 @@
 
 Subcommands: geometry, angular, radial, spectrum, ads-modes, propagate,
 selftest.  Exit codes: 0 success, 1 numerical failure (stderr lines are
-prefixed `error:`), 2 usage error.  CSV output has a header row and
-JSON keeps field order; field files of either go one x slab per write.
+prefixed `error:`), 2 usage error.  Tables are CSV with a header row
+or JSON in field order.  `propagate` writes one field file per output
+time: CSV, one x slab per write, or npz (NEP 1), one array per sector.
 """
 
 from __future__ import annotations
@@ -115,8 +116,7 @@ def _cmd_spectrum(args) -> int:
     modes = build_modes(gp, enumerate_modes(gp, policy), args.nbasis)
     if args.lambda_max is not None:
         modes = [md for md in modes if md.lam <= args.lambda_max]
-    rows = [(md.lam, md.index.n, md.index.m, md.index.l, md.index.k,
-             md.index.j) for md in modes]
+    rows = [(md.lam, *md.index) for md in modes]
     _write_rows(rows, ("lambda", "n", "m", "l", "k", "j"), args.format)
     return 0
 
@@ -204,77 +204,63 @@ def _build_data(cfg, prop: KGPropagator) -> CauchyData:
 
 
 def _write_sample(cfg, grid, sample, name: str) -> int:
-    """Write file `name` (.json or .csv) in out_dir and return its row
+    """Write file `name` (.csv or .npz) in out_dir and return its row
     count, one per sector and grid point of `grid`, its five axis rules
-    in order.  Each write holds one x slab of values as text: CSV rows in
-    C order of the grid, floats as repr; JSON as json.dump writes it, a
-    sector's re slabs, then its im slabs."""
+    in order.  CSV holds one x slab of values as text per write, rows in
+    C order of the grid, floats as repr.  npz is one uncompressed
+    np.savez: t, tail_norm, the axes, `sectors` (the (s3, n, m, l) of
+    each, in CSV order) and each sector's array as field_<k>."""
+    values = sample.values or {}
     axes = dict(zip(("x", "theta1", "theta2", "theta", "y"),
-                    (rule.nodes.tolist() for rule in grid)))
+                    (rule.nodes for rule in grid)))
     path = os.path.join(cfg.out_dir, name)
-    with _path_errors("out_dir", cfg.out_dir), open(
-            path, "w", encoding="utf-8", newline="") as fh:
-        if cfg.out_format == "json":
-            # json.dumps writes the text around each list of values: [null]
-            head, tail = json.dumps({
-                "t": sample.t, "tail_norm": sample.tail_norm,
-                "sectors": [None]}).split("null")
-            fh.write(head)
-        else:
-            fh.write(",".join(("s3", "n", "m", "l", *axes, "re", "im")) + "\n")
-            x_text, *rest = ([repr(v) for v in axis] for axis in axes.values())
-            # the text of a slab, six parts a row: lead (s3..x), point
-            # (theta1, theta2, theta, y in ravel order), re, ",", im, "\n"
-            points = [",".join(pt) + "," for pt in itertools.product(*rest)]
-            parts = [None, None, None, ",", None, "\n"] * len(points)
-            parts[1::6] = points
-        for k, (sector, arr) in enumerate((sample.values or {}).items()):
+    npz = cfg.out_format == "npz"
+    with _path_errors("out_dir", cfg.out_dir), (
+            open(path, "wb") if npz
+            else open(path, "w", encoding="utf-8", newline="")) as fh:
+        if npz:
+            # savez writes one array at a time: the sectors are never
+            # stacked, and each is copied at most 16 MiB at a time
+            np.savez(fh, t=np.float64(sample.t),
+                     tail_norm=np.float64(sample.tail_norm), **axes,
+                     sectors=np.array(list(values), np.int64).reshape(-1, 4),
+                     **{f"field_{k}": np.asarray(arr, complex)
+                        for k, arr in enumerate(values.values())})
+            return sum(arr.size for arr in values.values())
+        fh.write(",".join(("s3", "n", "m", "l", *axes, "re", "im")) + "\n")
+        x_text, *rest = ([repr(v) for v in axis.tolist()]
+                         for axis in axes.values())
+        # the text of a slab, six parts a row: lead (s3..x), point
+        # (theta1, theta2, theta, y in ravel order), re, ",", im, "\n"
+        points = [",".join(pt) + "," for pt in itertools.product(*rest)]
+        parts = [None, None, None, ",", None, "\n"] * len(points)
+        parts[1::6] = points
+        for sector, arr in values.items():
             # re and im interleaved as int64 bit patterns: a slab's values
             # repeat, and keying by bits keeps 0.0 and -0.0 apart
             bits = np.ascontiguousarray(arr, dtype=complex).view(np.int64)
-            if cfg.out_format == "json":
-                pre, mid, post = json.dumps({
-                    **sector._asdict(), "shape": list(arr.shape), **axes,
-                    "re": [None], "im": [None]}).split("null")
-                fh.write(", " * (k > 0) + pre)
-                for part, after in ((0, mid), (1, post)):
-                    for j, slab in enumerate(bits):
-                        fh.write(", " * (j > 0) + ", ".join(_slab_texts(
-                            slab.ravel()[part::2], _json_float)))
-                    fh.write(after)
-                continue
             for xv, slab in zip(x_text, bits):
-                values = _slab_texts(slab.ravel(), repr)
+                texts = _slab_texts(slab.ravel())
                 parts[0::6] = [f"{sector.s3},{sector.n},{sector.m},"
                                f"{sector.l},{xv},"] * len(points)
-                parts[2::6] = values[0::2]
-                parts[4::6] = values[1::2]
+                parts[2::6] = texts[0::2]
+                parts[4::6] = texts[1::2]
                 fh.write("".join(parts))
-        if cfg.out_format == "json":
-            fh.write(tail)
-    return sum(arr.size for arr in (sample.values or {}).values())
+    return sum(arr.size for arr in values.values())
 
 
-def _slab_texts(flat: np.ndarray, fmt) -> tuple:
-    """fmt of each float of `flat` (int64 bits), in order: each distinct
+def _slab_texts(flat: np.ndarray) -> tuple:
+    """repr of each float of `flat` (int64 bits), in order: each distinct
     value formatted once, in row order, so the gather reads texts in order."""
     keys, inverse = np.unique(flat, return_inverse=True)
     pos = np.empty(keys.size, np.intp)
     pos[inverse] = np.arange(flat.size)
     picked = np.zeros(flat.size, bool)
     picked[pos] = True
-    texts = list(map(fmt, flat[picked].view(float).tolist()))
+    texts = list(map(repr, flat[picked].view(float).tolist()))
     # text index of each value; itemgetter of one index gives no tuple
     idx = (np.cumsum(picked) - 1)[pos][inverse].tolist()
     return operator.itemgetter(*idx)(texts) if flat.size > 1 else tuple(texts)
-
-
-_JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_float(v: float) -> str:
-    """json's text of a float: its repr, with json's non-finite names."""
-    return _JSON_SPELLING.get(text := repr(v), text)
 
 
 def _cmd_selftest(args) -> int:

@@ -22,9 +22,9 @@ and so on); a preset excludes coefficient lines.  M^2/kappa must not
 overflow a double, the grid must pass `ads.check_grid_memory` (its
 error cites the largest grid key), the bounds
 `propagator.check_key_memory` (citing the largest bound key) and n_basis
-`radial.check_basis_memory`.  Each output time is written to a file
-tagged by time_tag; times whose tags collide are rejected, since the
-later file would overwrite the earlier one.
+`radial.check_basis_memory`.  Each output time is written to a file,
+`out_format` csv or npz, tagged by time_tag; times whose tags collide
+are rejected, since the later file would overwrite the earlier one.
 """
 
 from __future__ import annotations
@@ -204,8 +204,9 @@ def _validate(cfg: RunConfig, lines: dict, coefs: list) -> None:
         except FieldTooLarge as exc:
             raise ConfigError(f"line {lines.get(key, 1)}: {exc}") from exc
     check(bool(cfg.times), "times", "times must not be empty")
-    check(cfg.out_format in ("csv", "json"), "out_format",
-          "out_format must be 'csv' or 'json'")
+    check(cfg.out_format in ("csv", "npz"), "out_format",
+          "out_format must be 'csv' or 'npz'" + " (JSON field files were "
+          "replaced by npz)" * (cfg.out_format == "json"))
     check(cfg.preset in ("none", "gaussian_x"), "preset",
           "preset must be 'none' or 'gaussian_x'")
     check(cfg.preset_width > 0.0, "preset_width",

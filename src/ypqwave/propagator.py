@@ -178,8 +178,8 @@ class KGPropagator:
 
     def __init__(self, gp: GeometryParams, M: float, kappa: float,
                  trunc: TruncationSpec, radial_solver=None):
-        if M < 0.0 or kappa <= 0.0:
-            raise ValueError("need M >= 0 and kappa > 0")
+        if not (0.0 <= M < math.inf and 0.0 < kappa < math.inf):
+            raise ValueError("need finite M >= 0 and kappa > 0")
         self.gp = gp
         self.M = M
         self.kappa = kappa
@@ -189,8 +189,7 @@ class KGPropagator:
                                   trunc.k_max, trunc.j_max)
         y_modes = build_modes(gp, enumerate_modes(gp, policy),
                               trunc.n_basis, radial_solver=radial_solver)
-        y_map = {(md.index.n, md.index.m, md.index.l, md.index.k,
-                  md.index.j): md for md in y_modes}
+        y_map = {md.index: md for md in y_modes}
         self.table = ModeTable(gp, M, kappa, y_map, trunc.grid_shape,
                                trunc.i_max)
         # the keys (beta, i) in table order, and each one's flat position

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,17 +30,28 @@ __all__ = ["YModeIndex", "YEigenmode", "YPoint", "TruncationPolicy",
            "sector_gram", "basis_gram", "laplacian_residual", "random_points"]
 
 
-@dataclass(frozen=True, order=True)
-class YModeIndex:
+class _YLabels(NamedTuple):
     n: int
     m: int
     l: int
     k: int
     j: int
 
-    def __post_init__(self):
-        if self.k < 0 or self.j < 0:
+
+class YModeIndex(_YLabels):
+    """Y^{p,q} multi-index (n, m, l, k, j): a tuple validated on every
+    construction, like `ads.ModeIndex`, whose labels [3:] it equals."""
+
+    __slots__ = ()
+
+    def __new__(cls, n, m, l, k, j):
+        if k < 0 or j < 0:
             raise ValueError("excitation numbers k, j must be nonnegative")
+        return tuple.__new__(cls, (n, m, l, k, j))
+
+    @classmethod
+    def _make(cls, iterable) -> "YModeIndex":
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -178,9 +190,7 @@ def sector_gram(modes: list[YEigenmode]) -> np.ndarray:
     """
     if not modes:
         return np.zeros((0, 0))
-    n0, m0, l0 = modes[0].index.n, modes[0].index.m, modes[0].index.l
-    if any((md.index.n, md.index.m, md.index.l) != (n0, m0, l0)
-           for md in modes):
+    if any(md.index[:3] != modes[0].index[:3] for md in modes):
         raise ValueError("sector_gram needs a single (n, m, l) sector")
     gp = modes[0].gp
     ang = modes[0].angular
@@ -208,8 +218,7 @@ def basis_gram(modes: list[YEigenmode]) -> np.ndarray:
     gram = np.zeros((len(modes), len(modes)))
     by_sector: dict[tuple, list[int]] = {}
     for i, md in enumerate(modes):
-        key = (md.index.n, md.index.m, md.index.l)
-        by_sector.setdefault(key, []).append(i)
+        by_sector.setdefault(md.index[:3], []).append(i)
     for idxs in by_sector.values():
         gram[np.ix_(idxs, idxs)] = sector_gram([modes[i] for i in idxs])
     return gram

@@ -191,6 +191,19 @@ class TestCBeta:
         with pytest.raises(OutOfRange, match="overflows"):
             c_beta(M, kappa, 0.0)
 
+    @pytest.mark.parametrize("M,kappa", [(math.nan, 1.0), (math.inf, 1.0),
+                                         (1.0, math.nan), (1.0, math.inf)])
+    def test_non_finite_constant_refused(self, M, kappa):
+        # kappa = inf once gave c = 2 for every lam; a nan was reported
+        # as an overflow of c^2
+        with pytest.raises(ValueError, match="must be finite"):
+            c_beta(M, kappa, 2.0)
+
+    def test_overflow_message_prints_plain_floats(self):
+        with pytest.raises(OutOfRange, match=re.escape(
+                "for M = 1e+200, kappa = 1.0, lam = 0.0")):
+            c_beta(1e200, 1.0, np.float64(0.0))
+
 
 class TestAdSRadial:
     def test_omega_values(self):
@@ -251,10 +264,8 @@ class TestAdSRadial:
 
 @pytest.fixture(scope="module")
 def small_y_modes(gp23):
-    return {(md.index.n, md.index.m, md.index.l, md.index.k, md.index.j): md
-            for md in build_modes(
-                gp23, enumerate_modes(gp23, TruncationPolicy(1, 0, 0, 1, 1)),
-                24)}
+    return {md.index: md for md in build_modes(
+        gp23, enumerate_modes(gp23, TruncationPolicy(1, 0, 0, 1, 1)), 24)}
 
 
 def _small_table(gp, y_modes):
@@ -616,8 +627,7 @@ def test_each_factor_built_once_per_key(gp23, small_y_modes, beta_set,
     assert np.abs(back - _dense(coeffs, beta_set, table)).max() < 1e-9
     y_keys = {max((b.n, b.m, b.l, b.k, b.j), (-b.n, -b.m, -b.l, b.k, b.j))
               for b in beta_set}
-    want_x = {(b.s1, c_beta(1.0, 1.0, small_y_modes[(b.n, b.m, b.l, b.k,
-                                                      b.j)].lam))
+    want_x = {(b.s1, c_beta(1.0, 1.0, small_y_modes[b[3:]].lam))
               for b in beta_set}
     assert sorted(x_keys) == sorted(want_x)
     assert len(y_calls) == len(y_keys) < len(beta_set)
@@ -631,7 +641,7 @@ def test_omega_table_matches_closed_form(small_table, small_y_modes,
     table = small_table.omega_table(betas)
     assert table.shape == (len(betas), small_table.i_max + 1)
     for row, beta in zip(table, betas):
-        lam = small_y_modes[(beta.n, beta.m, beta.l, beta.k, beta.j)].lam
+        lam = small_y_modes[beta[3:]].lam
         c = c_beta(1.0, 1.0, lam)
         assert row.tolist() == [(2.0 * i + beta.s1 + c + 2.0) ** 2
                                 for i in range(small_table.i_max + 1)]

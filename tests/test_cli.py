@@ -414,7 +414,7 @@ class TestConfig:
         ("i_max = -1", "i_max must be nonnegative"),
         ("n_basis = 4", "n_basis must be at least 8"),
         ("grid_theta = 3", "grid resolutions"),
-        ("out_format = xml", "out_format must be"),
+        ("out_format = xml", "out_format must be 'csv' or 'npz'$"),
         ("preset = bump", "preset must be"),
         ("preset_width = 0.0", "preset_width must be positive"),
         ("tail_warn_fraction = -1", "tail_warn_fraction must be nonnegative"),
@@ -494,7 +494,7 @@ class TestPropagate:
         assert capsys.readouterr().err.startswith(f"error: line {lineno}:")
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("fmt", ["csv", "npz"])
     def test_negative_zero_time_shares_tag(self, tmp_path, capsys, fmt):
         # -0.0 is the instant 0.0: tagged t0, so 0.0 and -0.0 are refused
         # as two times of one file
@@ -511,6 +511,21 @@ class TestPropagate:
         assert run(["propagate", "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith(
             f"error: line {lineno}: two times share an output file tag")
+        assert not out_dir.exists()
+
+    def test_json_out_format_refused(self, tmp_path, capsys):
+        # JSON field files are gone: the old key value fails before out_dir
+        # is made, citing its line
+        out_dir = tmp_path / "out"
+        text = (CONFIG_TEMPLATE.replace("out_format = csv", "out_format = json")
+                + f"out_dir = {out_dir}\n")
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        lineno = text.splitlines().index("out_format = json") + 1
+        assert run(["propagate", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: line {lineno}: out_format must be 'csv' or 'npz' "
+            "(JSON field files were replaced by npz)\n")
         assert not out_dir.exists()
 
     def test_negative_zero_time_is_zero(self, tmp_path, capsys):
@@ -551,58 +566,58 @@ class TestPropagate:
 
     def test_field_sectors_sorted(self, tmp_path, capsys):
         shape = SECTORS_SHAPE
-        for fmt in ("csv", "json"):
+        for fmt in ("csv", "npz"):
             path = tmp_path / f"run_{fmt}.cfg"
             path.write_text(SECTORS_CONFIG
                             + f"out_format = {fmt}\nout_dir = {tmp_path / fmt}\n")
             assert run(["propagate", "--config", str(path)]) == 0
             capsys.readouterr()
-        # the field-file layout: per sector, one row per grid point in C
-        # order of the grid, with the values of the JSON file
+        # the field-file layout: per sector in sorted order, one row per
+        # grid point in C order of the grid, with the values of the npz file
         grid = sector_grid(solve_geometry(2, 3), shape)
         nodes = [rule.nodes for rule in grid]
         at = np.unravel_index(np.arange(np.prod(shape)), shape)
         coords = np.stack([ax[i] for ax, i in zip(nodes, at)], axis=1)
         for tag in ("t0", "t1"):
-            with open(tmp_path / "csv" / f"field_{tag}.csv",
-                      encoding="utf-8") as fh:
-                header, *rows = list(csv.reader(fh))
-            assert header == ["s3", "n", "m", "l", "x", "theta1", "theta2",
-                              "theta", "y", "re", "im"]
-            with open(tmp_path / "json" / f"field_{tag}.json",
-                      encoding="utf-8") as fh:
-                payload = json.load(fh)
-            groups = [(key, np.array(list(group), dtype=float)[:, 4:])
-                      for key, group in itertools.groupby(
-                          rows, key=lambda row: tuple(map(int, row[:4])))]
+            groups = _csv_sectors(tmp_path / "csv" / f"field_{tag}.csv")
             assert len(groups) == 5
             assert [key for key, _ in groups] == sorted(set(
                 key for key, _ in groups))
-            assert [key for key, _ in groups] == [
-                (sec["s3"], sec["n"], sec["m"], sec["l"])
-                for sec in payload["sectors"]]
-            for (_, table), sec in zip(groups, payload["sectors"]):
+            for _, table in groups:
                 assert table.shape == (np.prod(shape), 7)
                 assert np.array_equal(table[:, :5], coords)
-                assert np.array_equal(table[:, 5], sec["re"])
-                assert np.array_equal(table[:, 6], sec["im"])
+            _assert_npz_matches_csv(tmp_path / "npz" / f"field_{tag}.npz",
+                                    groups)
 
-    def test_json_output(self, tmp_path, capsys):
-        cfg = (CONFIG_TEMPLATE.replace("out_format = csv", "out_format = json")
+    def test_npz_layout(self, tmp_path, capsys):
+        # t and tail_norm 0-d, the five axes, the sector labels and one
+        # complex array per sector in the grid's shape; nothing pickled
+        cfg = (CONFIG_TEMPLATE.replace("out_format = csv", "out_format = npz")
                .replace("times = 0.0, 1.0", "times = 0.5")
                + f"out_dir = {tmp_path / 'out'}\n")
         path = tmp_path / "run.cfg"
         path.write_text(cfg)
         assert run(["propagate", "--config", str(path)]) == 0
-        capsys.readouterr()
-        with open(tmp_path / "out" / "field_t0p5.json", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        sector = payload["sectors"][0]
-        nx, n1, n2, nth, ny = sector["shape"]
-        assert len(sector["re"]) == nx * n1 * n2 * nth * ny
-        for axis, count in (("x", nx), ("theta1", n1), ("theta2", n2),
-                            ("theta", nth), ("y", ny)):
-            assert len(sector[axis]) == count
+        assert capsys.readouterr().out.startswith(
+            "t=0.5: wrote 147456 rows to field_t0p5.npz")
+        shape = (16, 6, 6, 8, 16)
+        with np.load(tmp_path / "out" / "field_t0p5.npz",
+                     allow_pickle=False) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        assert sorted(arrays) == sorted(
+            ["t", "tail_norm", *_AXES, "sectors", "field_0", "field_1"])
+        assert arrays["t"].shape == arrays["tail_norm"].shape == ()
+        assert arrays["t"].dtype == arrays["tail_norm"].dtype == np.float64
+        assert float(arrays["t"]) == 0.5
+        for axis, count in zip(_AXES, shape):
+            assert arrays[axis].shape == (count,)
+            assert arrays[axis].dtype == np.float64
+        assert arrays["sectors"].dtype == np.int64
+        assert arrays["sectors"].tolist() == [[0, 0, 0, 0], [0, 1, 0, 0]]
+        for k in range(2):
+            assert arrays[f"field_{k}"].shape == shape
+            assert arrays[f"field_{k}"].dtype == np.complex128
+        assert not any(arr.dtype.hasobject for arr in arrays.values())
 
     def test_preset_runs(self, tmp_path, capsys):
         cfg = (CONFIG_TEMPLATE.replace("phi0_coef = 0 0 0 0 0 0 0 0 0 : 1.0 : 0.0\n", "")
@@ -620,21 +635,14 @@ class TestPropagate:
         assert (tmp_path / "out" / "energy_trace.csv").exists()
 
 
-def _reference_write(cfg, grid, sample, path) -> None:
-    """The field-sample writer as a per-row f-string loop, every value
+_AXES = ("x", "theta1", "theta2", "theta", "y")
+
+
+def _reference_write(grid, sample, path) -> None:
+    """The CSV field-sample writer as a per-row f-string loop, every value
     formatted by repr: the output the slab writer must reproduce."""
-    axes = dict(zip(("x", "theta1", "theta2", "theta", "y"),
-                    (rule.nodes.tolist() for rule in grid)))
+    axes = dict(zip(_AXES, (rule.nodes.tolist() for rule in grid)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        if cfg.out_format == "json":
-            json.dump({"t": sample.t, "tail_norm": sample.tail_norm,
-                       "sectors": [{
-                           "s3": sector.s3, "n": sector.n, "m": sector.m,
-                           "l": sector.l, "shape": list(arr.shape), **axes,
-                           "re": arr.real.ravel().tolist(),
-                           "im": arr.imag.ravel().tolist()}
-                           for sector, arr in sample.values.items()]}, fh)
-            return
         fh.write(",".join(("s3", "n", "m", "l", *axes, "re", "im")) + "\n")
         x_text, *rest = ([repr(v) for v in axis] for axis in axes.values())
         tail = [",".join(pt) for pt in itertools.product(*rest)]
@@ -645,6 +653,41 @@ def _reference_write(cfg, grid, sample, path) -> None:
                     f"{lead}{pt},{re!r},{im!r}\n" for pt, re, im in zip(
                         tail, slab.real.ravel().tolist(),
                         slab.imag.ravel().tolist())))
+
+
+def _csv_sectors(path) -> list:
+    """((s3, n, m, l), float table of the columns x .. im) of each sector
+    of a CSV field file, in file order; every float parsed by float()."""
+    with open(path, encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["s3", "n", "m", "l", *_AXES, "re", "im"]
+    return [(key, np.array([list(map(float, row[4:])) for row in group]))
+            for key, group in itertools.groupby(
+                rows, key=lambda row: tuple(map(int, row[:4])))]
+
+
+def _assert_npz_matches_csv(path, groups, sample=None) -> None:
+    """The npz field file at `path` holds bitwise what the CSV `groups`
+    (of `_csv_sectors`) hold: the sector order, the coordinate columns
+    and each sector's values; and the t and tail_norm of `sample`."""
+    with np.load(path, allow_pickle=False) as npz:
+        assert npz["sectors"].tolist() == [list(key) for key, _ in groups]
+        axes = [npz[axis] for axis in _AXES]
+        shape = tuple(axis.size for axis in axes)
+        at = np.unravel_index(np.arange(np.prod(shape)), shape)
+        coords = np.stack([ax[i] for ax, i in zip(axes, at)], axis=1)
+        for k, (_, table) in enumerate(groups):
+            field = npz[f"field_{k}"]
+            assert field.shape == shape and field.dtype == np.complex128
+            assert coords.tobytes() == table[:, :5].tobytes()
+            # complex128 bytes are re, im interleaved: the CSV's last two
+            # columns in row order
+            assert field.tobytes() == table[:, 5:].tobytes()
+        assert len(npz.files) == 8 + len(groups)
+        if sample is not None:
+            for name in ("t", "tail_norm"):
+                assert npz[name].tobytes() == np.float64(
+                    getattr(sample, name)).tobytes()
 
 
 class _CountingFile:
@@ -669,28 +712,33 @@ class TestFieldWriter:
     @pytest.mark.parametrize("config", ["template", "sectors", "gaussian_x"])
     def test_matches_reference_writer(self, tmp_path, capsys, monkeypatch,
                                       config):
-        # every field file bitwise the per-row writer's, in one write per
-        # sector and x slab plus the header (CSV)
+        # every CSV field file bitwise the per-row writer's, in one write
+        # per sector and x slab plus the header; every npz file bitwise
+        # the CSV file's values
         text = {"template": CONFIG_TEMPLATE.replace("out_format = csv\n", ""),
                 "sectors": SECTORS_CONFIG, "gaussian_x": GAUSSIAN_CONFIG}[config]
         write_sample = cli._write_sample
-        writes = {}
+        writes, samples = {}, {}
 
         def checked(cfg, grid, sample, name):
             rows = write_sample(cfg, grid, sample, name)
-            _reference_write(cfg, grid, sample, tmp_path / f"ref_{name}")
+            samples[name] = sample
+            if cfg.out_format == "csv":
+                _reference_write(grid, sample, tmp_path / f"ref_{name}")
             assert rows == sum(arr.size for arr in sample.values.values())
             return rows
 
         def counting_open(path, *args, **kwargs):
-            return _CountingFile(open(path, *args, **kwargs), writes,
-                                 os.path.basename(path))
+            fh = open(path, *args, **kwargs)
+            if not path.endswith(".csv"):
+                return fh
+            return _CountingFile(fh, writes, os.path.basename(path))
 
         monkeypatch.setattr(cli, "_write_sample", checked)
         monkeypatch.setattr(cli, "open", counting_open, raising=False)
         cfg = parse_config(text)
         slab = np.prod(cfg.grid_shape[1:])
-        for fmt in ("csv", "json"):
+        for fmt in ("csv", "npz"):
             out_dir = tmp_path / fmt
             path = tmp_path / f"run_{fmt}.cfg"
             path.write_text(text + f"out_format = {fmt}\nout_dir = {out_dir}\n")
@@ -702,20 +750,24 @@ class TestFieldWriter:
                            if n.startswith("field_"))
             assert len(names) == len(cfg.times)
             for name in names:
+                if fmt == "npz":
+                    groups = _csv_sectors(tmp_path / "csv" / name.replace(
+                        ".npz", ".csv"))
+                    _assert_npz_matches_csv(out_dir / name, groups,
+                                            samples[name])
+                    continue
                 assert ((out_dir / name).read_bytes()
                         == (tmp_path / f"ref_{name}").read_bytes())
-                if fmt == "csv":
-                    with open(out_dir / name, encoding="utf-8") as fh:
-                        rows = sum(1 for _ in fh) - 1
-                    assert rows % slab == 0
-                    assert writes[name] == 1 + rows // slab
+                with open(out_dir / name, encoding="utf-8") as fh:
+                    rows = sum(1 for _ in fh) - 1
+                assert rows % slab == 0
+                assert writes[name] == 1 + rows // slab
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("fmt", ["csv", "npz"])
     def test_edge_values_are_repr(self, tmp_path, fmt):
         # 0.0 and -0.0, nan, the infinities, the least subnormal and the
         # pairs where repr changes notation, all in one x slab and in
-        # both columns: the text of each value is its own repr, except
-        # that JSON spells nan and the infinities NaN, Infinity, -Infinity
+        # both columns: CSV holds each value's own repr, npz its bits
         edge = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
                 1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05, 1.0]
         re = np.array(edge)
@@ -726,27 +778,33 @@ class TestFieldWriter:
         nodes = [np.array([0.5]), np.array([0.25]), np.array([-0.0]),
                  np.array([1.0, 2.0, 3.0]), np.linspace(-1.0, 1.0, 4)]
         grid = [QuadratureRule(a, np.ones_like(a)) for a in nodes]
-        sample = SimpleNamespace(t=0.0, tail_norm=0.0,
+        sample = SimpleNamespace(t=-0.0, tail_norm=5e-324,
                                  values={Sector(0, 0, 0, 0): arr})
         cfg = SimpleNamespace(out_format=fmt, out_dir=str(tmp_path))
         name = f"field.{fmt}"
         assert cli._write_sample(cfg, grid, sample, name) == re.size
-        _reference_write(cfg, grid, sample, tmp_path / f"ref.{fmt}")
-        text = (tmp_path / name).read_text()
-        assert text == (tmp_path / f"ref.{fmt}").read_text()
-        if fmt == "json":
-            spell = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-            for part, vals in (("re", edge), ("im", edge[::-1])):
-                texts = [spell.get(repr(v), repr(v)) for v in vals]
-                assert f'"{part}": [{", ".join(texts)}]' in text
+        if fmt == "npz":
+            with np.load(tmp_path / name, allow_pickle=False) as npz:
+                assert npz["field_0"].tobytes() == arr.tobytes()
+                for axis, want in zip(_AXES, nodes):
+                    assert npz[axis].tobytes() == want.tobytes()
+                assert npz["t"].tobytes() == np.float64(-0.0).tobytes()
+                assert npz["tail_norm"].tobytes() == np.float64(
+                    5e-324).tobytes()
+                assert npz["sectors"].tolist() == [[0, 0, 0, 0]]
             return
+        _reference_write(grid, sample, tmp_path / "ref.csv")
+        text = (tmp_path / name).read_text()
+        assert text == (tmp_path / "ref.csv").read_text()
         rows = [line.split(",") for line in text.splitlines()[1:]]
         assert [row[-2] for row in rows] == [repr(v) for v in edge]
         assert [row[-1] for row in rows] == [repr(v) for v in edge[::-1]]
 
-    def test_json_holds_less_than_the_field(self, tmp_path):
-        # JSON holds at most one x slab of one part as text: the writer's
-        # peak traced memory stays below the field's own bytes
+    @pytest.mark.parametrize("fmt", ["csv", "npz"])
+    def test_writer_holds_less_than_the_field(self, tmp_path, fmt):
+        # CSV holds at most one x slab as text, and npz copies one sector
+        # at most, never the stacked field: the writer's peak traced
+        # memory stays below the field's own bytes
         shape = (16, 6, 6, 10, 10)
         rng = np.random.default_rng(3)
         values = {Sector(0, n, 0, 0): rng.standard_normal(shape)
@@ -754,18 +812,23 @@ class TestFieldWriter:
         grid = [QuadratureRule(np.linspace(0.1, 1.0, n), np.ones(n))
                 for n in shape]
         sample = SimpleNamespace(t=0.0, tail_norm=0.0, values=values)
-        cfg = SimpleNamespace(out_format="json", out_dir=str(tmp_path))
+        cfg = SimpleNamespace(out_format=fmt, out_dir=str(tmp_path))
         tracemalloc.start()
         try:
-            rows = cli._write_sample(cfg, grid, sample, "field_t0.json")
+            rows = cli._write_sample(cfg, grid, sample, f"field_t0.{fmt}")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert rows == 3 * np.prod(shape)
         assert peak < sum(arr.nbytes for arr in values.values())
-        _reference_write(cfg, grid, sample, tmp_path / "ref.json")
-        assert ((tmp_path / "field_t0.json").read_bytes()
-                == (tmp_path / "ref.json").read_bytes())
+        if fmt == "npz":
+            with np.load(tmp_path / "field_t0.npz", allow_pickle=False) as npz:
+                assert [npz[f"field_{k}"].tobytes() for k in range(3)] == [
+                    arr.tobytes() for arr in values.values()]
+            return
+        _reference_write(grid, sample, tmp_path / "ref.csv")
+        assert ((tmp_path / "field_t0.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes())
 
 
 def test_propagate_projects_once(tmp_path, capsys, monkeypatch):
@@ -930,6 +993,20 @@ def test_unreadable_config(tmp_path, capsys, kind):
         path.write_bytes(CONFIG_TEMPLATE.encode() + b"# \xff\xfe\n")
     assert run(["propagate", "--config", str(path)]) == 1
     assert capsys.readouterr().err.startswith(f"error: --config {str(path)!r}:")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "npz"])
+def test_unwritable_field_file_names_out_dir(tmp_path, capsys, fmt):
+    # a field file that cannot be opened for writing (a directory of its
+    # name) ends in the same error line in either format
+    out_dir = tmp_path / "out"
+    (out_dir / f"field_t0.{fmt}").mkdir(parents=True)
+    path = tmp_path / "run.cfg"
+    path.write_text(CONFIG_TEMPLATE.replace("out_format = csv",
+                                            f"out_format = {fmt}")
+                    + f"out_dir = {out_dir}\n")
+    assert run(["propagate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: out_dir {str(out_dir)!r}:")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

@@ -66,12 +66,16 @@ def test_propagation_path_leaves_out_scipy(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    config = tmp_path / "run.cfg"
-    config.write_text(
-        "schema_version = 1\np = 2\nq = 3\ni_max = 1\nn_basis = 12\n"
-        "grid_x = 6\ngrid_t1 = 4\ngrid_t2 = 4\ngrid_theta = 4\ngrid_y = 6\n"
-        "times = 0.0, 1.0\nphi0_coef = 0 0 0 0 0 0 0 0 0 : 1.0 : 0.5\n"
-        f"out_dir = {tmp_path / 'out'}\ncache_dir = {tmp_path / 'cache'}\n")
+    # a CSV and an npz run, the second on the cache the first filled
+    configs = [tmp_path / f"run_{fmt}.cfg" for fmt in ("csv", "npz")]
+    for config in configs:
+        config.write_text(
+            "schema_version = 1\np = 2\nq = 3\ni_max = 1\nn_basis = 12\n"
+            "grid_x = 6\ngrid_t1 = 4\ngrid_t2 = 4\ngrid_theta = 4\n"
+            "grid_y = 6\ntimes = 0.0, 1.0\n"
+            "phi0_coef = 0 0 0 0 0 0 0 0 0 : 1.0 : 0.5\n"
+            f"out_format = {config.stem[4:]}\nout_dir = {tmp_path / 'out'}\n"
+            f"cache_dir = {tmp_path / 'cache'}\n")
     code = f"""
 import contextlib, io, sys
 import numpy as np
@@ -112,7 +116,8 @@ with contextlib.redirect_stdout(io.StringIO()):
                  "spectrum --p 2 --q 3 --nmax 1 --mmax 0 --lmax 0 --kmax 1 "
                  "--jmax 1 --nbasis 12",
                  "radial --p 2 --q 3 --m 1 --l 0 --Lambda 6 --kmax 2",
-                 "propagate --config {config}"):
+                 "propagate --config {configs[0]}",
+                 "propagate --config {configs[1]}"):
         assert run(argv.split()) == 0, argv
 print(loaded())
 for n in (3, 5):

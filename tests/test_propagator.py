@@ -430,6 +430,15 @@ class TestNonFinite:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("M,kappa", [(math.nan, 1.0), (math.inf, 1.0),
+                                         (1.0, math.nan), (1.0, math.inf)])
+    def test_non_finite_constant_refused(self, gp23, M, kappa):
+        # kappa = inf once built a propagator with every c = 2
+        trunc = TruncationSpec(0, 0, 0, 0, 0, 0, 1, n_basis=12,
+                               grid_shape=(4, 4, 4, 4, 4))
+        with pytest.raises(ValueError, match="need finite M >= 0"):
+            KGPropagator(gp23, M, kappa, trunc)
+
     def test_mixed_representation(self, prop):
         sector = Sector(0, 0, 0, 0)
         grid = prop.table.grid

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ypqwave import radial
+from ypqwave.ads import ModeIndex
 from ypqwave.errors import OutOfRange
 from ypqwave.geometry import solve_geometry
 from ypqwave.radial import char_exponents, radial_problem, solve_radial
@@ -201,6 +202,28 @@ class TestEnumerate:
         a = enumerate_modes(gp23, TruncationPolicy(1, 1, 0, 1, 0))
         b = enumerate_modes(gp23, TruncationPolicy(1, 1, 0, 1, 0))
         assert a == b == sorted(a)
+
+
+class TestYModeIndex:
+    def test_tuple_of_the_labels(self):
+        # a tuple of (n, m, l, k, j), sorted and hashed as that tuple, and
+        # the last five labels of a ModeIndex
+        idx = YModeIndex(m=1, n=-1, l=0, k=2, j=0)
+        assert idx == (-1, 1, 0, 2, 0) and hash(idx) == hash((-1, 1, 0, 2, 0))
+        assert (idx.n, idx.m, idx.l, idx.k, idx.j) == (-1, 1, 0, 2, 0)
+        assert ModeIndex(1, 1, 0, -1, 1, 0, 2, 0)[3:] == idx
+        assert sorted([YModeIndex(0, 0, 0, 1, 0), idx,
+                       YModeIndex(0, 0, 0, 0, 1)]) == [
+            idx, YModeIndex(0, 0, 0, 0, 1), YModeIndex(0, 0, 0, 1, 0)]
+
+    @pytest.mark.parametrize("make", [
+        lambda: YModeIndex(0, 0, 0, -1, 0),
+        lambda: YModeIndex(k=0, j=-1, n=0, m=0, l=0),
+        lambda: YModeIndex._make((0, 0, 0, 0, -2)),
+        lambda: YModeIndex(0, 0, 0, 0, 0)._replace(k=-1)])
+    def test_negative_excitation_refused(self, make):
+        with pytest.raises(ValueError, match="k, j must be nonnegative"):
+            make()
 
 
 class TestGram:

@@ -1,5 +1,6 @@
 """Micro-benchmark of the field writer, `cli._write_sample`, in both
-of its formats, CSV and JSON, which share one slab formatter.
+of its formats: CSV, formatted one x slab at a time, and npz, one
+uncompressed `np.savez` of the sector arrays.
 
 Two fields on the same writer: one repetitive like a `propagate_csv`
 run (grid 6 x 4 x 4 x 6 x 6; a sector constant but in x, two constant
@@ -40,7 +41,7 @@ def _distinct(rng):
     return shape, {Sector(0, 0, 0, 0): _complex(rng, shape)}
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("fmt", ["csv", "npz"])
 @pytest.mark.parametrize("field", [_repetitive, _distinct],
                          ids=["repetitive", "distinct"])
 def test_write_sample(benchmark, tmp_path, field, fmt):
