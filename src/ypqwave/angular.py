@@ -52,7 +52,8 @@ def angular_eigenvalue(n: int, m: int, j: int) -> float:
 
 
 def _log_norm_const(a: int, b: int, j):
-    """log C_{nmj} = log sqrt(2^(a+b) / h_j), elementwise over j."""
+    """log C_{nmj} = log sqrt(2^(a+b) / h_j) at one degree j: angular_mode
+    and angular_gram take every C_j from here, one at a time."""
     return 0.5 * ((a + b) * math.log(2.0) - jacobi_log_norm(a, b, j))
 
 
@@ -96,22 +97,24 @@ class AngularMode:
             [(self.a_exp, s, 0.5 * c, -0.25 * s),
              (self.b_exp, c, -0.5 * s, -0.25 * c)])
 
+    def apply(self, theta, v, v1, v2):
+        """(T v)(theta) from v, v' and v'' at interior points theta."""
+        pot = ((self.n + 2.0 * self.m * np.cos(theta)) / np.sin(theta)) ** 2
+        return v2 + v1 / np.tan(theta) - pot * v
+
     def operator_residual(self, theta):
         """T v + Lambda v at interior points (zero for an eigenfunction)."""
-        th = np.asarray(theta, dtype=float)
-        v, vp, vpp = self.value_and_derivs(th)
-        pot = ((self.n + 2.0 * self.m * np.cos(th)) / np.sin(th)) ** 2
-        return vpp + vp / np.tan(th) - pot * v + self.lambda_cap * v
+        v, vp, vpp = self.value_and_derivs(theta)
+        return self.apply(theta, v, vp, vpp) + self.lambda_cap * v
 
 
 def angular_mode(n: int, m: int, j: int) -> AngularMode:
     """v_{nmj}; OutOfRange when its eigenvalue or norm constant is not a
     finite double."""
-    a = abs(n + 2 * m)
-    b = abs(n - 2 * m)
     try:
         lam = angular_eigenvalue(n, m, j)
-        log_c = _log_norm_const(a, b, j)  # plain floats: refused below
+        # plain floats: an overflow is refused below
+        log_c = _log_norm_const(abs(n + 2 * m), abs(n - 2 * m), j)
     except OverflowError as exc:  # labels whose products no double holds
         raise OutOfRange(f"angular mode {(n, m, j)}: {exc}") from None
     if not log_c < math.log(sys.float_info.max):
@@ -134,7 +137,7 @@ def angular_gram(n: int, m: int, j_max: int) -> np.ndarray:
     a = abs(n + 2 * m)
     b = abs(n - 2 * m)
     rule = gauss_jacobi(a, b, size)
-    log_c = _log_norm_const(a, b, np.arange(j_max + 1))
+    log_c = np.array([_log_norm_const(a, b, j) for j in range(j_max + 1)])
     basis = jacobi_poly_all(a, b, j_max, rule.nodes)
     # int_0^pi v_j v_k sin dtheta = 2 C_j C_k 2^{-a-b-1} int (1-x)^a (1+x)^b P_j P_k dx;
     # C_j C_k 2^{-a-b} in log space: C_j overflows and 2^{-a-b} underflows

@@ -34,7 +34,7 @@ __all__ = ["CacheKey", "cache_get_or_solve", "SOLVER_VERSION"]
 
 # bump on any change to the radial discretization, its eigensolver or
 # norm check, the geometry constants or the entry format
-SOLVER_VERSION = "galerkin-jacobi-6"
+SOLVER_VERSION = "galerkin-jacobi-7"
 
 
 @dataclass(frozen=True)

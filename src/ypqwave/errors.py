@@ -13,7 +13,8 @@ class InvalidLabel(YpqError):
 
 
 class OutOfRange(YpqError):
-    """Evaluation point outside the coordinate chart."""
+    """A point outside the chart or interval, or an input, constant or
+    result that is not finite or overflows a double."""
 
 
 class DegreeOrderError(YpqError):
@@ -25,7 +26,7 @@ class EigenFailure(YpqError):
 
 
 class QuadratureUnderflow(YpqError):
-    """Quadrature weights degenerate for the requested rule."""
+    """The zeroth moment mu0 of a Gauss-Jacobi weight overflows a double."""
 
 
 class NotConverged(YpqError):

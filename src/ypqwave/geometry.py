@@ -53,6 +53,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidLabel, OutOfRange
 
 __all__ = ["GeometryParams", "ProfileValues", "solve_geometry", "eval_profiles"]
@@ -85,13 +87,13 @@ class GeometryParams:
 
 @dataclass(frozen=True)
 class ProfileValues:
-    """Metric profile functions at one point of the y-interval."""
+    """Metric profile functions at a point, or points, of the y-interval."""
 
-    w: float
-    r: float
-    h: float
-    rho: float
-    rho_B: float
+    w: float | np.ndarray
+    r: float | np.ndarray
+    h: float | np.ndarray
+    rho: float | np.ndarray
+    rho_B: float | np.ndarray
 
 
 def profile_h(y: float, a: float) -> float:
@@ -122,14 +124,16 @@ def solve_geometry(p: int, q: int) -> GeometryParams:
                           sigma=math.lcm(2, p, q, 2 * p - q))
 
 
-def eval_profiles(gp: GeometryParams, y: float) -> ProfileValues:
-    """Profile functions at y in [y_minus, y_plus]."""
-    if not gp.y_minus <= y <= gp.y_plus:
-        raise OutOfRange(f"y={y} outside [{gp.y_minus}, {gp.y_plus}]")
+def eval_profiles(gp: GeometryParams, y) -> ProfileValues:
+    """Profile functions at y, a point or an array of points, in
+    [y_minus, y_plus]; OutOfRange naming the first point outside."""
+    y = np.asarray(y, dtype=float)
+    outside = ~((gp.y_minus <= y) & (y <= gp.y_plus))
+    if outside.any():
+        raise OutOfRange(f"y={y[outside].flat[0]} outside "
+                         f"[{gp.y_minus}, {gp.y_plus}]")
     a = gp.a
     w = 2.0 * (a - y * y) / (1.0 - y)
-    r = (a - 3.0 * y * y + 2.0 * y ** 3) / (a - y * y)
-    h = profile_h(y, a)
-    rho = (1.0 - y) / 18.0
-    rho_b = (1.0 - y) / (18.0 * math.sqrt(w))
-    return ProfileValues(w=w, r=r, h=h, rho=rho, rho_B=rho_b)
+    return ProfileValues(w=w, r=(a - 3.0 * y * y + 2.0 * y ** 3) / (a - y * y),
+                         h=profile_h(y, a), rho=(1.0 - y) / 18.0,
+                         rho_B=(1.0 - y) / (18.0 * np.sqrt(w)))

@@ -238,11 +238,16 @@ class KGPropagator:
         once; a TruncationWarning when the tail exceeds
         `tail_warn_fraction` of the data norm, OutOfRange when the data
         norm or a mode energy is not finite."""
-        return self._project(data, stacklevel=3)
+        return self._projected(data)
 
-    def _project(self, data: CauchyData, stacklevel: int) -> Projection:
-        """`project`, its TruncationWarning attributed to the frame
-        `stacklevel` up from here: the caller of the public method."""
+    def _projected(self, data, t: float = 0.0) -> Projection:
+        """`data` projected (a Projection is kept) for the public method
+        that calls this, whose caller a TruncationWarning names;
+        OutOfRange unless t sqrt(Omega) is finite."""
+        if not math.isfinite(t * math.sqrt(self._omega.max())):
+            raise OutOfRange(f"t = {t!r}: t sqrt(Omega) is not finite")
+        if isinstance(data, Projection):
+            return data
         # overflow is refused below, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
             a0, s0, tail0 = self._gather(data.phi0)
@@ -258,18 +263,9 @@ class KGPropagator:
             warnings.warn(
                 f"dropped-coefficient norm {tail:.3e} exceeds "
                 f"{self.trunc.tail_warn_fraction:.0%} of the data norm",
-                TruncationWarning, stacklevel=stacklevel)
+                TruncationWarning, stacklevel=3)
         return Projection(a0, a1, s0 | s1, tail,
                           not isinstance(data.phi0, SpectralCoefficients))
-
-    def _projected(self, data, t: float = 0.0) -> Projection:
-        """Projection of `data` for a public method that calls this
-        directly; OutOfRange unless t sqrt(Omega) is finite."""
-        if not math.isfinite(t * math.sqrt(self._omega.max())):
-            raise OutOfRange(f"t = {t!r}: t sqrt(Omega) is not finite")
-        if isinstance(data, Projection):
-            return data
-        return self._project(data, stacklevel=4)
 
     # -- evolution --------------------------------------------------------
 

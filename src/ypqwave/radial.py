@@ -55,14 +55,13 @@ CLI run), never to several threads, and nothing outlives the call.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError, cholesky, eigh, eigvalsh, inv
 
 from .errors import EigenFailure, NotConverged, OutOfRange, require_memory
-from .geometry import GeometryParams
+from .geometry import GeometryParams, eval_profiles, profile_h
 from .specfun import (christoffel, envelope_jacobi_derivs, gauss_nodes,
                       jacobi_log_norm, jacobi_matrix, jacobi_poly_all)
 
@@ -101,26 +100,25 @@ class RadialProblem:
         """sigma*l/tau, the frequency entering the potential."""
         return self.gp.sigma * self.l / self.gp.tau
 
+    @property
+    def label(self) -> str:
+        """The problem as error messages name it."""
+        labels = (self.gp.p, self.gp.q, self.m, self.l, self.lambda_cap)
+        return f"(p, q, m, l, Lambda) = {labels}"
+
     def potential_charge(self, y):
         """2m + h(y) sigma l / tau, whose endpoint values are +-2 nu."""
-        a = self.gp.a
-        h = (a - 2.0 * y + y * y) / (6.0 * (a - y * y))
-        return 2.0 * self.m + h * self.alpha_freq
+        return 2.0 * self.m + profile_h(y, self.gp.a) * self.alpha_freq
 
     def apply(self, y, g, g1, g2):
-        """(S g)(y) from g, g' and g'' at interior points y."""
-        a = self.gp.a
-        c3 = a - 3.0 * y ** 2 + 2.0 * y ** 3
-        c = c3 / 9.0
-        cp = (6.0 * y * y - 6.0 * y) / 9.0
-        rho = (1.0 - y) / 18.0
-        w = 2.0 * (a - y * y) / (1.0 - y)
-        r = c3 / (a - y * y)
+        """(S g)(y) from g, g' and g'' at interior points y, as
+        w r g'' - 12 y g' - V g: rho w r = (a - 3y^2 + 2y^3)/9 has the
+        derivative -12 y rho, and 6 Lambda/(1 - y) = Lambda/(3 rho)."""
+        pv = eval_profiles(self.gp, y)
         mu = self.alpha_freq
-        charge = self.potential_charge(y)
-        pot = mu * mu / w + 9.0 * charge * charge / r \
-            + 6.0 * self.lambda_cap / (1.0 - y)
-        return (c * g2 + cp * g1) / rho - pot * g
+        pot = mu * mu / pv.w + 9.0 * self.potential_charge(y) ** 2 / pv.r \
+            + self.lambda_cap / (3.0 * pv.rho)
+        return pv.w * pv.r * g2 - 12.0 * y * g1 - pot * g
 
 
 def radial_problem(gp: GeometryParams, m: int, l: int,
@@ -165,8 +163,7 @@ def _exponent_tables(gp: GeometryParams, nm: float, npl: float,
                            np.array([[b_d], [b], [b + 1.0], [b]]),
                            n_nodes - 1, np.stack((t_d, t_d, t_d, t_b)))
     # over mu0 of the basis weight (the dropped factor), on the pbar_k
-    w_d = math.exp(log_d[0]) / christoffel(rows[:, 0], log_d) \
-        * np.exp(-log_h[0])
+    w_d = _mu0_ratio(a, b) / christoffel(rows[:, 0], log_d)
     scale = np.exp(0.5 * (log_h[0] - log_h[:n_basis]))[:, None]
     # the mass rule as V[:n_basis], V_ki = pbar_k(x_i) sqrt(lambda_i)
     v_b = scale * rows[:n_basis, 3] / np.sqrt(christoffel(rows[:, 3], log_h))
@@ -189,6 +186,16 @@ def _exponent_tables(gp: GeometryParams, nm: float, npl: float,
                          f"exponents ({nm}, {npl}) are not finite")
     # B is positive definite with cond(B) bounded (module docstring)
     return *tables, inv(cholesky(b_mat))
+
+
+def _mu0_ratio(a: float, b: float) -> float:
+    """mu0(a_d, b_d) / mu0(a, b), mu0(a, b) = 2^(a+b+1) G(a+1) G(b+1) /
+    G(a+b+2), for the derivative rule's exponents a - 1, b - 1 (a zero
+    lifted to 1): 1/a or 1/b per lowered exponent times 2^s G(a+b+2) /
+    G(a_d+b_d+2), s = -2, 0, 2.  One rounding for a + b below 10^8."""
+    if a and b:
+        return (a + b) * (a + b + 1.0) / (4.0 * a * b)
+    return 1.0 / (a + b) if a or b else 2.0 / 3.0
 
 
 def _p_scale(gp: GeometryParams, nm: float, npl: float, n: int):
@@ -323,8 +330,7 @@ def solve_radial(prob: RadialProblem, k_max: int, n_basis: int,
     n_big = int(np.ceil(1.25 * n_basis))
     tabs = _galerkin_tables(prob, n_big, tables)
     w_mat = tabs[-1]
-    labels = (prob.gp.p, prob.gp.q, prob.m, prob.l, prob.lambda_cap)
-    named = f"(p, q, m, l, Lambda) = {labels}, n_basis = {n_basis}"
+    named = f"{prob.label}, n_basis = {n_basis}"
     with np.errstate(over="ignore", invalid="ignore"):
         pencil = w_mat @ _stiffness(prob, tabs) @ w_mat.T
     if not np.isfinite(pencil).all():
@@ -349,7 +355,7 @@ def solve_radial(prob: RadialProblem, k_max: int, n_basis: int,
         if drift > _CONV_REL:
             raise NotConverged(
                 f"eigenvalue {k} moved by {drift:.2e} under basis refinement")
-    resid = _norm_residuals(prob, vecs, n_big, tables)
+    resid = _norm_residuals(vecs, tabs)
     modes = []
     for k in range(k_max + 1):
         ell = ell_b[k]
@@ -361,10 +367,10 @@ def solve_radial(prob: RadialProblem, k_max: int, n_basis: int,
     return modes
 
 
-def _norm_residuals(prob: RadialProblem, vecs: np.ndarray, n_basis: int,
-                    tables: dict):
-    """|B-norm by the Galerkin mass rule - 1| per column: the rule
-    integrates u_k^2 rho exactly, so this measures the eigensolve alone."""
-    _, y, rows, *_ = _galerkin_tables(prob, n_basis, tables)
+def _norm_residuals(vecs: np.ndarray, tabs: tuple):
+    """|B-norm by the Galerkin mass rule - 1| per column, from the
+    `_exponent_tables` of the solve: the rule integrates u_k^2 rho
+    exactly, so this measures the eigensolve alone."""
+    _, y, rows, *_ = tabs
     vals = vecs.T @ rows
     return np.abs((vals * vals) @ ((1.0 - y) / 18.0) - 1.0)

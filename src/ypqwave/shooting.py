@@ -250,13 +250,6 @@ def _half(prob: RadialProblem, pqr: np.ndarray, endpoint: int,
     return u, du, steps
 
 
-def _labels(prob: RadialProblem) -> str:
-    """The problem as an error message names it."""
-    gp = prob.gp
-    labels = (gp.p, gp.q, prob.m, prob.l, prob.lambda_cap)
-    return f"(p, q, m, l, Lambda) = {labels}"
-
-
 def _halves(prob: RadialProblem, ell: float):
     """`_half` from each endpoint at ell, left first; NotConverged names
     the problem and ell."""
@@ -270,7 +263,7 @@ def _halves(prob: RadialProblem, ell: float):
             return (_half(prob, pqr, -1, y_match),
                     _half(prob, pqr, 1, y_match))
     except NotConverged as exc:
-        raise NotConverged(f"{exc} for {_labels(prob)}, ell = {ell}") from None
+        raise NotConverged(f"{exc} for {prob.label}, ell = {ell}") from None
 
 
 def _mismatch(halves) -> float:
@@ -355,7 +348,7 @@ def _root(prob: RadialProblem, lo: float, hi: float, ends=()):
             known[ell] = _mismatch(shot[ell])
         return known[ell]
 
-    ell = _brentq(mismatch, lo, hi, f"the mismatch of {_labels(prob)}")
+    ell = _brentq(mismatch, lo, hi, f"the mismatch of {prob.label}")
     return ell, _oscillation_count(prob, ell, shot.get(ell))
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .angular import AngularMode, angular_eigenvalue, angular_mode
 from .errors import OutOfRange, require_memory
-from .geometry import GeometryParams
+from .geometry import GeometryParams, eval_profiles
 from .radial import RadialMode, radial_problem, solve_radial
 from .specfun import gauss_jacobi, rule_on_interval
 
@@ -203,11 +203,10 @@ def sector_gram(modes: list[YEigenmode]) -> np.ndarray:
     n_coeff = max(len(md.radial.coeffs) for md in modes)
     deg_y = int(2.0 * (prob.nu_minus + prob.nu_plus)) + 2 * n_coeff + 1
     y, yw = rule_on_interval(gp.y_minus, gp.y_plus, 0.0, 0.0, deg_y // 2 + 4)
-    rho = (1.0 - y) / 18.0
     th_vals = np.vstack([md.angular.value(theta) for md in modes])
     y_vals = np.vstack([md.radial.value(y) for md in modes])
     gram_th = (th_vals * th_rule.weights) @ th_vals.T
-    gram_y = (y_vals * (yw * rho)) @ y_vals.T
+    gram_y = (y_vals * (yw * eval_profiles(gp, y).rho)) @ y_vals.T
     return gram_th * gram_y
 
 
@@ -228,7 +227,6 @@ def laplacian_residual(mode: YEigenmode, pts: list[YPoint]) -> np.ndarray:
     """|Delta u + lambda u| / (lambda |u| + 1) at chart points, with all
     derivatives taken analytically on the closed forms."""
     gp = mode.gp
-    idx = mode.index
     prob = mode.radial.problem
     for pt in pts:
         pt.validate(gp)
@@ -237,8 +235,7 @@ def laplacian_residual(mode: YEigenmode, pts: list[YPoint]) -> np.ndarray:
     g, g1, g2 = mode.radial.value_and_derivs(y)
     v, v1, v2 = mode.angular.value_and_derivs(th)
     # Delta u = (S + 6 Lambda/(1-y)) g v + 6/(1-y) g T v
-    t_v = v2 + v1 / np.tan(th) \
-        - ((idx.n + 2.0 * idx.m * np.cos(th)) / np.sin(th)) ** 2 * v
+    t_v = mode.angular.apply(th, v, v1, v2)
     lap = (prob.apply(y, g, g1, g2) * v
            + (6.0 / (1.0 - y)) * (t_v + prob.lambda_cap * v) * g)
     return np.abs(lap + mode.lam * g * v) / (np.abs(mode.lam * g * v) + 1.0)

@@ -23,6 +23,7 @@ from ypqwave.errors import (FieldTooLarge, GridMismatch, IndexChainError,
 from ypqwave.propagator import TruncationSpec, enumerate_beta
 from ypqwave.radial import RadialMode
 from ypqwave.specfun import (QuadratureRule, assoc_legendre, gauss_jacobi,
+                             gegenbauer_scale, legendre_scale,
                              rule_on_interval)
 from ypqwave.spectrum import TruncationPolicy, build_modes, enumerate_modes
 
@@ -120,6 +121,24 @@ class TestHarmonics:
                        * complex(math.cos(s3 * t3), math.sin(s3 * t3)))
                 got = s3_harmonic(s1, s2, s3, (t1, t2, t3))
                 assert abs(got - ref) < 1e-13 * max(1.0, abs(ref))
+
+    def test_factor_values_are_the_derivs_values(self):
+        # each factor of Y^{s1 s2 s3}, s1 <= 4, evaluated two ways: as the
+        # harmonic takes it and as the Laplace residual differentiates it
+        t = np.random.default_rng(4).uniform(0.3, 2.8, 20)
+        for s1 in range(5):
+            for s2 in range(s1 + 1):
+                r = s1 - s2
+                val = ads._t1_factor(s1, s2, t)
+                diff = val - ads._sin_jacobi_derivs(
+                    s2, s2 + 0.5, gegenbauer_scale(s2 + 1.0, r), r, t)[0]
+                assert np.abs(diff).max() <= 1e-13 * np.abs(val).max()
+                for s3 in range(-s2, s2 + 1):
+                    k = abs(s3)
+                    val = assoc_legendre(s2, s3, np.cos(t))
+                    diff = val - ads._sin_jacobi_derivs(
+                        k, k, legendre_scale(s2, s3), s2 - k, t)[0]
+                    assert np.abs(diff).max() <= 1e-13 * np.abs(val).max()
 
     @pytest.mark.parametrize("s1,s2,s3", [(1, 0, 0), (2, 1, 1), (3, 2, -2),
                                           (3, 3, 3), (4, 2, 0)])

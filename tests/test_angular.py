@@ -8,7 +8,7 @@ import pytest
 from scipy.special import eval_legendre
 
 from ypqwave.angular import (angular_eigenvalue, angular_gram, angular_mode)
-from ypqwave import errors
+from ypqwave import angular, errors
 from ypqwave.errors import FieldTooLarge, OutOfRange
 from ypqwave.specfun import jacobi_norm_integral
 
@@ -71,6 +71,16 @@ class TestMode:
         md = angular_mode(2, 1, 3)
         assert np.abs(md.operator_residual(CHEB40)).max() < 1e-7
 
+    def test_value_is_value_and_derivs(self):
+        # the closed form evaluated two ways, on the selftest's grid
+        for n in range(-3, 4):
+            for m in range(-3, 4):
+                for j in range(11):
+                    md = angular_mode(n, m, j)
+                    val = md.value(CHEB40)
+                    diff = np.abs(val - md.value_and_derivs(CHEB40)[0]).max()
+                    assert diff <= 1e-13 * np.abs(val).max(), (n, m, j)
+
     def test_legendre_reduction(self):
         # n = m = 0 modes are normalized Legendre polynomials of cos(theta)
         theta = np.linspace(0.2, 2.9, 9)
@@ -93,6 +103,27 @@ class TestGram:
     def test_identity_at_large_exponents(self, n, m, jmax):
         g = angular_gram(n, m, jmax)
         assert np.abs(g - np.eye(jmax + 1)).max() < 1e-11
+
+    def test_constants_are_the_modes(self, monkeypatch):
+        # the Gram's C_j are bitwise those of angular_mode, over the
+        # selftest's (n, m) grid
+        seen, log_norm_const = [], angular._log_norm_const
+
+        def spy(a, b, j):
+            out = log_norm_const(a, b, j)
+            seen.append(np.atleast_1d(out))
+            return out
+
+        monkeypatch.setattr(angular, "_log_norm_const", spy)
+        for n in range(-3, 4):
+            for m in range(-3, 4):
+                seen.clear()
+                angular_gram(n, m, 10)
+                in_gram = np.concatenate(seen)
+                seen.clear()
+                for j in range(11):
+                    angular_mode(n, m, j)
+                assert in_gram.tobytes() == np.concatenate(seen).tobytes()
 
     def test_single_mode(self):
         g = angular_gram(0, 0, 0)

@@ -1129,14 +1129,16 @@ class TestCache:
                                          "galerkin-jacobi-2",
                                          "galerkin-jacobi-3",
                                          "galerkin-jacobi-4",
-                                         "galerkin-jacobi-5"])
+                                         "galerkin-jacobi-5",
+                                         "galerkin-jacobi-6"])
     def test_old_solver_version_is_a_plain_miss(self, tmp_path, gp23,
                                                 version):
         # an entry of an earlier discretization (coefficients in another
         # basis), geometry (bisection constants), norm check (a finer
         # rule), entry format (geometry and problem stored with the
-        # eigenpairs) or eigensolver (scipy's, other bits) is re-solved
-        # without a corruption warning, and kept
+        # eigenpairs), eigensolver (scipy's, other bits) or derivative
+        # rule weights (a log-gamma mu0 ratio) is re-solved without a
+        # corruption warning, and kept
         prob = radial_problem(gp23, 1, 0, 2.0)
         old = CacheKey(p=2, q=3, m=1, l=0, lambda_cap=2.0, n_basis=16,
                        solver_version=version)

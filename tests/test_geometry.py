@@ -124,6 +124,20 @@ class TestProfiles:
         with pytest.raises(OutOfRange):
             eval_profiles(gp23, gp23.y_plus + 0.01)
 
+    def test_array_points(self, gp23):
+        # an array call gives, point by point, the scalar call's bits
+        ys = np.linspace(gp23.y_minus, gp23.y_plus, 11)
+        pv = eval_profiles(gp23, ys)
+        for name in ("w", "r", "h", "rho", "rho_B"):
+            assert getattr(pv, name).tobytes() == np.array(
+                [getattr(eval_profiles(gp23, y), name) for y in ys]).tobytes()
+
+    @pytest.mark.parametrize("bad", [0.9, -0.9, math.nan])
+    def test_array_point_out_of_range(self, gp23, bad):
+        ys = np.array([0.0, bad, 0.1])
+        with pytest.raises(OutOfRange, match=re.escape(f"y={bad} outside")):
+            eval_profiles(gp23, ys)
+
     def test_w_positive_r_nonnegative(self, gp23):
         ys = np.linspace(gp23.y_minus, gp23.y_plus, 101)
         pvs = [eval_profiles(gp23, y) for y in ys]

@@ -5,6 +5,7 @@ import ast
 import math
 import re
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +106,20 @@ class TestAssembly:
         for n in (28, 75):
             _, b = assemble_galerkin(radial_problem(gp, 0, 1, 0.0), n)
             assert np.linalg.cond(b) < min(bound, 10.0)
+
+    @pytest.mark.parametrize("a,b", [(1563, 3687), (0, 7), (5, 0), (0, 0),
+                                     (3, 5), (735, 315)])
+    def test_mu0_ratio_exact(self, a, b):
+        # the derivative rule's weights are scaled by mu0(a_d, b_d) /
+        # mu0(a, b), mu0(a, b) = 2^(a+b+1) a! b! / (a+b+1)! at integers;
+        # (1563, 3687) is Y^{5,7} at (m, l) = (6, 5), where a difference
+        # of log-gammas is off by 7e-12
+        def mu0(a, b):
+            return Fraction(2 ** (a + b + 1) * math.factorial(a)
+                            * math.factorial(b), math.factorial(a + b + 1))
+        a_d, b_d = a - 1 if a else 1, b - 1 if b else 1
+        exact = mu0(a_d, b_d) / mu0(a, b)
+        assert radial._mu0_ratio(float(a), float(b)) == float(exact)
 
 
 class TestSolveRadial:
@@ -281,6 +296,20 @@ class TestEval:
         rho = (1.0 - y) / 18.0
         inner = float(np.dot(w * rho, modes[0].value(y) * modes[1].value(y)))
         assert abs(inner) < 1e-9
+
+    @pytest.mark.parametrize("p,q,m,l,lam", [
+        (2, 3, 0, 0, 0.0), (2, 3, 1, 0, 6.0), (2, 3, 2, -1, 2.0),
+        (2, 3, 1, 1, 6.0), (5, 7, 0, 1, 0.0), (5, 7, 0, -1, 0.0)])
+    def test_value_is_value_and_derivs(self, p, q, m, l, lam):
+        # the closed form evaluated two ways: Y^{5,7} with l = +-1 has
+        # the endpoint exponents 367.5 and 157.5
+        gp = solve_geometry(p, q)
+        prob = radial_problem(gp, m, l, lam)
+        ys = np.linspace(gp.y_minus, gp.y_plus, 41)[1:-1]
+        for md in solve_radial(prob, 2, 28):
+            val = md.value(ys)
+            diff = np.abs(val - md.value_and_derivs(ys)[0]).max()
+            assert diff <= 1e-13 * np.abs(val).max()
 
     def test_operator_residual_pointwise(self, gp23):
         md = solve_radial(radial_problem(gp23, 1, 1, 6.0), 2, 32)[2]
