@@ -17,6 +17,13 @@ Pieces:
       eigenvalue Omega_i = (2i + s + c + 2)^2,
       c = sqrt(4 + (M^2 + lam)/kappa) >= 2.
 
+  c is the AdS5 index nu of the effective mass.  The second solution
+  goes as sin^{2-c} x near the boundary x -> 0, not square-integrable
+  under d nu for c >= 1, so there L has one self-adjoint realization,
+  this sin^{2+c} x branch, and the propagator evolved with it is the
+  unique admissible one (Breitenlohner and Freedman, Ann. Phys. 144
+  (1982) 249; Ishibashi and Wald, Class. Quantum Grav. 21 (2004) 2981).
+
 * Projection of gridded Cauchy data onto the product basis.  Data is
   stored per phase sector (s3, n, m, l) as a 5d array over quadrature
   nodes in (x, t1, t2, theta, y); the five phase integrals are exact

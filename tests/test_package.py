@@ -58,10 +58,10 @@ def test_selftest_checks_have_one_size_and_one_criterion():
 
 
 def test_propagation_path_leaves_out_scipy(tmp_path):
-    # geometry to output file runs on numpy alone; only a Duhamel spline of
-    # three or more slices and the shooting oracle, each with a LAPACK
-    # driver numpy lacks, load scipy.linalg, and nothing loads
-    # scipy.special, scipy.optimize or scipy.interpolate
+    # geometry to output file runs on numpy alone, a Duhamel spline of any
+    # length included; only the shooting oracle, for a LAPACK driver numpy
+    # lacks, loads scipy.linalg, and nothing loads scipy.special,
+    # scipy.optimize or scipy.interpolate
     src = str(Path(ypqwave.__file__).parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -122,9 +122,10 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(loaded())
 for n in (3, 5):
     prop.evolve_inhomogeneous(data, source(n), 0.7, synthesize_values=False)
+print(loaded())
 shooting_oracle(radial_problem(gp, 0, 0, 0.0), (-1e-6, 1e-6), 0)
 print(loaded('special', 'optimize', 'interpolate'), 'scipy.linalg' in loaded())
 """
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.split("\n")[:2] == ["[]", "[] True"]
+    assert proc.stdout.split("\n")[:3] == ["[]", "[]", "[] True"]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from ypqwave.ads import ModeIndex, Sector, SpectralCoefficients, synthesize
 from ypqwave.cli import _build_data
@@ -16,7 +17,7 @@ from ypqwave.config import parse_config
 from ypqwave.errors import GridMismatch, OutOfRange, SourceCoverage
 from ypqwave.propagator import (CauchyData, KGPropagator, Projection,
                                 SourceTerm, TruncationSpec, TruncationWarning,
-                                _not_a_knot, enumerate_beta)
+                                _gtsv, _not_a_knot, enumerate_beta)
 
 
 @pytest.fixture(scope="module")
@@ -249,6 +250,25 @@ class TestInhomogeneous:
         with pytest.raises(SourceCoverage):
             prop.evolve_inhomogeneous(random_data, src, 2.0)
 
+    @pytest.mark.parametrize("times", [[0.0, 1e-310, 2e-310, 1.0],
+                                       [0.0, 5e-324, 1e-323, 1.0],
+                                       [0.0, 1e-200, 2e-200, 3e-200, 1.0]])
+    def test_stamps_too_close_for_the_spline(self, prop, random_data, times):
+        # increasing stamps whose spacings underflow in the spline's slope
+        # system: a zero pivot, once a raw LinAlgError
+        unit = SpectralCoefficients({(prop.betas[0], 0): 1.0})
+        src = SourceTerm(times, [unit] * len(times))
+        with pytest.raises(SourceCoverage, match=re.escape(
+                f"source time stamps {times} are too close together")):
+            prop.evolve_inhomogeneous(random_data, src, 1.0)
+
+    def test_stamps_overflowing_the_spline(self, prop, random_data):
+        key = (prop.betas[0], 0)
+        src = SourceTerm([0.0, 1e-300, 1.0],
+                         [SpectralCoefficients({key: T}) for T in (1, 2, 0)])
+        with pytest.raises(OutOfRange, match="overflows a double"):
+            prop.evolve_inhomogeneous(random_data, src, 1.0)
+
     def test_empty_source_rejected(self):
         # it used to reach evolve_inhomogeneous and fail there on times[0]
         with pytest.raises(SourceCoverage, match="at least one"):
@@ -321,6 +341,29 @@ def test_not_a_knot_is_cubic_spline(n, tail, dtype):
     ref = CubicSpline(x, y, axis=0).c
     assert c.dtype == ref.dtype and c.shape == ref.shape
     assert c.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 16, 31])
+@pytest.mark.parametrize("cols", [1, 5])
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("swap_first", [False, True])
+def test_gtsv_is_solve_banded(n, cols, dtype, swap_first):
+    # general tridiagonal systems, both pivoting branches taken; with
+    # |dl_0| > |d_0| the first step swaps rows, and for n = 2 that first
+    # step is also the last row's (k == n - 2)
+    rng = np.random.default_rng([n, cols, swap_first])
+    ab = rng.normal(size=(3, n)) * 10.0 ** rng.uniform(-3, 3, (3, n))
+    ab[0, 0] = ab[2, -1] = 0.0
+    if swap_first:
+        ab[2, 0] = 10.0 * abs(ab[1, 0]) + 1.0
+    rhs = rng.normal(size=(n, cols))
+    if dtype is complex:
+        rhs = rhs + 1j * rng.normal(size=rhs.shape)
+    ref = solve_banded((1, 1), ab, rhs)
+    got = rhs.copy()
+    _gtsv(ab[2, :-1].tolist(), ab[1].tolist(), ab[0, 1:].tolist(),
+          got.view(float))
+    assert got.tobytes() == ref.tobytes()
 
 
 def _assert_same_sample(a, b):
