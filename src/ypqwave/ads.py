@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -75,10 +76,10 @@ from .specfun import (QuadratureRule, assoc_legendre, envelope_jacobi_derivs,
                       gauss_jacobi, gegenbauer_scale, jacobi_log_norm,
                       jacobi_poly_all, legendre_scale, rule_on_interval)
 
-__all__ = ["ModeIndex", "SpectralCoefficients", "Sector", "SectorGrid",
-           "s3_harmonic", "s3_harmonic_norm", "c_beta", "ads_omegas",
-           "ads_operator_residual", "ads_gram", "check_grid_memory",
-           "project_cauchy", "synthesize", "ModeTable"]
+__all__ = ["ModeIndex", "ArrayMap", "SpectralCoefficients", "Sector",
+           "SectorGrid", "s3_harmonic", "s3_harmonic_norm", "c_beta",
+           "ads_omegas", "ads_operator_residual", "ads_gram",
+           "check_grid_memory", "project_cauchy", "synthesize", "ModeTable"]
 
 
 class _Labels(NamedTuple):
@@ -365,23 +366,61 @@ def sector_grid(gp: GeometryParams,
         t1, t2, theta, QuadratureRule(y, wy * ((1.0 - y) / 18.0)))
 
 
+class ArrayMap(Mapping):
+    """Read-only map keys[k] -> values[k] of a key list and a 1-d array,
+    whose dict is built on first read: a map nobody reads hashes no key."""
+
+    def __init__(self, keys: list, values: np.ndarray):
+        self._keys, self._values = keys, values
+
+    @functools.cached_property
+    def _dict(self) -> dict:
+        d = dict(zip(self._keys, self._values.tolist()))
+        self.get = d.get    # later reads call the dict's own get, in C
+        return d
+
+    def __getitem__(self, key):
+        return self._dict[key]
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self):
+        return len(self._keys)
+
+    def __repr__(self):
+        return repr(self._dict)
+
+    def items(self):
+        return self._dict.items()
+
+    def values(self):
+        return self._dict.values()
+
+    def copy(self) -> dict:
+        return dict(self._dict)
+
+
 @dataclass
 class SpectralCoefficients:
-    """Finitely supported map (ModeIndex, i) -> complex."""
+    """Finitely supported map (ModeIndex, i) -> complex; `entries` may be
+    any mapping, and is copied into a dict on the first assignment."""
 
-    entries: dict = field(default_factory=dict)
+    entries: Mapping = field(default_factory=dict)
 
     def __getitem__(self, key):
         return self.entries.get(key, 0.0 + 0.0j)
 
     def __setitem__(self, key, value):
+        if not isinstance(self.entries, dict):
+            self.entries = dict(self.entries.items())
         self.entries[key] = complex(value)
 
     def items(self):
         return self.entries.items()
 
     def copy(self) -> "SpectralCoefficients":
-        return SpectralCoefficients(dict(self.entries))
+        return SpectralCoefficients(dict(self.entries.items()))
 
 
 class ModeTable:

@@ -35,8 +35,8 @@ SpectralCoefficients hold spectral data and FieldSample coefficients.
 
 Coefficient keys are (ModeIndex, i), and a ModeIndex is a validated
 tuple of its eight labels, so every key hashes and compares in C: one
-dict lookup per key takes spectral data onto the table, and one list of
-the keys in table order turns evolved arrays back into dicts.
+dict lookup per key takes spectral data onto the table, and evolved
+arrays leave as read-only ArrayMaps that build their dicts on first read.
 """
 
 from __future__ import annotations
@@ -44,12 +44,13 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ads import (ModeIndex, ModeTable, SpectralCoefficients, project_cauchy,
-                  synthesize)
+from .ads import (ArrayMap, ModeIndex, ModeTable, SpectralCoefficients,
+                  project_cauchy, synthesize)
 from .errors import GridMismatch, OutOfRange, SourceCoverage, require_memory
 from .geometry import GeometryParams
 from .spectrum import TruncationPolicy, build_modes, enumerate_modes
@@ -160,13 +161,14 @@ class SourceTerm:
 @dataclass
 class FieldSample:
     """Field state at one time: grid values (when an evaluation grid
-    exists), evolved coefficients and the per-mode energies."""
+    exists), the evolved coefficients and velocity, whose entries are
+    ArrayMaps, and the per-mode energies as an ArrayMap."""
 
     t: float
     values: dict | None
     coefficients: SpectralCoefficients
     velocity: SpectralCoefficients
-    per_mode_energy: dict = field(default_factory=dict)
+    per_mode_energy: Mapping = field(default_factory=dict)
     tail_norm: float = 0.0
 
 
@@ -197,8 +199,9 @@ class KGPropagator:
         self._keys = [(beta, i) for beta in self.betas
                       for i in range(trunc.i_max + 1)]
         self._flat = {key: k for k, key in enumerate(self._keys)}
-        # Omega of key (betas[r], i) at [r, i]
+        # Omega of key (betas[r], i) at [r, i], and its square root
         self._omega = self.table.omega_table(self.betas)
+        self._root = np.sqrt(self._omega)
 
     def omega(self, key) -> float:
         return float(self._omega.flat[self._position(key)])
@@ -227,12 +230,12 @@ class KGPropagator:
         shape = self._omega.shape
         return vals.reshape(shape), support.reshape(shape), 0.0
 
-    def _scatter(self, support: np.ndarray, *arrays) -> list[dict]:
+    def _scatter(self, support: np.ndarray, *arrays) -> list[ArrayMap]:
         """(beta, i) -> entry of each array over `support`, in table
-        order; one key list serves all the arrays."""
+        order; one key list serves the ArrayMaps of all the arrays."""
         flat = np.flatnonzero(support)
         keys = list(map(self._keys.__getitem__, flat.tolist()))
-        return [dict(zip(keys, arr.take(flat).tolist())) for arr in arrays]
+        return [ArrayMap(keys, arr.take(flat)) for arr in arrays]
 
     def project(self, data: CauchyData) -> Projection:
         """The mode coefficients of Cauchy data, each component read
@@ -245,7 +248,7 @@ class KGPropagator:
         """`data` projected (a Projection is kept) for the public method
         that calls this, whose caller a TruncationWarning names;
         OutOfRange unless t sqrt(Omega) is finite."""
-        if not math.isfinite(t * math.sqrt(self._omega.max())):
+        if not math.isfinite(t * float(self._root.max())):
             raise OutOfRange(f"t = {t!r}: t sqrt(Omega) is not finite")
         if isinstance(data, Projection):
             return data
@@ -272,7 +275,7 @@ class KGPropagator:
 
     def _free(self, a0: np.ndarray, a1: np.ndarray, t: float):
         """(a, a') at time t of the homogeneous evolution."""
-        ro = np.sqrt(self._omega)
+        ro = self._root
         c, s = np.cos(t * ro), np.sin(t * ro)
         return c * a0 + s / ro * a1, -ro * s * a0 + c * a1
 
@@ -325,8 +328,7 @@ class KGPropagator:
                 raise OutOfRange(
                     f"the source slice at t = {source.times[finite.argmin()]}"
                     " has a coefficient that is not finite")
-            duh, dv = _duhamel(source.times, S,
-                               np.sqrt(self._omega[touched]), t)
+            duh, dv = _duhamel(source.times, S, self._root[touched], t)
             at[touched] += duh
             vt[touched] += dv
         return self._sample(replace(proj, support=proj.support | touched),
@@ -334,7 +336,7 @@ class KGPropagator:
 
     # -- diagnostics ------------------------------------------------------
 
-    def mode_energy(self, data: CauchyData | Projection) -> dict:
+    def mode_energy(self, data: CauchyData | Projection) -> ArrayMap:
         """E_{beta,i} = |a1|^2 + Omega |a0|^2."""
         proj = self._projected(data)
         return self._scatter(
