@@ -50,8 +50,9 @@ it: a line-for-line port of scipy's C routine brentq.c, so every root is
 scipy's bitwise and no shot loads scipy.optimize.  Each ell is shot once
 per root: a memo made anew for each root, at most the 100-iteration cap
 long, serves Brent's look at the bracket ends (or the scan's mismatches
-there) and the count at the root.  Tables free of ell are built outside
-the step loop.
+there) and the count at the root.  Only R = R0 + ell R1 depends on ell,
+so a step's band is B0 + ell b1, and the ell-free (B0, b1) of each step
+is built once per root.
 """
 
 from __future__ import annotations
@@ -113,12 +114,13 @@ def _ode_coeffs(prob: RadialProblem) -> np.ndarray:
     return out
 
 
-def _shifted(pqr: np.ndarray, y0: float, delta: float) -> np.ndarray:
-    """Rows p, q, r of ascending coefficients in w, at y = y0 + delta w,
-    of P, delta Q and delta^2 R: the ODE reads p u_ww + q u_w + r u = 0."""
-    rows = pqr @ (_BINOM * (y0 ** _POWERS)[_GAP]) * delta ** _POWERS
+def _shifted(ode: np.ndarray, y0: float, delta: float) -> np.ndarray:
+    """Rows p, q, r0, r1 of ascending coefficients in w, at y = y0 +
+    delta w, of P, delta Q, delta^2 R0 and delta^2 R1: the ODE reads
+    p u_ww + q u_w + (r0 + ell r1) u = 0."""
+    rows = ode @ (_BINOM * (y0 ** _POWERS)[_GAP]) * delta ** _POWERS
     rows[1] *= delta
-    rows[2] *= delta * delta
+    rows[2:] *= delta * delta
     return rows
 
 
@@ -128,21 +130,24 @@ def _exponents(nu: float) -> tuple[np.ndarray, np.ndarray]:
     return k, k * (k - 1.0)
 
 
-def _series(rows: np.ndarray, k, kk, lead: int, head: list,
-            dtbtrs) -> np.ndarray:
-    """Coefficients t_0 .. t_{N-1} of u = w^nu sum_k t_k w^k from the
-    leading ones in `head`, (k, kk) = `_exponents(nu)`: the recurrence of
-    the module docstring by forward substitution, LAPACK's banded
-    triangular solve `dtbtrs`.  `lead` is the order of the zero of p at
-    w = 0 (2 at an endpoint, 0 at a regular point)."""
+def _band(rows: np.ndarray, k, kk, lead: int):
+    """(B0, b1), band = B0 + ell b1 of the recurrence of the module
+    docstring for `_shifted` rows, (k, kk) = `_exponents(nu)`; `lead` is
+    the order of the zero of p at w = 0 (2 at an endpoint, 0 inside)."""
     # two leading zeros stand for q_{-1}, r_{-2} and r_{-1}
-    ext = np.zeros((3, _DEGREE + 3))
+    ext = np.zeros((4, _DEGREE + 3))
     ext[:, 2:] = rows
     top = _DEGREE + 1
     # band[d, k] multiplies t_k in the equation for t_{k+d}
-    band = (ext[0, lead + 2:top + 2, None] * kk
+    return (ext[0, lead + 2:top + 2, None] * kk
             + ext[1, lead + 1:top + 1, None] * k
-            + ext[2, lead:top, None])
+            + ext[2, lead:top, None]), ext[3, lead:top, None]
+
+
+def _series(band: np.ndarray, head: list, dtbtrs) -> np.ndarray:
+    """Coefficients t_0 .. t_{N-1} of u = w^nu sum_k t_k w^k from the
+    leading ones in `head`, `band` as `_band` lays it out: forward
+    substitution by LAPACK's banded triangular solve `dtbtrs`."""
     n_head = len(head)
     rhs = np.zeros(_SERIES_TERMS - n_head)
     for i, t in enumerate(head):
@@ -201,10 +206,10 @@ def _match_point(prob: RadialProblem) -> float:
     return min(max(y, gp.y_minus + margin), gp.y_plus - margin)
 
 
-def _half(prob: RadialProblem, pqr: np.ndarray, endpoint: int,
+def _half(prob: RadialProblem, ell: float, bands: dict, endpoint: int,
           y_match: float):
     """Carry the Frobenius solution of `endpoint` (-1 for y_minus, +1 for
-    y_plus) to y_match.
+    y_plus) to y_match at ell, keeping each step's (B0, b1) in `bands`.
 
     Returns the normalized (u, du/dy) at y_match and the coefficients of
     every step's series, the launch first: on each step u has the sign
@@ -225,9 +230,17 @@ def _half(prob: RadialProblem, pqr: np.ndarray, endpoint: int,
     # the Frobenius series reaches d0 unless ell is large; steps carry on
     # from wherever it stops
     launch, interior = _exponents(nu), _exponents(0.0)
+    ode = _ode_coeffs(prob)
+
+    def series(y0, delta, exponents, lead, head):
+        key = (y0, delta, lead)
+        if key not in bands:
+            bands[key] = _band(_shifted(ode, y0, delta), *exponents, lead)
+        b0, b1 = bands[key]
+        return _series(b0 + ell * b1, head, dtbtrs)
+
     dist, t, (u, du) = _step(
-        lambda h: _series(_shifted(pqr, y_end, sgn * h), *launch, 2, [1.0],
-                          dtbtrs),
+        lambda h: series(y_end, sgn * h, launch, 2, [1.0]),
         _LAUNCH_FRACTION * length, launch[0], floor, y_end)
     y = y_end + sgn * dist
     u, du = _normalized(u, du / (sgn * dist), y)
@@ -239,8 +252,8 @@ def _half(prob: RadialProblem, pqr: np.ndarray, endpoint: int,
             return math.copysign(h, left) if h < abs(left) else left
 
         h, t, (value, slope) = _step(
-            lambda h: _series(_shifted(pqr, y, signed(h)), *interior, 0,
-                              [u, signed(h) * du], dtbtrs),
+            lambda h: series(y, signed(h), interior, 0,
+                             [u, signed(h) * du]),
             min(_STEP_FRACTION * min(abs(z - y) for z in zeros), abs(left)),
             interior[0], floor, y)
         delta = signed(h)
@@ -250,18 +263,17 @@ def _half(prob: RadialProblem, pqr: np.ndarray, endpoint: int,
     return u, du, steps
 
 
-def _halves(prob: RadialProblem, ell: float):
-    """`_half` from each endpoint at ell, left first; NotConverged names
-    the problem and ell."""
+def _halves(prob: RadialProblem, ell: float, bands=None):
+    """`_half` from each endpoint at ell, left first, sharing `bands` (a
+    new dict if None); NotConverged names the problem and ell."""
     if not math.isfinite(ell):
         raise BracketError(f"ell must be finite, got {ell}")
-    p, q, r0, r1 = _ode_coeffs(prob)
-    pqr = np.array([p, q, r0 + ell * r1])
+    bands = {} if bands is None else bands
     y_match = _match_point(prob)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            return (_half(prob, pqr, -1, y_match),
-                    _half(prob, pqr, 1, y_match))
+            return (_half(prob, ell, bands, -1, y_match),
+                    _half(prob, ell, bands, 1, y_match))
     except NotConverged as exc:
         raise NotConverged(f"{exc} for {prob.label}, ell = {ell}") from None
 
@@ -339,12 +351,13 @@ def _brentq(f, xa: float, xb: float, name: str) -> float:
 def _root(prob: RadialProblem, lo: float, hi: float, ends=()):
     """Zero of the mismatch on [lo, hi] by `_brentq`, and its oscillation
     count.  `ends` holds the mismatches at lo and hi when they are known;
-    any other ell is shot once, its halves kept for this root alone."""
-    known, shot = dict(zip((lo, hi), ends)), {}
+    any other ell is shot once, its halves and step bands kept for this
+    root alone."""
+    known, shot, bands = dict(zip((lo, hi), ends)), {}, {}
 
     def mismatch(ell):
         if ell not in known:
-            shot[ell] = _halves(prob, ell)
+            shot[ell] = _halves(prob, ell, bands)
             known[ell] = _mismatch(shot[ell])
         return known[ell]
 

@@ -2,8 +2,7 @@
 name a module exports exists, every error type is raised somewhere,
 every selftest check has one size and one acceptance criterion, and
 the propagation path from geometry to output file loads no scipy module
-(only a Duhamel spline of three or more slices and the shooting oracle
-load scipy.linalg)."""
+(only the shooting oracle loads scipy.linalg)."""
 
 import ast
 import dataclasses

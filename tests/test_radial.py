@@ -479,9 +479,9 @@ class TestShooting:
         shot = []
         halves = shooting._halves
 
-        def recording(prob, ell):
+        def recording(prob, ell, *memo):
             shot.append(ell)
-            return halves(prob, ell)
+            return halves(prob, ell, *memo)
 
         monkeypatch.setattr(shooting, "_halves", recording)
         prob = radial_problem(gp23, 1, 0, 8.0)
@@ -517,6 +517,74 @@ class TestShooting:
             count = shooting._oscillation_count(prob, ref)
             assert shooting._root(prob, lo, hi) == (ref, count) == (ref, md.k)
 
+    @pytest.mark.parametrize("p,q", [(2, 3), (3, 4)])
+    @pytest.mark.parametrize("m,l", [(0, 0), (1, 0)])
+    @pytest.mark.parametrize("lam", [0.0, 5.0])
+    def test_oracle_roots_pinned(self, request, p, q, m, l, lam):
+        # the roots of the matrix above, recorded before the series bands
+        # were kept across shots; the bound, 1e-13 of max(1, |ell|), was
+        # fixed before measuring (brentq's xtol is 1e-13)
+        prob = radial_problem(request.getfixturevalue(f"gp{p}{q}"), m, l, lam)
+        for md in solve_radial(prob, 1, 28):
+            ref = float.fromhex(PINNED_ROOTS[p, q, m, l, lam, md.k])
+            pad = 0.02 * max(1.0, md.ell)
+            lo, hi = (-1e-6, 1e-6) if md.ell == 0.0 else (md.ell - pad,
+                                                           md.ell + pad)
+            ell, count = shooting._root(prob, lo, hi)
+            assert abs(ell - ref) <= 1e-13 * max(1.0, abs(ref))
+            assert count == md.k
+
+    def test_each_step_shifted_once_per_call(self, gp23, monkeypatch):
+        # every shot of a root reuses the bands of the steps it shares with
+        # earlier shots; a second call shifts them all again
+        shifts, series = [], []
+        shifted, solved = shooting._shifted, shooting._series
+
+        def count_shifted(ode, y0, delta):
+            shifts.append((y0, delta))
+            return shifted(ode, y0, delta)
+
+        def count_series(*args):
+            series.append(None)
+            return solved(*args)
+
+        monkeypatch.setattr(shooting, "_shifted", count_shifted)
+        monkeypatch.setattr(shooting, "_series", count_series)
+        prob = radial_problem(gp23, 1, 0, 8.0)
+        md = solve_radial(prob, 1, 24)[1]
+        pad = 0.02 * md.ell
+        calls = []
+        for _ in range(2):
+            shifts.clear()
+            series.clear()
+            shooting_oracle(prob, (md.ell - pad, md.ell + pad), md.k)
+            assert len(shifts) == len(set(shifts))
+            assert 4 * len(shifts) < len(series)
+            calls.append(sorted(shifts))
+        assert calls[0] == calls[1]
+
+
+# roots of TestShooting.test_oracle_bitwise_plain_brentq's matrix, keyed by
+# (p, q, m, l, Lambda, k), as shooting._root found them before the series
+# bands were kept across shots
+PINNED_ROOTS = {
+    (2, 3, 0, 0, 0.0, 0): "0x1.4140000000000p-86",
+    (2, 3, 0, 0, 0.0, 1): "0x1.8000000000005p+3",
+    (2, 3, 0, 0, 5.0, 0): "0x1.c8d53f050f3aep+4",
+    (2, 3, 0, 0, 5.0, 1): "0x1.7b4a1f66d6064p+5",
+    (2, 3, 1, 0, 0.0, 0): "0x1.7d50304f5f15cp+5",
+    (2, 3, 1, 0, 0.0, 1): "0x1.4be26a5cbd449p+6",
+    (2, 3, 1, 0, 5.0, 0): "0x1.38b23069bb7c7p+6",
+    (2, 3, 1, 0, 5.0, 1): "0x1.cdd0b40f4a622p+6",
+    (3, 4, 0, 0, 0.0, 0): "0x1.3a20000000000p-85",
+    (3, 4, 0, 0, 0.0, 1): "0x1.8000000000001p+3",
+    (3, 4, 0, 0, 5.0, 0): "0x1.d39e2f4af65a8p+4",
+    (3, 4, 0, 0, 5.0, 1): "0x1.64f3108d0fe04p+5",
+    (3, 4, 1, 0, 0.0, 0): "0x1.7ed589a94299ep+5",
+    (3, 4, 1, 0, 0.0, 1): "0x1.4e43b0da67708p+6",
+    (3, 4, 1, 0, 5.0, 0): "0x1.38510fd8070cdp+6",
+    (3, 4, 1, 0, 5.0, 1): "0x1.ca8ad94f79382p+6",
+}
 
 
 # (f, bracket): the secant alone; inverse quadratic extrapolation, with a
