@@ -368,7 +368,8 @@ def sector_grid(gp: GeometryParams,
 
 class ArrayMap(Mapping):
     """Read-only map keys[k] -> values[k] of a key list and a 1-d array,
-    whose dict is built on first read: a map nobody reads hashes no key."""
+    whose dict is built on the first read by key (`[key]`, `get`, `copy`,
+    `repr`): iterating the map, its values or items hashes no key."""
 
     def __init__(self, keys: list, values: np.ndarray):
         self._keys, self._values = keys, values
@@ -392,10 +393,10 @@ class ArrayMap(Mapping):
         return repr(self._dict)
 
     def items(self):
-        return self._dict.items()
+        return list(zip(self._keys, self._values.tolist()))
 
     def values(self):
-        return self._dict.values()
+        return self._values.tolist()
 
     def copy(self) -> dict:
         return dict(self._dict)

@@ -1,7 +1,8 @@
 """Run configuration for the batch propagator.
 
 Plain `key = value` text, one per line, `#` comments, with an explicit
-schema version.  Coefficient lines may repeat:
+schema version.  Coefficient lines may repeat, though not one
+component's nine indices:
 
     schema_version = 1
     p = 2
@@ -129,6 +130,7 @@ def parse_config(text: str) -> RunConfig:
     # line of each key given, and (line, indices) of each coefficient
     lines: dict[str, int] = {}
     coefs: list[tuple[int, tuple]] = []
+    first: dict[tuple, int] = {}    # (component, indices) -> first line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -139,6 +141,9 @@ def parse_config(text: str) -> RunConfig:
         key, value = key.strip(), value.strip()
         if key in _COEF_KEYS:
             idx, val = _parse_coef(value, lineno)
+            if first.setdefault((key, idx), lineno) != lineno:
+                raise ConfigError(f"line {lineno}: {key} {idx} repeats line "
+                                  f"{first[key, idx]}")
             values[key.replace("_coef", "_coefs")].append((idx, val))
             coefs.append((lineno, idx))
             continue

@@ -35,8 +35,11 @@ SpectralCoefficients hold spectral data and FieldSample coefficients.
 
 Coefficient keys are (ModeIndex, i), and a ModeIndex is a validated
 tuple of its eight labels, so every key hashes and compares in C: one
-dict lookup per key takes spectral data onto the table, and evolved
-arrays leave as read-only ArrayMaps that build their dicts on first read.
+dict lookup per key takes spectral data onto the table.  A call keeps
+the key lists and positions of the spectral data it gathered, so the next
+call on the same data re-reads only values (keys are looked up again
+where a key list changed); a Projection (`project`) skips the gather.
+Evolved arrays leave as ArrayMaps that build dicts on first read by key.
 """
 
 from __future__ import annotations
@@ -202,6 +205,8 @@ class KGPropagator:
         # Omega of key (betas[r], i) at [r, i], and its square root
         self._omega = self.table.omega_table(self.betas)
         self._root = np.sqrt(self._omega)
+        # id(entries) -> (keys, positions) of the latest call's components
+        self._memo: dict[int, tuple] = {}
 
     def omega(self, key) -> float:
         return float(self._omega.flat[self._position(key)])
@@ -212,17 +217,23 @@ class KGPropagator:
             raise GridMismatch(f"coefficient {key} outside the truncation")
         return pos
 
-    def _gather(self, comp) -> tuple[np.ndarray, np.ndarray, float]:
+    def _gather(self, comp, last: dict) -> tuple:
         """(values, support, squared tail) of one data component on the
-        key table; only gridded data, projected here, has a tail."""
+        key table; only gridded data, projected here, has a tail.  Spectral
+        keys are looked up unless `last`, the previous call's memo, holds
+        an equal key list for these entries; the values are always read."""
         if not isinstance(comp, SpectralCoefficients):
             vals, norm_sq = project_cauchy(comp, self.betas, self.table)
             return (vals, vals != 0.0,
                     max(norm_sq - np.linalg.norm(vals) ** 2, 0.0))
-        pos = list(map(self._flat.get, comp.entries))
-        if None in pos:     # GridMismatch naming the first bad key
-            pos = list(map(self._position, comp.entries))
-        pos = np.array(pos, dtype=np.intp)
+        keys = list(comp.entries)
+        seen, pos = last.get(id(comp.entries), (None, None))
+        if seen != keys:
+            pos = list(map(self._flat.get, keys))
+            if None in pos:     # GridMismatch naming the first bad key
+                pos = list(map(self._position, keys))
+            pos = np.array(pos, dtype=np.intp)
+        self._memo[id(comp.entries)] = keys, pos
         vals = np.zeros(self._omega.size, dtype=complex)
         vals[pos] = np.fromiter(comp.entries.values(), complex, len(pos))
         support = np.zeros(self._omega.size, dtype=bool)
@@ -244,18 +255,21 @@ class KGPropagator:
         norm or a mode energy is not finite."""
         return self._projected(data)
 
-    def _projected(self, data, t: float = 0.0) -> Projection:
+    def _projected(self, data, t: float = 0.0, last=None) -> Projection:
         """`data` projected (a Projection is kept) for the public method
         that calls this, whose caller a TruncationWarning names;
-        OutOfRange unless t sqrt(Omega) is finite."""
+        OutOfRange unless t sqrt(Omega) is finite.  The call's key memo
+        starts here unless the caller started it and hands in `last`."""
         if not math.isfinite(t * float(self._root.max())):
             raise OutOfRange(f"t = {t!r}: t sqrt(Omega) is not finite")
         if isinstance(data, Projection):
             return data
+        if last is None:
+            last, self._memo = self._memo, {}
         # overflow is refused below, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
-            a0, s0, tail0 = self._gather(data.phi0)
-            a1, s1, tail1 = self._gather(data.phi1)
+            a0, s0, tail0 = self._gather(data.phi0, last)
+            a1, s1, tail1 = self._gather(data.phi1, last)
             tail = math.sqrt(tail0 + tail1)
             total = math.hypot(np.linalg.norm(a0), np.linalg.norm(a1), tail)
             energy = _abs_sq(a1) + self._omega * _abs_sq(a0)
@@ -311,7 +325,8 @@ class KGPropagator:
                              source: SourceTerm, t: float,
                              synthesize_values: bool | None = None) -> FieldSample:
         """Homogeneous part plus the Duhamel integral of the source."""
-        proj = self._projected(data, t)
+        last, self._memo = self._memo, {}
+        proj = self._projected(data, t, last)
         lo, hi = min(0.0, t), max(0.0, t)
         if source.times[0] > lo + 1e-12 or source.times[-1] < hi - 1e-12:
             raise SourceCoverage(
@@ -320,7 +335,7 @@ class KGPropagator:
         at, vt = self._free(proj.a0, proj.a1, t)
         # overflow is refused by `_sample`, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
-            slices = [self._gather(sl) for sl in source.slices]
+            slices = [self._gather(sl, last) for sl in source.slices]
             touched = np.logical_or.reduce([s for _, s, _ in slices])
             S = np.array([vals[touched] for vals, _, _ in slices])
             finite = np.isfinite(S).all(axis=1)

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -368,6 +369,20 @@ class TestConfig:
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config("schema_version = 1\np = 2\np = 3\nq = 3\n")
+
+    def test_repeated_coefficient_index(self):
+        # the same nine indices twice in one component; the template's
+        # first coefficient is its line 17
+        text, lineno = _with_line("phi0_coef = 0 0 0 0 0 0 0 0 0 : 2.0 : 0.0")
+        with pytest.raises(ConfigError, match=re.escape(
+                f"line {lineno}: phi0_coef (0, 0, 0, 0, 0, 0, 0, 0, 0) "
+                "repeats line 17")):
+            parse_config(text)
+        # the same index in phi0_coef and phi1_coef is two components
+        text, _ = _with_line("phi1_coef = 0 0 0 0 0 0 0 0 0 : 2.0 : 0.0")
+        cfg = parse_config(text)
+        assert cfg.phi1_coefs == [((0,) * 9, 2.0 + 0.0j)]
+        assert cfg.phi0_coefs[0] == ((0,) * 9, 1.0 + 0.0j)
 
     @pytest.mark.parametrize("line", ["lambda_max = 5", "sigma_rule = prose"])
     def test_removed_keys_are_unknown(self, tmp_path, capsys, line):

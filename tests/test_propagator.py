@@ -493,6 +493,22 @@ class TestSampleMaps:
         assert "_dict" not in vars(sample.per_mode_energy)
 
 
+    def test_iterating_builds_no_dict(self, prop, random_data):
+        # synthesis reads the coefficients' items, a composition feeds a
+        # sample back as Cauchy data, and the CLI sorts the energies'
+        # items: none of them reads by key
+        sample = prop.evolve(random_data, 0.6, synthesize_values=True)
+        assert sample.values
+        composed = prop.evolve(CauchyData(sample.coefficients,
+                                          sample.velocity), 0.9,
+                               synthesize_values=False)
+        energies = sorted(composed.per_mode_energy.items())
+        assert [key for key, _ in energies] == list(composed.per_mode_energy)
+        for m in self._maps(sample) + self._maps(composed):
+            assert "_dict" not in vars(m)
+        assert _bits(sample.coefficients.entries.values()) == _bits(
+            dict(sample.coefficients.entries.items()).values())
+
 def test_root_table_is_bitwise_per_call_sqrt(duhamel_prop):
     # sqrt rounds each element correctly, so one table of sqrt(Omega)
     # gives the arrays a sqrt taken afresh on every call gave
@@ -702,6 +718,104 @@ class TestValidation:
             sample = prop.evolve(_build_data(cfg, prop), 1.0,
                                  synthesize_values=False)
         assert sample.tail_norm == 0.17943351307206215
+
+
+class _CountingDict(dict):
+    """A dict that counts calls of its `get`."""
+
+    calls = 0
+
+    def get(self, *args):
+        self.calls += 1
+        return super().get(*args)
+
+
+class TestKeyMemo:
+    """A call keeps the key lists and table positions of the spectral
+    components it gathered; the next call looks up only changed keys."""
+
+    def test_second_call_looks_up_no_key(self, prop, random_data,
+                                         monkeypatch):
+        counting = _CountingDict(prop._flat)
+        monkeypatch.setattr(prop, "_flat", counting)
+        monkeypatch.setattr(prop, "_memo", {})
+        first = prop.evolve(random_data, 0.9, synthesize_values=False)
+        assert counting.calls == (len(random_data.phi0.entries)
+                                  + len(random_data.phi1.entries))
+        counting.calls = 0
+        second = prop.evolve(random_data, 0.9, synthesize_values=False)
+        assert counting.calls == 0
+        _assert_same_sample(first, second)
+
+    def test_second_call_is_a_fresh_first_call(self, prop, random_data):
+        src = _random_source(prop, np.random.default_rng(8), [0.0, 1.0, 2.0])
+        fresh = KGPropagator(prop.gp, prop.M, prop.kappa, prop.trunc)
+        want = fresh.evolve_inhomogeneous(random_data, src, 1.3,
+                                          synthesize_values=False)
+        for _ in range(2):
+            got = prop.evolve_inhomogeneous(random_data, src, 1.3,
+                                            synthesize_values=False)
+            assert list(got.coefficients.entries) == list(
+                want.coefficients.entries)
+            for a, b in zip(TestSampleMaps._maps(got),
+                            TestSampleMaps._maps(want)):
+                assert _bits(a.values()) == _bits(b.values())
+
+    @pytest.mark.parametrize("change", ["replace", "move", "value"])
+    def test_change_in_place_is_read(self, prop, random_data, change):
+        # a replaced or moved key is looked up again; a new value is read
+        entries = random_data.phi0.entries
+        prop.evolve(random_data, 0.5)
+        ident, size = id(entries), len(entries)
+        old = next(iter(entries))
+        if change == "value":
+            entries[old] += 1.0
+        else:
+            value = entries.pop(old)
+            entries[(old[0], 1) if change == "replace" else old] = value
+        assert (id(entries), len(entries)) == (ident, size)
+        got = prop.evolve(random_data, 0.5, synthesize_values=False)
+        want = prop.evolve(CauchyData(SpectralCoefficients(dict(entries)),
+                                      random_data.phi1), 0.5,
+                           synthesize_values=False)
+        _assert_same_sample(got, want)
+
+    def test_key_outside_after_a_hit_refused(self, prop, random_data):
+        for _ in range(2):
+            prop.evolve(random_data, 1.0)
+        bad = (ModeIndex(7, 0, 0, 0, 0, 0, 0, 0), 0)
+        random_data.phi1[bad] = 1.0
+        with pytest.raises(GridMismatch, match=re.escape(
+                f"coefficient {bad} outside the truncation")):
+            prop.evolve(random_data, 1.0)
+
+    def test_plain_tuple_keys_after_a_hit(self, prop, random_data):
+        # the same dict, its keys swapped for equal plain 8-tuples
+        want = prop.evolve(random_data, 0.7, synthesize_values=False)
+        entries = random_data.phi0.entries
+        items = list(entries.items())
+        entries.clear()
+        entries.update(((tuple(beta), i), v) for (beta, i), v in items)
+        for _ in range(2):
+            got = prop.evolve(random_data, 0.7, synthesize_values=False)
+            _assert_same_sample(got, want)
+
+    def test_memo_holds_the_latest_call(self, prop):
+        rng = np.random.default_rng(34)
+        kept = []
+        for k in range(20):
+            data = CauchyData(*(SpectralCoefficients(
+                {(beta, k % 3): complex(*rng.normal(size=2))
+                 for beta in prop.betas[k % 4::4]}) for _ in range(2)))
+            src = _random_source(prop, rng, [0.0, 1.0, 2.0])
+            kept.append((data, src))    # ids stay distinct
+            prop.evolve_inhomogeneous(data, src, 1.5,
+                                      synthesize_values=False)
+            comps = (data.phi0, data.phi1, *src.slices)
+            assert set(prop._memo) == {id(c.entries) for c in comps}
+            prop.evolve(data, 0.5, synthesize_values=False)
+            assert set(prop._memo) == {id(data.phi0.entries),
+                                       id(data.phi1.entries)}
 
 
 def test_enumerate_beta_counts():
